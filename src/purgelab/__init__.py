@@ -19,7 +19,7 @@ from .data import (
     split,
     write_corpus,
 )
-from .encoder import EncoderDims, classify_pair, encode, init_params
+from .encoder import EncoderDims, init_params
 from .errors import PurgelabError
 from .evaluation import (
     DistanceStats,
@@ -74,7 +74,6 @@ __all__ = [
     "TrainerState",
     "VergeRegistry",
     "VergeState",
-    "classify_pair",
     "cluster_purge_loss",
     "contrastive_loss",
     "cosine_distance",
@@ -83,7 +82,6 @@ __all__ = [
     "distance_stats",
     "ema_batch",
     "ema_step",
-    "encode",
     "evaluate",
     "export_embeddings",
     "extract_features",

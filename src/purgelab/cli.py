@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .data import (
     FeatureSpec,
@@ -74,7 +74,7 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def write_manifest(path, command: str, args: argparse.Namespace) -> None:
-    skip = {"config", "func"}
+    skip = {"config", "func", "given"}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"command = {command}\n")
         for key in sorted(vars(args)):
@@ -83,12 +83,25 @@ def write_manifest(path, command: str, args: argparse.Namespace) -> None:
             fh.write(f"{key} = {_fmt(getattr(args, key))}\n")
 
 
+class _StoreGiven(argparse.Action):
+    """Store a flag's value and record its dest in ``namespace.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 class _Args:
-    """add_argument wrapper that lets a config file override built-in defaults."""
+    """add_argument wrapper that lets a config file override built-in defaults.
+
+    ``given`` on the parsed namespace names every value that came from the
+    command line or the config file rather than a built-in default.
+    """
 
     def __init__(self, parser: argparse.ArgumentParser, file_defaults: dict[str, str]):
         self.parser = parser
         self.file_defaults = file_defaults
+        parser.set_defaults(given=frozenset(file_defaults))
 
     def add(self, *names, dest=None, type=str, default=None, **kwargs):
         if dest is None:
@@ -96,7 +109,9 @@ class _Args:
         raw = self.file_defaults.get(dest)
         if raw is not None:
             default = None if raw == "none" else type(raw)
-        self.parser.add_argument(*names, dest=dest, type=type, default=default, **kwargs)
+        self.parser.add_argument(
+            *names, dest=dest, type=type, default=default, action=_StoreGiven, **kwargs
+        )
 
     def flag(self, *names, dest=None, default=False, **kwargs):
         if dest is None:
@@ -156,6 +171,26 @@ def _train_config(ns: argparse.Namespace) -> TrainConfig:
         adam_epsilon=ns.adam_epsilon,
         seed=ns.seed,
     )
+
+
+def _resume_config(ns: argparse.Namespace, saved: TrainConfig) -> TrainConfig:
+    """The checkpoint's config with the new epoch target.
+
+    A training flag that was given must agree with the checkpoint; every other
+    one takes the checkpoint's value on ``ns``, so the console line and the
+    manifest echo the config that actually runs.
+    """
+    values = asdict(saved)
+    values.update(values.pop("loss"))
+    del values["epochs"]
+    for dest, value in values.items():
+        if dest in ns.given and getattr(ns, dest) != value:
+            raise ConfigError(
+                f"{dest} = {_fmt(getattr(ns, dest))} conflicts with the resumed "
+                f"checkpoint's {dest} = {_fmt(value)}"
+            )
+        setattr(ns, dest, value)
+    return replace(saved, epochs=ns.epochs)
 
 
 def _provider(ns: argparse.Namespace):
@@ -244,13 +279,12 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
 
 def cmd_train(ns: argparse.Namespace) -> int:
     corpus = ingest(ns.corpus)
-    provider = _provider(ns)
     if ns.resume:
         state = load_checkpoint(ns.resume)
-        state.config = replace(state.config, epochs=ns.epochs)
-        result = resume(state, corpus, provider, collect_steps=ns.trace)
+        state.config = _resume_config(ns, state.config)
+        result = resume(state, corpus, _provider(ns), collect_steps=ns.trace)
     else:
-        result = train(_train_config(ns), corpus, provider, collect_steps=ns.trace)
+        result = train(_train_config(ns), corpus, _provider(ns), collect_steps=ns.trace)
     save_checkpoint(result.state, _outpath(ns, "checkpoint.bin"))
     _write_history(_outpath(ns, "history.tsv"), result.history)
     if ns.trace and result.step_trace is not None:

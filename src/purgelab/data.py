@@ -417,6 +417,10 @@ def generate_synthetic(
     if n_equiv == 0 or n_equiv == per_class:
         raise ConfigError("equiv_fraction leaves one label empty at this per_class")
     if mode == "geometric":
+        if feature_dim < 2 * GEOMETRIC_SUBSPACE_DIM:
+            raise ConfigError(
+                f"geometric mode needs feature_dim >= {2 * GEOMETRIC_SUBSPACE_DIM}, got {feature_dim}"
+            )
         return _generate_geometric(n_classes, per_class, n_equiv, noise, seed, feature_dim)
     return _generate_codegen(n_classes, per_class, n_equiv, seed), None
 

@@ -14,6 +14,7 @@ cache that has gone stale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,29 +53,50 @@ class PairClassifierParams:
     version: int = 0
 
 
+# The flat parameter layout: every weight of the encoder and the head lives in
+# one contiguous float64 vector, in this segment order. Adam's moments and the
+# step gradient share the layout; checkpoints store the segments by these names.
+PARAM_NAMES = ("enc.w1", "enc.b1", "enc.w2", "enc.b2", "head.w1", "head.b1", "head.w2", "head.b2")
+
+
+def param_shapes(dims: EncoderDims) -> list[tuple[int, ...]]:
+    """Segment shapes of the flat parameter vector, in ``PARAM_NAMES`` order."""
+    h, e, p = dims.hidden_dim, dims.embed_dim, dims.pair_hidden_dim
+    return [(h, dims.feature_dim), (h,), (e, h), (e,), (p, 4 * e), (p,), (2, p), (2,)]
+
+
+def split_flat(flat: np.ndarray, dims: EncoderDims) -> list[np.ndarray]:
+    """Views of the flat vector ``flat`` as the segments of :func:`param_shapes`."""
+    shapes = param_shapes(dims)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    if flat.shape != (ends[-1],):
+        raise DimensionError(f"flat parameters must be ({ends[-1]},), got {flat.shape}")
+    return [seg.reshape(shape) for seg, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def param_views(
+    flat: np.ndarray, dims: EncoderDims, version: int = 0
+) -> tuple[EncoderParams, PairClassifierParams]:
+    """Encoder and head whose arrays are views into the flat vector ``flat``."""
+    views = split_flat(flat, dims)
+    return EncoderParams(*views[:4], version), PairClassifierParams(*views[4:], version)
+
+
+def init_flat_params(seed: int, dims: EncoderDims = EncoderDims()) -> np.ndarray:
+    """Reproducible scale-balanced initialization: Glorot weights, zero biases."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(sum(math.prod(shape) for shape in param_shapes(dims)))
+    for seg in split_flat(flat, dims):
+        if seg.ndim == 2:
+            seg[...] = rng.normal(0.0, np.sqrt(2.0 / sum(seg.shape)), size=seg.shape)
+    return flat
+
+
 def init_params(
     seed: int, dims: EncoderDims = EncoderDims()
 ) -> tuple[EncoderParams, PairClassifierParams]:
-    """Reproducible scale-balanced initialization: Glorot weights, zero biases."""
-    rng = np.random.default_rng(seed)
-
-    def glorot(rows, cols):
-        scale = np.sqrt(2.0 / (rows + cols))
-        return rng.normal(0.0, scale, size=(rows, cols))
-
-    encoder = EncoderParams(
-        w1=glorot(dims.hidden_dim, dims.feature_dim),
-        b1=np.zeros(dims.hidden_dim),
-        w2=glorot(dims.embed_dim, dims.hidden_dim),
-        b2=np.zeros(dims.embed_dim),
-    )
-    head = PairClassifierParams(
-        w1=glorot(dims.pair_hidden_dim, 4 * dims.embed_dim),
-        b1=np.zeros(dims.pair_hidden_dim),
-        w2=glorot(2, dims.pair_hidden_dim),
-        b2=np.zeros(2),
-    )
-    return encoder, head
+    """Initialized encoder and head, as views into one flat vector."""
+    return param_views(init_flat_params(seed, dims), dims)
 
 
 @dataclass
@@ -117,14 +139,6 @@ def encode_batch(params: EncoderParams, features: np.ndarray) -> EncoderCache:
         embeddings=embeddings,
         params_version=params.version,
     )
-
-
-def encode(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    """Encode a single feature vector to a unit-norm embedding."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 1:
-        raise DimensionError(f"features must be 1-D, got shape {features.shape}")
-    return encode_batch(params, features[None, :]).embeddings[0]
 
 
 def encoder_backward(
@@ -209,15 +223,6 @@ def classify_pairs(
         logits=logits,
         params_version=params.version,
     )
-
-
-def classify_pair(params: PairClassifierParams, o: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Logits for a single (origin, mutant) embedding pair."""
-    o = np.asarray(o, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if o.ndim != 1 or s.ndim != 1:
-        raise DimensionError("classify_pair expects 1-D embeddings")
-    return classify_pairs(params, o[None, :], s[None, :]).logits[0]
 
 
 def pair_backward(

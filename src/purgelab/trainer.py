@@ -13,21 +13,27 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import numbers
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import Batch, Corpus, FeatureCache, make_batches
 from .encoder import (
+    PARAM_NAMES,
     EncoderDims,
     EncoderParams,
     PairClassifierParams,
     classify_pairs,
     encode_batch,
     encoder_backward,
-    init_params,
+    init_flat_params,
     pair_backward,
+    param_shapes,
+    param_views,
+    split_flat,
 )
 from .errors import (
     ConfigError,
@@ -71,6 +77,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        dims = ("feature_dim", "hidden_dim", "embed_dim", "pair_hidden_dim")
+        for name in ("epochs", "batch_size", "seed", *dims):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.epochs < 1:
@@ -97,21 +107,39 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam moments in the flat parameter layout. The step gradient ``grad``
+    and two ``scratch`` vectors share the layout; they are not checkpointed."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+
+    def __post_init__(self):
+        self.grad, *self.scratch = np.zeros((3, self.m.size))
 
 
 @dataclass
 class TrainerState:
-    """Everything a training run carries: the checkpointable state."""
+    """Everything a training run carries: the checkpointable state.
+
+    ``encoder`` and ``head`` are views into the flat vector ``params``, and
+    ``grad_segments`` are the same views into ``adam.grad``.
+    """
 
     config: TrainConfig
-    encoder: EncoderParams
-    head: PairClassifierParams
+    params: np.ndarray
     registry: VergeRegistry
     adam: AdamState
     epoch: int = 0
+    version: InitVar[int] = 0
+    encoder: EncoderParams = field(init=False)
+    head: PairClassifierParams = field(init=False)
+    grad_segments: list[np.ndarray] = field(init=False)
+
+    def __post_init__(self, version: int):
+        dims = self.config.dims()
+        self.encoder, self.head = param_views(self.params, dims, version)
+        self.grad_segments = split_flat(self.adam.grad, dims)
 
 
 @dataclass
@@ -139,29 +167,9 @@ class TrainResult:
 
 
 def init_state(config: TrainConfig) -> TrainerState:
-    encoder, head = init_params(config.seed, config.dims())
-    names = _named_arrays(encoder, head)
-    adam = AdamState(
-        m={name: np.zeros_like(arr) for name, arr in names},
-        v={name: np.zeros_like(arr) for name, arr in names},
-    )
-    registry = VergeRegistry(config.loss.ema_params())
-    return TrainerState(config=config, encoder=encoder, head=head, registry=registry, adam=adam)
-
-
-def _named_arrays(
-    encoder: EncoderParams, head: PairClassifierParams
-) -> list[tuple[str, np.ndarray]]:
-    return [
-        ("enc.w1", encoder.w1),
-        ("enc.b1", encoder.b1),
-        ("enc.w2", encoder.w2),
-        ("enc.b2", encoder.b2),
-        ("head.w1", head.w1),
-        ("head.b1", head.b1),
-        ("head.w2", head.w2),
-        ("head.b2", head.b2),
-    ]
+    params = init_flat_params(config.seed, config.dims())
+    adam = AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
+    return TrainerState(config, params, VergeRegistry(config.loss.ema_params()), adam)
 
 
 def _metric_loss(state: TrainerState, samples: list[EmbeddedSample]) -> LossOutput | None:
@@ -270,35 +278,46 @@ def _train_step_inner(state: TrainerState, batch: Batch) -> StepMetrics:
     enc_grads_o = encoder_backward(state.encoder, cache_o, d_origins)
     enc_grads_s = encoder_backward(state.encoder, cache_s, d_mutants)
 
-    grads = {
-        "enc.w1": enc_grads_o.w1 + enc_grads_s.w1,
-        "enc.b1": enc_grads_o.b1 + enc_grads_s.b1,
-        "enc.w2": enc_grads_o.w2 + enc_grads_s.w2,
-        "enc.b2": enc_grads_o.b2 + enc_grads_s.b2,
-        "head.w1": head_grads.w1,
-        "head.b1": head_grads.b1,
-        "head.w2": head_grads.w2,
-        "head.b2": head_grads.b2,
-    }
-    _adam_step(state, grads)
+    grads = state.grad_segments
+    for out, g_o, g_s in zip(grads, _param_grads(enc_grads_o), _param_grads(enc_grads_s)):
+        np.add(g_o, g_s, out=out)
+    for out, g in zip(grads[4:], _param_grads(head_grads)):
+        out[...] = g
+    _adam_step(state)
     return StepMetrics(
         ce_loss=ce_value, metric_loss=metric_value, joint_loss=joint, skipped_count=skipped
     )
 
 
-def _adam_step(state: TrainerState, grads: dict[str, np.ndarray]) -> None:
+def _param_grads(grads) -> tuple[np.ndarray, ...]:
+    """The w1, b1, w2, b2 gradients of an encoder or head backward pass."""
+    return grads.w1, grads.b1, grads.w2, grads.b2
+
+
+def _adam_step(state: TrainerState) -> None:
+    """One Adam update of the flat parameters from ``state.adam.grad``, in place
+    and allocation-free. Each element sees the textbook update's operations in
+    the textbook's order, so the results are bit-identical to it."""
     cfg = state.config
     adam = state.adam
+    g, (a, b) = adam.grad, adam.scratch
     adam.t += 1
     bias1 = 1.0 - cfg.beta1**adam.t
     bias2 = 1.0 - cfg.beta2**adam.t
-    for name, param in _named_arrays(state.encoder, state.head):
-        g = grads[name]
-        adam.m[name] = cfg.beta1 * adam.m[name] + (1.0 - cfg.beta1) * g
-        adam.v[name] = cfg.beta2 * adam.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = adam.m[name] / bias1
-        v_hat = adam.v[name] / bias2
-        param -= cfg.step_size * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    np.multiply(adam.m, cfg.beta1, out=adam.m)
+    np.multiply(g, 1.0 - cfg.beta1, out=a)
+    np.add(adam.m, a, out=adam.m)
+    np.multiply(adam.v, cfg.beta2, out=adam.v)
+    np.multiply(g, 1.0 - cfg.beta2, out=a)
+    np.multiply(a, g, out=a)
+    np.add(adam.v, a, out=adam.v)
+    np.divide(adam.m, bias1, out=a)
+    np.multiply(a, cfg.step_size, out=a)
+    np.divide(adam.v, bias2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, cfg.adam_epsilon, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(state.params, a, out=state.params)
     state.encoder.version += 1
     state.head.version += 1
 
@@ -368,8 +387,12 @@ def resume(
 #
 # Layout: magic, u32 version, u32 meta length, meta JSON (config echo, epoch,
 # verge snapshot, Adam step count), u32 array count, then per array: u16 name
-# length, name, u32 byte length, raw little-endian float64 data prefixed by a
-# u8 ndim and u32 shape dims. Fully deterministic: no timestamps.
+# length, UTF-8 name, u8 ndim, u32 per dim, u32 byte length, raw little-endian
+# float64 data. The arrays are the flat parameter vector's segments, then the
+# same segments of Adam's m and v, named by ``PARAM_NAMES`` with the prefixes
+# below. Fully deterministic: no timestamps.
+
+_ARRAY_GROUPS = ("", "adam.m.", "adam.v.")
 
 
 def _pack_array(name: str, arr: np.ndarray) -> bytes:
@@ -390,13 +413,17 @@ def _read_exact(buf: io.BytesIO, n: int) -> bytes:
 
 def _unpack_array(buf: io.BytesIO) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(buf, 2))
-    name = _read_exact(buf, name_len).decode("utf-8")
+    try:
+        name = _read_exact(buf, name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DeserializeError(f"checkpoint array name is not UTF-8: {exc}") from None
     (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
     shape = tuple(struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim))
     (nbytes,) = struct.unpack("<I", _read_exact(buf, 4))
+    if nbytes != 8 * math.prod(shape):
+        raise DeserializeError(f"checkpoint array {name!r}: {nbytes} bytes for shape {shape}")
     data = _read_exact(buf, nbytes)
-    arr = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
-    return name, arr
+    return name, np.frombuffer(data, dtype=np.float64).reshape(shape)
 
 
 def save_checkpoint(state: TrainerState, path) -> None:
@@ -411,21 +438,25 @@ def save_checkpoint(state: TrainerState, path) -> None:
         "config": asdict(cfg),
     }
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-    arrays = _named_arrays(state.encoder, state.head)
-    arrays += [(f"adam.m.{n}", state.adam.m[n]) for n, _ in _named_arrays(state.encoder, state.head)]
-    arrays += [(f"adam.v.{n}", state.adam.v[n]) for n, _ in _named_arrays(state.encoder, state.head)]
+    names = [prefix + name for prefix in _ARRAY_GROUPS for name in PARAM_NAMES]
+    flats = (state.params, state.adam.m, state.adam.v)
+    arrays = [seg for flat in flats for seg in split_flat(flat, cfg.dims())]
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(meta_b)))
         fh.write(meta_b)
         fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays:
+        for name, arr in zip(names, arrays):
             fh.write(_pack_array(name, arr))
 
 
 def load_checkpoint(path) -> TrainerState:
-    """Restore a :class:`TrainerState`; never returns a partial load."""
+    """Restore a :class:`TrainerState`; never returns a partial load.
+
+    Every array must carry the name and shape the config's layout expects,
+    and every parameter and moment must be finite.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     buf = io.BytesIO(raw)
@@ -444,37 +475,30 @@ def load_checkpoint(path) -> TrainerState:
         cfg_dict = dict(meta["config"])
         loss = LossConfig(**cfg_dict.pop("loss"))
         config = TrainConfig(loss=loss, **cfg_dict)
-    except (KeyError, TypeError) as exc:
-        raise DeserializeError(f"malformed checkpoint config: {exc}") from None
-    (count,) = struct.unpack("<I", _read_exact(buf, 4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name, arr = _unpack_array(buf)
-        arrays[name] = arr
-    try:
+        shapes = param_shapes(config.dims())
         param_version = int(meta["param_version"])
-        encoder = EncoderParams(
-            w1=arrays["enc.w1"], b1=arrays["enc.b1"],
-            w2=arrays["enc.w2"], b2=arrays["enc.b2"],
-            version=param_version,
-        )
-        head = PairClassifierParams(
-            w1=arrays["head.w1"], b1=arrays["head.b1"],
-            w2=arrays["head.w2"], b2=arrays["head.b2"],
-            version=param_version,
-        )
-        adam = AdamState(
-            m={n: arrays[f"adam.m.{n}"] for n, _ in _named_arrays(encoder, head)},
-            v={n: arrays[f"adam.v.{n}"] for n, _ in _named_arrays(encoder, head)},
-            t=int(meta["adam_t"]),
-        )
-        registry = VergeRegistry.restore(meta["verges"].encode("utf-8"))
+        adam_t = int(meta["adam_t"])
         epoch = int(meta["epoch"])
-    except KeyError as exc:
-        raise DeserializeError(f"checkpoint missing segment {exc}") from None
-    return TrainerState(
-        config=config, encoder=encoder, head=head, registry=registry, adam=adam, epoch=epoch
-    )
+        registry = VergeRegistry.restore(meta["verges"].encode("utf-8"))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DeserializeError(f"malformed checkpoint metadata: {exc!r}") from None
+    expected = [(p + n, s) for p in _ARRAY_GROUPS for n, s in zip(PARAM_NAMES, shapes)]
+    (count,) = struct.unpack("<I", _read_exact(buf, 4))
+    if count != len(expected):
+        raise DeserializeError(f"checkpoint holds {count} arrays, expected {len(expected)}")
+    segments = []
+    for name, shape in expected:
+        found, arr = _unpack_array(buf)
+        if (found, arr.shape) != (name, shape):
+            raise DeserializeError(f"checkpoint array {found!r} {arr.shape}, expected {name!r} {shape}")
+        segments.append(arr.ravel())
+    if buf.read(1):
+        raise DeserializeError("trailing bytes after the checkpoint arrays")
+    flat = np.concatenate(segments)
+    if not np.isfinite(flat).all():
+        raise DeserializeError("checkpoint holds non-finite parameters or moments")
+    params, m, v = flat.reshape(len(_ARRAY_GROUPS), -1)
+    return TrainerState(config, params, registry, AdamState(m, v, adam_t), epoch, param_version)
 
 
 def with_loss(config: TrainConfig, **loss_updates) -> TrainConfig:

@@ -1,4 +1,7 @@
 import os
+import re
+
+import numpy as np
 
 from purgelab.cli import run
 from purgelab.data import generate_synthetic, ingest, write_corpus
@@ -150,6 +153,42 @@ def test_resume_matches_straight_run(tmp_path):
     )
 
 
+def test_resume_takes_checkpoint_config_and_rejects_conflicting_flags(tmp_path, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "half", corpus, features, extra=["--lambda", "1.0"])
+    base = ["train", "--corpus", corpus, "--features", features, "--resume", ckpt, "--epochs", "3"]
+    capsys.readouterr()
+
+    # flags not given take the checkpoint's values, and the outputs say so
+    assert run([*base, "--out-dir", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.startswith("train: ce_plus_cpl epoch 2 ")
+    manifest = (tmp_path / "a" / "manifest.txt").read_text().splitlines()
+    for line in ("loss_kind = ce_plus_cpl", "lam = 1.0", "hidden_dim = 12", "epochs = 3"):
+        assert line in manifest
+
+    # given flags that agree with the checkpoint change nothing
+    rc = run([*base, "--lambda", "1.0", *SMALL_DIMS, "--out-dir", str(tmp_path / "b")])
+    assert rc == 0
+    assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (
+        tmp_path / "b" / "checkpoint.bin"
+    ).read_bytes()
+
+    # so does rerunning the resumed run from its manifest
+    rc = run(["train", "--config", str(tmp_path / "a" / "manifest.txt"), "--out-dir", str(tmp_path / "c")])
+    assert rc == 0
+    assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (
+        tmp_path / "c" / "checkpoint.bin"
+    ).read_bytes()
+
+    # given flags that conflict with it are an error, and nothing is written
+    for conflict in (["--loss-kind", "ce_only"], ["--lambda", "9"], ["--hidden-dim", "13"]):
+        capsys.readouterr()
+        rc = run([*base, *conflict, "--out-dir", str(tmp_path / "bad")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR ConfigError:")
+        assert not (tmp_path / "bad").exists()
+
+
 def test_sweep_grid_counts_and_table(tmp_path):
     corpus, features = gen_small(tmp_path / "data")
     pp = tmp_path / "pp"
@@ -212,3 +251,36 @@ def test_commands_do_not_mutate_inputs(tmp_path):
     train_small(tmp_path / "run", corpus, features)
     after = open(corpus, "rb").read(), open(features, "rb").read()
     assert before == after
+
+
+def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
+    # Seeded fuzz over a tiny checkpoint: truncations and single-bit flips.
+    # eval either loads the bytes and succeeds, or exits 1 with an error line.
+    data = tmp_path / "data"
+    rc = run(["gen", "--out-dir", str(data), "--classes", "2", "--per-class", "4",
+              "--feature-dim", "16"])
+    assert rc == 0
+    ckpt = train_small(
+        tmp_path / "run", str(data / "corpus.tsv"), str(data / "features.tsv"),
+        extra=["--feature-dim", "16", "--hidden-dim", "8", "--embed-dim", "4",
+               "--pair-hidden-dim", "4", "--epochs", "1"],
+    )
+    raw = open(ckpt, "rb").read()
+    rng = np.random.default_rng(2024)
+    cases = [raw[:n] for n in [0, 13, 17, len(raw) - 1, *rng.integers(0, len(raw), 40)]]
+    for bit in rng.integers(0, 8 * len(raw), 200):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        cases.append(bytes(flipped))
+    bad = tmp_path / "bad.bin"
+    outcomes = {0: 0, 1: 0}
+    for case in cases:
+        bad.write_bytes(case)
+        capsys.readouterr()
+        rc = run(["eval", "--checkpoint", str(bad), "--corpus", str(data / "corpus.tsv"),
+                  "--features", str(data / "features.tsv"), "--out-dir", str(tmp_path / "eval")])
+        assert rc in outcomes
+        outcomes[rc] += 1
+        if rc == 1:
+            assert re.match(r"ERROR \w+: ", capsys.readouterr().err)
+    assert outcomes[1] >= 44  # every truncation is rejected

@@ -373,3 +373,7 @@ def test_generate_synthetic_validation():
         generate_synthetic("geometric", equiv_fraction=0.0)
     with pytest.raises(ConfigError):
         generate_synthetic("geometric", per_class=10, equiv_fraction=0.01)
+    for feature_dim in (0, 1, 8, 15):
+        with pytest.raises(ConfigError):
+            generate_synthetic("geometric", feature_dim=feature_dim)
+    generate_synthetic("geometric", n_classes=2, per_class=4, feature_dim=16)

@@ -3,14 +3,15 @@ import pytest
 
 from purgelab.encoder import (
     EncoderDims,
-    classify_pair,
     classify_pairs,
-    encode,
     encode_batch,
     encoder_backward,
+    init_flat_params,
     init_params,
     pair_backward,
     pair_features,
+    param_shapes,
+    param_views,
 )
 from purgelab.errors import ConfigError, DimensionError, StateError
 from purgelab.losses import cross_entropy
@@ -27,20 +28,20 @@ def test_encode_output_is_unit_norm():
     enc, _ = init_params(0, SMALL)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        e = encode(enc, rng.normal(size=8))
+        e = encode_batch(enc, rng.normal(size=(1, 8))).embeddings[0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
 
 
 def test_encode_deterministic():
     enc, _ = init_params(0, SMALL)
-    f = np.linspace(-1.0, 1.0, 8)
-    assert np.array_equal(encode(enc, f), encode(enc, f))
+    f = np.linspace(-1.0, 1.0, 8)[None, :]
+    assert np.array_equal(encode_batch(enc, f).embeddings, encode_batch(enc, f).embeddings)
 
 
 def test_encode_dimension_mismatch():
     enc, _ = init_params(0, SMALL)
     with pytest.raises(DimensionError):
-        encode(enc, np.zeros(9))
+        encode_batch(enc, np.zeros((1, 9)))
 
 
 def test_init_reproducible_and_seed_sensitive():
@@ -50,6 +51,19 @@ def test_init_reproducible_and_seed_sensitive():
     assert np.array_equal(a_enc.w1, b_enc.w1)
     assert np.array_equal(a_head.w2, b_head.w2)
     assert not np.array_equal(a_enc.w1, c_enc.w1)
+
+
+def test_param_views_share_one_flat_vector():
+    flat = init_flat_params(0, EncoderDims())
+    assert flat.shape == (57_730,)
+    enc, head = param_views(flat, EncoderDims())
+    arrays = [enc.w1, enc.b1, enc.w2, enc.b2, head.w1, head.b1, head.w2, head.b2]
+    assert [a.shape for a in arrays] == param_shapes(EncoderDims())
+    assert all(np.shares_memory(a, flat) for a in arrays)
+    flat[-1] = 5.0
+    assert head.b2[1] == 5.0
+    with pytest.raises(DimensionError):
+        param_views(flat[:-1], EncoderDims())
 
 
 def test_default_dims():
@@ -68,10 +82,10 @@ def test_pair_features_zero_difference_block():
 def test_classify_pair_deterministic_and_softmax_normalized():
     enc, head = init_params(7, SMALL)
     rng = np.random.default_rng(3)
-    o = encode(enc, rng.normal(size=8))
-    s = encode(enc, rng.normal(size=8))
-    logits_a = classify_pair(head, o, s)
-    logits_b = classify_pair(head, o, s)
+    o = encode_batch(enc, rng.normal(size=(1, 8))).embeddings
+    s = encode_batch(enc, rng.normal(size=(1, 8))).embeddings
+    logits_a = classify_pairs(head, o, s).logits[0]
+    logits_b = classify_pairs(head, o, s).logits[0]
     assert np.array_equal(logits_a, logits_b)
     probs = np.exp(logits_a) / np.sum(np.exp(logits_a))
     assert abs(probs.sum() - 1.0) <= 1e-12
@@ -176,5 +190,5 @@ def test_unit_norm_survives_parameter_updates():
         enc.w1 -= 0.05 * rng.normal(size=enc.w1.shape)
         enc.b2 += 0.05 * rng.normal(size=enc.b2.shape)
         enc.version += 1
-        e = encode(enc, rng.normal(size=8))
+        e = encode_batch(enc, rng.normal(size=(1, 8))).embeddings[0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9

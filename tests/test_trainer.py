@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from purgelab.data import Batch, FeatureCache, generate_synthetic
-from purgelab.errors import ConfigError, DeserializeError, DivergenceError, VersionError
+from purgelab.data import Batch, FeatureCache, generate_synthetic, make_batches
+from purgelab.encoder import encode_batch, encoder_backward, split_flat
+from purgelab.errors import (
+    ConfigError,
+    DeserializeError,
+    DivergenceError,
+    StateError,
+    VersionError,
+)
 from purgelab.trainer import (
     TrainConfig,
+    _adam_step,
     init_state,
     load_checkpoint,
     resume,
@@ -41,11 +49,8 @@ def checkpoints_equal(a, b):
         return False
     if a.adam.t != b.adam.t or a.epoch != b.epoch:
         return False
-    for name in a.adam.m:
-        if not np.array_equal(a.adam.m[name], b.adam.m[name]):
-            return False
-        if not np.array_equal(a.adam.v[name], b.adam.v[name]):
-            return False
+    if not (np.array_equal(a.adam.m, b.adam.m) and np.array_equal(a.adam.v, b.adam.v)):
+        return False
     return a.registry.snapshot() == b.registry.snapshot()
 
 
@@ -58,6 +63,8 @@ def test_config_validation():
         TrainConfig(loss_kind="nope")
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
+    with pytest.raises(ConfigError):
+        TrainConfig(feature_dim=16.0)
 
 
 def test_ce_only_reports_zero_metric_and_joint_equals_ce():
@@ -163,6 +170,54 @@ def test_divergence_raises_with_location():
     assert info.value.epoch == 0
     assert info.value.step >= 1
     assert info.value.history == []
+
+
+def test_flat_adam_matches_textbook_per_array_update():
+    # Reference: the textbook update applied array by array. The in-place
+    # update of the flat vector must agree with it bit for bit, also on
+    # exact-zero gradients.
+    config = small_config(step_size=3e-3, beta1=0.8, beta2=0.99, adam_epsilon=1e-7)
+    state = init_state(config)
+    ref_params = [seg.copy() for seg in split_flat(state.params, config.dims())]
+    ref_m = [np.zeros_like(p) for p in ref_params]
+    ref_v = [np.zeros_like(p) for p in ref_params]
+    rng = np.random.default_rng(17)
+    for t in range(1, 7):
+        grads = [rng.normal(size=p.shape) * (rng.random(p.shape) < 0.7) for p in ref_params]
+        if t == 3:
+            grads = [np.zeros_like(p) for p in ref_params]
+        for out, g in zip(state.grad_segments, grads):
+            out[...] = g
+        _adam_step(state)
+        bias1 = 1.0 - config.beta1**t
+        bias2 = 1.0 - config.beta2**t
+        for k, g in enumerate(grads):
+            ref_m[k] = config.beta1 * ref_m[k] + (1.0 - config.beta1) * g
+            ref_v[k] = config.beta2 * ref_v[k] + (1.0 - config.beta2) * g * g
+            m_hat = ref_m[k] / bias1
+            v_hat = ref_v[k] / bias2
+            ref_params[k] -= config.step_size * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    for flat, ref in ((state.params, ref_params), (state.adam.m, ref_m), (state.adam.v, ref_v)):
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in ref]))
+    assert state.adam.t == state.encoder.version == state.head.version == 6
+
+
+def test_param_version_counts_steps_and_stales_caches(tmp_path):
+    corpus, table = small_setup()
+    result = train(small_config(epochs=2), corpus, table)
+    steps = 2 * int(np.ceil(len(corpus) / 4))
+    state = result.state
+    assert state.encoder.version == state.head.version == state.adam.t == steps
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path)
+    assert loaded.encoder.version == loaded.head.version == loaded.adam.t == steps
+    batch = make_batches(corpus, 4, 0, 0, FeatureCache.from_corpus(corpus, table))[0]
+    cache = encode_batch(loaded.encoder, batch.origin_features)
+    train_step(loaded, batch)
+    assert loaded.encoder.version == loaded.adam.t == steps + 1
+    with pytest.raises(StateError):
+        encoder_backward(loaded.encoder, cache, np.zeros_like(cache.embeddings))
 
 
 def test_checkpoint_roundtrip(tmp_path):
