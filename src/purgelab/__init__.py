@@ -32,6 +32,7 @@ from .evaluation import (
     sweep,
 )
 from .losses import (
+    EmbeddedBatch,
     EmbeddedSample,
     LossConfig,
     LossOutput,
@@ -39,6 +40,7 @@ from .losses import (
     contrastive_loss,
     cross_entropy,
     joint_loss,
+    triplet_batch_loss,
     triplet_loss,
 )
 from .trainer import (
@@ -59,6 +61,7 @@ __all__ = [
     "Corpus",
     "DistanceStats",
     "EmaParams",
+    "EmbeddedBatch",
     "EmbeddedSample",
     "EncoderDims",
     "EvalReport",
@@ -99,6 +102,7 @@ __all__ = [
     "sweep",
     "train",
     "train_step",
+    "triplet_batch_loss",
     "triplet_loss",
     "write_corpus",
 ]

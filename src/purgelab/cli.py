@@ -10,11 +10,13 @@ with a machine-parsable ``ERROR <name>: <message>`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, replace
 
 from .data import (
+    FeatureCache,
     FeatureSpec,
     HashingFeatures,
     dedup,
@@ -27,7 +29,7 @@ from .data import (
 )
 from .errors import ConfigError, PurgelabError
 from .evaluation import (
-    distance_stats,
+    DistanceStats,
     evaluate,
     export_embeddings,
     pair_distances,
@@ -43,6 +45,9 @@ from .trainer import (
     save_checkpoint,
     train,
 )
+
+# Largest sweep grid the CLI accepts; the default grid has 56 cells.
+MAX_SWEEP_CELLS = 10_000
 
 _TRAIN_DEFAULTS = TrainConfig()
 _LOSS_DEFAULTS = LossConfig()
@@ -222,7 +227,8 @@ def _metric_line(name: str, value) -> str:
 
 
 def _parse_range(text: str) -> list[float]:
-    """Parse START:STOP:STEP into an inclusive grid axis."""
+    """Parse START:STOP:STEP into an inclusive grid axis of finite values,
+    at most ``MAX_SWEEP_CELLS`` long."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must be START:STOP:STEP, got {text!r}")
@@ -230,9 +236,14 @@ def _parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"range must be numeric, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"range needs step > 0 and stop >= start, got {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # inf when the difference overflows
+    if not steps <= MAX_SWEEP_CELLS - 1:
+        raise ConfigError(f"range {text!r} has more than {MAX_SWEEP_CELLS} values")
+    count = int(round(steps)) + 1
     return [round(start + i * step, 9) for i in range(count)]
 
 
@@ -326,8 +337,9 @@ def cmd_stats(ns: argparse.Namespace) -> int:
     state = load_checkpoint(ns.checkpoint)
     ns.feature_dim = state.config.feature_dim
     corpus = ingest(ns.corpus)
-    provider = _provider(ns)
-    stats = distance_stats(state, corpus, provider)
+    cache = FeatureCache.from_corpus(corpus, _provider(ns))
+    eq, noneq = pair_distances(state, corpus, cache)
+    stats = DistanceStats.from_distances(eq, noneq)
     lines = [
         ("n_eq", stats.n_eq),
         ("mean_eq", stats.mean_eq),
@@ -339,9 +351,8 @@ def cmd_stats(ns: argparse.Namespace) -> int:
     ]
     if ns.baseline:
         base_state = load_checkpoint(ns.baseline)
-        base_stats = distance_stats(base_state, corpus, provider)
-        _, noneq = pair_distances(state, corpus, provider)
-        _, base_noneq = pair_distances(base_state, corpus, provider)
+        base_eq, base_noneq = pair_distances(base_state, corpus, cache)
+        base_stats = DistanceStats.from_distances(base_eq, base_noneq)
         test = permutation_pvalue(noneq, base_noneq, resamples=ns.resamples, seed=ns.stats_seed)
         lines += [
             ("baseline_mean_eq", base_stats.mean_eq),
@@ -370,6 +381,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     provider = _provider(ns)
     lambda_values = _parse_range(ns.lambda_range)
     zeta_values = _parse_range(ns.zeta_range)
+    cells = len(lambda_values) * len(zeta_values)
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigError(f"sweep grid has {cells} cells, more than {MAX_SWEEP_CELLS}")
     grid = sweep(
         _train_config(ns),
         train_corpus,

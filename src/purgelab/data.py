@@ -305,6 +305,12 @@ class FeatureCache:
         return int(self.class_ids.shape[0])
 
     @classmethod
+    def of(cls, corpus: Corpus, features) -> "FeatureCache":
+        """``features`` when it is already this corpus's cache, else the cache
+        the provider ``features`` builds from the corpus."""
+        return features if isinstance(features, cls) else cls.from_corpus(corpus, features)
+
+    @classmethod
     def from_corpus(cls, corpus: Corpus, provider) -> "FeatureCache":
         n = len(corpus)
         dim = provider.dim
@@ -357,7 +363,7 @@ def make_batches(
         raise EmptyCorpusError("cannot batch an empty corpus")
     if epoch_index < 0:
         raise ConfigError(f"epoch_index must be >= 0, got {epoch_index}")
-    cache = features if isinstance(features, FeatureCache) else FeatureCache.from_corpus(corpus, features)
+    cache = FeatureCache.of(corpus, features)
     if len(cache) != len(corpus):
         raise DimensionError("feature cache does not match corpus length")
     rng = np.random.default_rng([seed, epoch_index])

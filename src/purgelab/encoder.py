@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -115,7 +116,6 @@ class EncoderGrads:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    inputs: np.ndarray  # (m, feature)
 
 
 def encode_batch(params: EncoderParams, features: np.ndarray) -> EncoderCache:
@@ -142,13 +142,18 @@ def encode_batch(params: EncoderParams, features: np.ndarray) -> EncoderCache:
 
 
 def encoder_backward(
-    params: EncoderParams, cache: EncoderCache, upstream: np.ndarray
+    params: EncoderParams,
+    cache: EncoderCache,
+    upstream: np.ndarray,
+    out: Sequence[np.ndarray] | None = None,
+    accumulate: bool = False,
 ) -> EncoderGrads:
-    """Backpropagate gradients w.r.t. embeddings into parameters and inputs.
+    """Backpropagate gradients w.r.t. embeddings into the parameters.
 
     The normalization Jacobian (I - e e^T) / ||z|| is applied first, so
     upstream gradients on the unit embeddings flow correctly into the raw
-    layer outputs.
+    layer outputs. The w1, b1, w2, b2 gradients are written into ``out``
+    (fresh arrays when it is None), or added to it with ``accumulate``.
     """
     if cache.params_version != params.version:
         raise StateError(
@@ -160,17 +165,35 @@ def encoder_backward(
         raise DimensionError(
             f"upstream must match embeddings shape {cache.embeddings.shape}, got {upstream.shape}"
         )
+    grads = EncoderGrads(*_grad_arrays((params.w1, params.b1, params.w2, params.b2), out))
     e = cache.embeddings
     radial = np.sum(upstream * e, axis=1, keepdims=True)
     d_prenorm = (upstream - radial * e) / cache.norms  # (m, embed)
-    d_w2 = d_prenorm.T @ cache.hidden
-    d_b2 = d_prenorm.sum(axis=0)
     d_hidden = d_prenorm @ params.w2  # (m, hidden)
     d_pre1 = d_hidden * (1.0 - cache.hidden**2)  # tanh'
-    d_w1 = d_pre1.T @ cache.features
-    d_b1 = d_pre1.sum(axis=0)
-    d_inputs = d_pre1 @ params.w1
-    return EncoderGrads(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2, inputs=d_inputs)
+    _layer_grads(d_prenorm, cache.hidden, grads.w2, grads.b2, accumulate)
+    _layer_grads(d_pre1, cache.features, grads.w1, grads.b1, accumulate)
+    return grads
+
+
+def _grad_arrays(params: Sequence[np.ndarray], out: Sequence[np.ndarray] | None):
+    """``out`` checked against the parameter shapes, or fresh arrays for them."""
+    if out is None:
+        return [np.empty_like(p) for p in params]
+    if [o.shape for o in out] != [p.shape for p in params]:
+        raise DimensionError("gradient buffers must match the parameter shapes")
+    return out
+
+
+def _layer_grads(d_pre, inputs, w_out, b_out, accumulate: bool) -> None:
+    """Weight and bias gradients of one dense layer from the gradient on its
+    pre-activation, written into (or added to) ``w_out`` and ``b_out``."""
+    if accumulate:
+        w_out += d_pre.T @ inputs
+        b_out += d_pre.sum(axis=0)
+    else:
+        np.matmul(d_pre.T, inputs, out=w_out)
+        d_pre.sum(axis=0, out=b_out)
 
 
 @dataclass
@@ -226,11 +249,16 @@ def classify_pairs(
 
 
 def pair_backward(
-    params: PairClassifierParams, cache: PairCache, upstream: np.ndarray
+    params: PairClassifierParams,
+    cache: PairCache,
+    upstream: np.ndarray,
+    out: Sequence[np.ndarray] | None = None,
 ) -> PairGrads:
     """Backpropagate logit gradients into head parameters and both embeddings.
 
-    |o - s| uses the sign subgradient, with sign(0) = 0 on tied components.
+    The w1, b1, w2, b2 gradients are written into ``out`` (fresh arrays when
+    it is None). |o - s| uses the sign subgradient, with sign(0) = 0 on tied
+    components.
     """
     if cache.params_version != params.version:
         raise StateError(
@@ -242,22 +270,21 @@ def pair_backward(
         raise DimensionError(
             f"upstream must match logits shape {cache.logits.shape}, got {upstream.shape}"
         )
-    d_w2 = upstream.T @ cache.hidden
-    d_b2 = upstream.sum(axis=0)
+    w1, b1, w2, b2 = _grad_arrays((params.w1, params.b1, params.w2, params.b2), out)
+    _layer_grads(upstream, cache.hidden, w2, b2, accumulate=False)
     d_hidden = upstream @ params.w2
     d_pre = d_hidden * (1.0 - cache.hidden**2)
-    d_w1 = d_pre.T @ cache.pair_features
-    d_b1 = d_pre.sum(axis=0)
+    _layer_grads(d_pre, cache.pair_features, w1, b1, accumulate=False)
     d_pf = d_pre @ params.w1  # (m, 4*embed)
     d_o_block, d_s_block, d_abs, d_prod = np.split(d_pf, 4, axis=1)
     diff_sign = np.sign(cache.origins - cache.mutants)
     origin_grads = d_o_block + diff_sign * d_abs + cache.mutants * d_prod
     mutant_grads = d_s_block - diff_sign * d_abs + cache.origins * d_prod
     return PairGrads(
-        w1=d_w1,
-        b1=d_b1,
-        w2=d_w2,
-        b2=d_b2,
+        w1=w1,
+        b1=b1,
+        w2=w2,
+        b2=b2,
         origin_grads=origin_grads,
         mutant_grads=mutant_grads,
     )

@@ -8,6 +8,7 @@ silent 0. Argmax ties in the classifier are broken toward non-equivalent.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .data import Corpus, FeatureCache
 from .encoder import classify_pairs, encode_batch
-from .errors import ConfigError, DivergenceError, StratifyError, UnknownClassError
+from .errors import ConfigError, PurgelabError, StratifyError, UnknownClassError
 from .trainer import TrainConfig, TrainerState, train, with_loss
 from .vecmath import cosine_distance
 
@@ -41,7 +42,7 @@ class EvalReport:
 
 
 def _embed_corpus(state: TrainerState, corpus: Corpus, features):
-    cache = features if isinstance(features, FeatureCache) else FeatureCache.from_corpus(corpus, features)
+    cache = FeatureCache.of(corpus, features)
     origins = encode_batch(state.encoder, cache.origin_features).embeddings
     mutants = encode_batch(state.encoder, cache.mutant_features).embeddings
     return cache, origins, mutants
@@ -72,6 +73,23 @@ class DistanceStats:
     std_noneq: float
     ratio: float | None  # mean_noneq / mean_eq, absent when mean_eq == 0
 
+    @classmethod
+    def from_distances(cls, eq: np.ndarray, noneq: np.ndarray) -> "DistanceStats":
+        """Summary of the (equivalent, non-equivalent) split of :func:`pair_distances`."""
+        if eq.size == 0 or noneq.size == 0:
+            raise StratifyError("distance stats need at least one sample per label")
+        mean_eq = float(eq.mean())
+        mean_noneq = float(noneq.mean())
+        return cls(
+            n_eq=int(eq.size),
+            mean_eq=mean_eq,
+            std_eq=float(eq.std()),
+            n_noneq=int(noneq.size),
+            mean_noneq=mean_noneq,
+            std_noneq=float(noneq.std()),
+            ratio=mean_noneq / mean_eq if mean_eq > 0.0 else None,
+        )
+
 
 def pair_distances(state: TrainerState, corpus: Corpus, features) -> tuple[np.ndarray, np.ndarray]:
     """Raw origin-mutant distances, split by label: (equivalent, non-equivalent)."""
@@ -84,20 +102,7 @@ def pair_distances(state: TrainerState, corpus: Corpus, features) -> tuple[np.nd
 
 
 def distance_stats(state: TrainerState, corpus: Corpus, features) -> DistanceStats:
-    eq, noneq = pair_distances(state, corpus, features)
-    if eq.size == 0 or noneq.size == 0:
-        raise StratifyError("distance stats need at least one sample per label")
-    mean_eq = float(eq.mean())
-    mean_noneq = float(noneq.mean())
-    return DistanceStats(
-        n_eq=int(eq.size),
-        mean_eq=mean_eq,
-        std_eq=float(eq.std()),
-        n_noneq=int(noneq.size),
-        mean_noneq=mean_noneq,
-        std_noneq=float(noneq.std()),
-        ratio=mean_noneq / mean_eq if mean_eq > 0.0 else None,
-    )
+    return DistanceStats.from_distances(*pair_distances(state, corpus, features))
 
 
 @dataclass
@@ -165,14 +170,19 @@ class SweepGrid:
 
 
 def _run_cell(payload) -> tuple[int, float, float, dict | None, str | None]:
-    index, base_config, train_corpus, test_corpus, features, lam, zeta = payload
-    config = with_loss(base_config, lam=lam, zeta=zeta)
+    index, base_config, train_corpus, test_corpus, train_cache, test_cache, lam, zeta = payload
     try:
-        result = train(config, train_corpus, features)
-        report = evaluate(result.state, test_corpus, features)
-    except DivergenceError as exc:
+        config = with_loss(base_config, lam=lam, zeta=zeta)
+        result = train(config, train_corpus, train_cache)
+        report = evaluate(result.state, test_corpus, test_cache)
+    except PurgelabError as exc:
         return index, lam, zeta, None, f"{type(exc).__name__}: {exc}"
     return index, lam, zeta, vars(report), None
+
+
+def sweep_workers(requested: int, cells: int) -> int:
+    """Worker processes for a sweep: at most one per cell and one per CPU."""
+    return max(1, min(requested, cells, os.cpu_count() or 1))
 
 
 def sweep(
@@ -187,19 +197,25 @@ def sweep(
     """Train and evaluate one model per (lam, zeta) cell.
 
     All cells share the base config and seed and are fully independent, so a
-    cell rerun in isolation reproduces its in-sweep result exactly. A
-    diverging cell records its error and the sweep continues.
+    cell rerun in isolation reproduces its in-sweep result exactly. Both
+    corpora are featurized once, up front, for every cell. A cell that fails
+    with a purgelab error (divergence, an invalid lam or zeta) records its
+    error and the sweep continues. ``workers`` is capped by
+    :func:`sweep_workers`.
     """
     lambda_values = [float(v) for v in lambda_values]
     zeta_values = [float(v) for v in zeta_values]
     if not lambda_values or not zeta_values:
         raise ConfigError("sweep needs at least one value per axis")
+    train_cache = FeatureCache.of(train_corpus, features)
+    test_cache = FeatureCache.of(test_corpus, features)
     jobs = []
     index = 0
     for lam in lambda_values:
         for zeta in zeta_values:
-            jobs.append((index, base_config, train_corpus, test_corpus, features, lam, zeta))
+            jobs.append((index, base_config, train_corpus, test_corpus, train_cache, test_cache, lam, zeta))
             index += 1
+    workers = sweep_workers(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_cell, jobs))

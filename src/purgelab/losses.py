@@ -7,12 +7,20 @@ module also provides the adapted contrastive loss, a minimal triplet
 baseline, stabilized two-way cross-entropy, and the joint combination, all
 with analytic gradients with respect to the embeddings (and logits where
 applicable).
+
+Every metric loss and the verge update read one :class:`EmbeddedBatch`, which
+holds a minibatch batch-first and computes its row norms and origin-mutant
+distances once. Loss values are summed with plain loops in batch order and
+the hinge powers are taken on Python floats, which keeps the bits of a
+sample-by-sample evaluation: ``np.sum`` adds pairwise, ``sum()`` compensates
+from Python 3.12 on, and numpy's vectorized ``**`` can round differently
+from the scalar one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +31,20 @@ from .errors import (
     NormalizationError,
     NumericError,
 )
-from .vecmath import EmaParams, as_vector, cosine_distance, cosine_distance_gradient
-from .verges import VergeRegistry
+from .vecmath import (
+    EmaParams,
+    as_vector,
+    cosine_distance_gradients,
+    cosine_distances,
+    row_norms,
+)
+
+# Not called here: purgebench's tracer counts calls made through these module
+# attributes, so they stay importable from this module.
+from .vecmath import cosine_distance, cosine_distance_gradient  # noqa: F401
+
+if TYPE_CHECKING:
+    from .verges import VergeRegistry
 
 _UNIT_NORM_TOL = 1e-6
 
@@ -75,7 +95,8 @@ class EmbeddedSample:
     ``origin_embedding`` is the embedding of the class's original program,
     ``mutant_embedding`` the embedding of one of its mutants, and ``label``
     is 1 when the mutant is equivalent to the origin. Both embeddings must
-    be unit-norm.
+    be unit-norm. A sequence of samples is accepted wherever an
+    :class:`EmbeddedBatch` is.
     """
 
     class_id: int
@@ -99,6 +120,107 @@ class EmbeddedSample:
             raise ConfigError(f"label must be 0 or 1, got {self.label!r}")
 
 
+@dataclass(eq=False)
+class EmbeddedBatch:
+    """A minibatch in embedding space, one row per corpus pair.
+
+    Row i pairs the embedding of class ``class_ids[i]``'s original program with
+    the embedding of one of its mutants; ``labels[i]`` is 1 when that mutant is
+    equivalent. The row norms and the origin-mutant distances are computed
+    once, on construction, and every row must be finite. Use
+    :meth:`from_rows` for rows that must also be unit-norm.
+    """
+
+    class_ids: np.ndarray  # (m,)
+    labels: np.ndarray  # (m,), 0 or 1
+    origins: np.ndarray  # (m, dim)
+    mutants: np.ndarray  # (m, dim)
+    origin_norms: np.ndarray = field(init=False)  # (m,)
+    mutant_norms: np.ndarray = field(init=False)  # (m,)
+    distances: np.ndarray = field(init=False)  # (m,), in [0, 1]
+
+    def __post_init__(self):
+        self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.origins = np.asarray(self.origins, dtype=np.float64)
+        self.mutants = np.asarray(self.mutants, dtype=np.float64)
+        m = self.class_ids.size
+        if m == 0:
+            raise EmptyBatchError("a batch needs at least one sample")
+        if (
+            self.class_ids.shape != (m,)
+            or self.labels.shape != (m,)
+            or self.origins.ndim != 2
+            or self.origins.shape != self.mutants.shape
+            or self.origins.shape[0] != m
+        ):
+            raise DimensionError(
+                f"batch needs m class ids and labels and two (m, dim) embedding "
+                f"matrices, got {self.class_ids.shape}, {self.labels.shape}, "
+                f"{self.origins.shape} and {self.mutants.shape}"
+            )
+        if ((self.labels != 0) & (self.labels != 1)).any():
+            raise ConfigError(f"labels must be 0 or 1, got {self.labels.tolist()!r}")
+        self.origin_norms = row_norms(self.origins)
+        self.mutant_norms = row_norms(self.mutants)
+        if not (np.isfinite(self.origin_norms).all() and np.isfinite(self.mutant_norms).all()):
+            raise NumericError("embeddings contain non-finite components")
+        self.distances = cosine_distances(
+            self.origins, self.mutants, self.origin_norms, self.mutant_norms
+        )
+
+    def __len__(self) -> int:
+        return int(self.class_ids.shape[0])
+
+    @classmethod
+    def from_rows(cls, class_ids, labels, origins, mutants) -> "EmbeddedBatch":
+        """A batch whose embedding rows must all be unit-norm, such as encoder output."""
+        batch = cls(class_ids, labels, origins, mutants)
+        for name, norms in (("origin", batch.origin_norms), ("mutant", batch.mutant_norms)):
+            off = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_NORM_TOL)
+            if off.size:
+                norm = float(norms[off[0]])
+                raise NormalizationError(
+                    f"{name} embedding {int(off[0])} must be unit-norm, got norm {norm!r}"
+                )
+        return batch
+
+    def distance_grads(
+        self, rows: Sequence[int], scales: Sequence[float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of sum_k scales[k] * distances[rows[k]] w.r.t. the origins
+        and the mutants; rows not listed get zero."""
+        origin_grads = np.zeros_like(self.origins)
+        mutant_grads = np.zeros_like(self.mutants)
+        if rows:
+            idx = np.asarray(rows)
+            grad_o, grad_s = cosine_distance_gradients(
+                self.origins[idx], self.mutants[idx], self.origin_norms[idx], self.mutant_norms[idx]
+            )
+            scale = np.asarray(scales)[:, None]
+            origin_grads[idx] = scale * grad_o
+            mutant_grads[idx] = scale * grad_s
+        return origin_grads, mutant_grads
+
+
+def as_embedded_batch(batch: EmbeddedBatch | Iterable[EmbeddedSample]) -> EmbeddedBatch:
+    """The batch itself, or samples stacked in order into one batch (each
+    sample checked itself on construction)."""
+    if isinstance(batch, EmbeddedBatch):
+        return batch
+    samples = list(batch)
+    if not samples:
+        raise EmptyBatchError("a batch needs at least one sample")
+    try:
+        origins = np.stack([s.origin_embedding for s in samples])
+        mutants = np.stack([s.mutant_embedding for s in samples])
+    except ValueError:
+        raise DimensionError("samples must share one embedding dimension") from None
+    return EmbeddedBatch(
+        [s.class_id for s in samples], [s.label for s in samples], origins, mutants
+    )
+
+
 @dataclass
 class LossOutput:
     """Loss value plus the gradients the caller needs to backpropagate.
@@ -120,7 +242,7 @@ class LossOutput:
 
 
 def cluster_purge_loss(
-    batch: Sequence[EmbeddedSample], registry: VergeRegistry, cfg: LossConfig
+    batch: EmbeddedBatch | Sequence[EmbeddedSample], registry: VergeRegistry, cfg: LossConfig
 ) -> LossOutput:
     """Cluster purge loss over a minibatch, with gradients into both embeddings.
 
@@ -133,25 +255,22 @@ def cluster_purge_loss(
     constants: callers update it before computing the loss, and no gradient
     flows into the verges.
     """
-    samples = list(batch)
-    if not samples:
-        raise EmptyBatchError("cluster_purge_loss needs a nonempty batch")
-    m = len(samples)
-    dim = samples[0].origin_embedding.shape[0]
-    origin_grads = np.zeros((m, dim), dtype=np.float64)
-    mutant_grads = np.zeros((m, dim), dtype=np.float64)
+    batch = as_embedded_batch(batch)
+    m = len(batch)
     total = 0.0
     skipped = 0
-    for i, sample in enumerate(samples):
-        state = registry.get(sample.class_id)
+    rows: list[int] = []
+    scales: list[float] = []
+    rows_in = zip(batch.class_ids.tolist(), batch.labels.tolist(), batch.distances.tolist())
+    for i, (class_id, label, d) in enumerate(rows_in):
+        state = registry.get(class_id)
         verge = None
         if state is not None:
-            verge = state.v_minus if sample.label == 1 else state.v_plus
+            verge = state.v_minus if label == 1 else state.v_plus
         if verge is None:
             skipped += 1
             continue
-        d = cosine_distance(sample.origin_embedding, sample.mutant_embedding)
-        if sample.label == 1:
+        if label == 1:
             arg = d - verge + cfg.zeta
             exponent = cfg.alpha
             sign = 1.0
@@ -164,12 +283,9 @@ def cluster_purge_loss(
         total += arg**exponent
         # Derivative factor only: the floor keeps beta < 1 bounded at onset.
         factor = exponent * max(arg, cfg.hinge_epsilon) ** (exponent - 1.0)
-        d_dist = sign * factor / m
-        grad_o, grad_s = cosine_distance_gradient(
-            sample.origin_embedding, sample.mutant_embedding
-        )
-        origin_grads[i] = d_dist * grad_o
-        mutant_grads[i] = d_dist * grad_s
+        rows.append(i)
+        scales.append(sign * factor / m)
+    origin_grads, mutant_grads = batch.distance_grads(rows, scales)
     return LossOutput(
         value=total / m,
         skipped_count=skipped,
@@ -178,23 +294,21 @@ def cluster_purge_loss(
     )
 
 
-def contrastive_loss(batch: Sequence[EmbeddedSample], cfg: LossConfig) -> LossOutput:
+def contrastive_loss(
+    batch: EmbeddedBatch | Sequence[EmbeddedSample], cfg: LossConfig
+) -> LossOutput:
     """Adapted contrastive loss over origin-mutant pairs; class ids are unused.
 
     Equivalent pairs pay their raw distance, non-equivalent pairs pay
     [zeta - dist]_+, i.e. only while they sit inside the margin.
     """
-    samples = list(batch)
-    if not samples:
-        raise EmptyBatchError("contrastive_loss needs a nonempty batch")
-    m = len(samples)
-    dim = samples[0].origin_embedding.shape[0]
-    origin_grads = np.zeros((m, dim), dtype=np.float64)
-    mutant_grads = np.zeros((m, dim), dtype=np.float64)
+    batch = as_embedded_batch(batch)
+    m = len(batch)
     total = 0.0
-    for i, sample in enumerate(samples):
-        d = cosine_distance(sample.origin_embedding, sample.mutant_embedding)
-        if sample.label == 1:
+    rows: list[int] = []
+    scales: list[float] = []
+    for i, (label, d) in enumerate(zip(batch.labels.tolist(), batch.distances.tolist())):
+        if label == 1:
             arg = d
             d_dist = 1.0 / m
         else:
@@ -203,56 +317,112 @@ def contrastive_loss(batch: Sequence[EmbeddedSample], cfg: LossConfig) -> LossOu
         if arg <= 0.0:
             continue
         total += arg
-        grad_o, grad_s = cosine_distance_gradient(
-            sample.origin_embedding, sample.mutant_embedding
-        )
-        origin_grads[i] = d_dist * grad_o
-        mutant_grads[i] = d_dist * grad_s
+        rows.append(i)
+        scales.append(d_dist)
+    origin_grads, mutant_grads = batch.distance_grads(rows, scales)
     return LossOutput(value=total / m, origin_grads=origin_grads, mutant_grads=mutant_grads)
 
 
-def triplet_loss(anchor, positive, negative, margin: float) -> LossOutput:
-    """Classic triplet hinge [dist(a, p) - dist(a, n) + margin]_+.
+def triplet_batch_loss(
+    batch: EmbeddedBatch | Sequence[EmbeddedSample], margin: float
+) -> LossOutput:
+    """Mean triplet hinge [dist(o_i, s_i) - dist(o_i, s_j) + margin]_+ over a
+    minimal in-batch sampler.
 
-    Uses the same normalized cosine distance as the other losses so the
-    baseline is comparable. Inputs must be unit-norm.
+    Every same-class pair of an equivalent row i and a non-equivalent row j
+    forms one (origin i, mutant i, mutant j) triplet, in row-major (i, j)
+    order. The mean is over all triplets; a batch without one contributes
+    zero. Uses the same normalized cosine distance as the other losses.
     """
-    anchor = _unit_checked(anchor, "anchor")
-    positive = _unit_checked(positive, "positive")
-    negative = _unit_checked(negative, "negative")
-    d_pos = cosine_distance(anchor, positive)
-    d_neg = cosine_distance(anchor, negative)
-    arg = d_pos - d_neg + margin
-    zero = np.zeros_like(anchor)
-    if arg <= 0.0:
-        return LossOutput(value=0.0, anchor_grad=zero, positive_grad=zero.copy(), negative_grad=zero.copy())
-    ga_pos, gp = cosine_distance_gradient(anchor, positive)
-    ga_neg, gn = cosine_distance_gradient(anchor, negative)
+    batch = as_embedded_batch(batch)
+    origin_grads = np.zeros_like(batch.origins)
+    mutant_grads = np.zeros_like(batch.mutants)
+    equivalent = batch.labels == 1
+    same_class = batch.class_ids[:, None] == batch.class_ids[None, :]
+    anchors, negatives = np.nonzero(equivalent[:, None] & ~equivalent[None, :] & same_class)
+    n = anchors.size
+    if n == 0:
+        return LossOutput(value=0.0, origin_grads=origin_grads, mutant_grads=mutant_grads)
+    o, o_norms = batch.origins[anchors], batch.origin_norms[anchors]
+    s_neg, s_neg_norms = batch.mutants[negatives], batch.mutant_norms[negatives]
+    args = batch.distances[anchors] - cosine_distances(o, s_neg, o_norms, s_neg_norms) + margin
+    active = args > 0.0
+    total = 0.0
+    for arg in args[active].tolist():
+        total += arg
+    if active.any():
+        i, j = anchors[active], negatives[active]
+        o, o_norms = o[active], o_norms[active]
+        grad_o_pos, grad_pos = cosine_distance_gradients(
+            o, batch.mutants[i], o_norms, batch.mutant_norms[i]
+        )
+        grad_o_neg, grad_neg = cosine_distance_gradients(
+            o, s_neg[active], o_norms, s_neg_norms[active]
+        )
+        # Unbuffered adds in triplet order, as a triplet-by-triplet fold would.
+        np.add.at(origin_grads, i, grad_o_pos - grad_o_neg)
+        np.add.at(mutant_grads, i, grad_pos)
+        np.add.at(mutant_grads, j, -grad_neg)
+    origin_grads /= n
+    mutant_grads /= n
+    return LossOutput(value=total / n, origin_grads=origin_grads, mutant_grads=mutant_grads)
+
+
+def triplet_loss(anchor, positive, negative, margin: float) -> LossOutput:
+    """Classic triplet hinge [dist(a, p) - dist(a, n) + margin]_+ for one triplet.
+
+    Inputs must be unit-norm. Evaluated as :func:`triplet_batch_loss` on the
+    two-row batch (anchor, positive, equivalent), (anchor, negative,
+    non-equivalent).
+    """
+    anchor = as_vector(anchor, "anchor")
+    positive = as_vector(positive, "positive")
+    negative = as_vector(negative, "negative")
+    if not anchor.shape == positive.shape == negative.shape:
+        raise DimensionError("anchor, positive and negative must share a dimension")
+    batch = EmbeddedBatch.from_rows(
+        [0, 0], [1, 0], np.stack([anchor, anchor]), np.stack([positive, negative])
+    )
+    out = triplet_batch_loss(batch, margin)
     return LossOutput(
-        value=arg,
-        anchor_grad=ga_pos - ga_neg,
-        positive_grad=gp,
-        negative_grad=-gn,
+        value=out.value,
+        anchor_grad=out.origin_grads[0],
+        positive_grad=out.mutant_grads[0],
+        negative_grad=out.mutant_grads[1],
     )
 
 
-def cross_entropy(logits, label: int) -> LossOutput:
-    """Two-way softmax cross-entropy with max-subtraction stabilization.
+def cross_entropy(logits, labels) -> LossOutput:
+    """Mean two-way softmax cross-entropy, with max-subtraction stabilization.
 
-    Returns -log softmax(logits)[label] and the gradient softmax - one_hot.
+    ``logits`` is one 2-vector with an int label, or an (m, 2) matrix with m
+    labels. Returns the mean over rows of -log softmax(row)[label] and its
+    gradient (softmax - one_hot) / m, shaped like ``logits``.
     """
-    z = as_vector(logits, "logits")
-    if z.shape[0] != 2:
-        raise DimensionError(f"logits must be a 2-vector, got {z.shape[0]}")
-    if label not in (0, 1):
-        raise ConfigError(f"label must be 0 or 1, got {label!r}")
-    shifted = z - z.max()
+    z = np.asarray(logits, dtype=np.float64)
+    rows = z.reshape(1, -1) if z.ndim == 1 else z
+    labels = np.asarray(labels).reshape(-1)
+    if rows.ndim != 2 or rows.shape[1] != 2 or rows.shape[0] == 0:
+        raise DimensionError(f"logits must be 2-vectors, got shape {z.shape}")
+    m = rows.shape[0]
+    if labels.shape != (m,):
+        raise DimensionError(f"need one label per logit row, got {labels.shape[0]} for {m}")
+    if not np.isfinite(rows).all():
+        raise NumericError("logits contains non-finite components")
+    if ((labels != 0) & (labels != 1)).any():
+        raise ConfigError(f"label must be 0 or 1, got {labels.tolist()!r}")
+    labels = labels.astype(np.intp, copy=False)
+    shifted = rows - rows.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    total = float(exp.sum())
-    value = float(np.log(total) - shifted[label])
-    grad = exp / total
-    grad[label] -= 1.0
-    return LossOutput(value=value, logit_grads=grad)
+    totals = exp[:, 0] + exp[:, 1]
+    picked = np.arange(m), labels
+    total = 0.0
+    for value in (np.log(totals) - shifted[picked]).tolist():
+        total += value
+    grad = exp / totals[:, None]
+    grad[picked] -= 1.0
+    grad /= m
+    return LossOutput(value=total / m, logit_grads=grad.reshape(z.shape))
 
 
 def joint_loss(metric_value: float, ce_value: float, lam: float) -> float:
@@ -262,11 +432,3 @@ def joint_loss(metric_value: float, ce_value: float, lam: float) -> float:
     if lam < 0.0:
         raise ConfigError(f"lam must be non-negative, got {lam!r}")
     return metric_value * lam + ce_value
-
-
-def _unit_checked(vec, name: str) -> np.ndarray:
-    v = as_vector(vec, name)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _UNIT_NORM_TOL:
-        raise NormalizationError(f"{name} must be unit-norm, got norm {norm!r}")
-    return v

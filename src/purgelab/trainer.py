@@ -43,14 +43,14 @@ from .errors import (
     VersionError,
 )
 from .losses import (
-    EmbeddedSample,
+    EmbeddedBatch,
     LossConfig,
     LossOutput,
     cluster_purge_loss,
     contrastive_loss,
     cross_entropy,
     joint_loss,
-    triplet_loss,
+    triplet_batch_loss,
 )
 from .verges import VergeRegistry
 
@@ -172,52 +172,17 @@ def init_state(config: TrainConfig) -> TrainerState:
     return TrainerState(config, params, VergeRegistry(config.loss.ema_params()), adam)
 
 
-def _metric_loss(state: TrainerState, samples: list[EmbeddedSample]) -> LossOutput | None:
+def _metric_loss(state: TrainerState, batch: EmbeddedBatch) -> LossOutput | None:
     kind = state.config.loss_kind
     cfg = state.config.loss
     if kind == "ce_only":
         return None
     if kind == "ce_plus_cpl":
-        state.registry.batch_update(samples)
-        return cluster_purge_loss(samples, state.registry, cfg)
+        state.registry.batch_update(batch)
+        return cluster_purge_loss(batch, state.registry, cfg)
     if kind == "ce_plus_contrastive":
-        return contrastive_loss(samples, cfg)
-    return _triplet_batch(samples, cfg)
-
-
-def _triplet_batch(samples: list[EmbeddedSample], cfg: LossConfig) -> LossOutput:
-    """Minimal in-batch sampler: every same-class (equivalent, non-equivalent)
-    pair forms one (origin, equivalent, non-equivalent) triplet. Batches
-    without such a pair contribute zero."""
-    m = len(samples)
-    dim = samples[0].origin_embedding.shape[0]
-    origin_grads = np.zeros((m, dim), dtype=np.float64)
-    mutant_grads = np.zeros((m, dim), dtype=np.float64)
-    triplets = [
-        (i, j)
-        for i in range(m)
-        if samples[i].label == 1
-        for j in range(m)
-        if samples[j].label == 0 and samples[j].class_id == samples[i].class_id
-    ]
-    if not triplets:
-        return LossOutput(value=0.0, origin_grads=origin_grads, mutant_grads=mutant_grads)
-    total = 0.0
-    for i, j in triplets:
-        out = triplet_loss(
-            samples[i].origin_embedding,
-            samples[i].mutant_embedding,
-            samples[j].mutant_embedding,
-            margin=cfg.zeta,
-        )
-        total += out.value
-        origin_grads[i] += out.anchor_grad
-        mutant_grads[i] += out.positive_grad
-        mutant_grads[j] += out.negative_grad
-    n = len(triplets)
-    origin_grads /= n
-    mutant_grads /= n
-    return LossOutput(value=total / n, origin_grads=origin_grads, mutant_grads=mutant_grads)
+        return contrastive_loss(batch, cfg)
+    return triplet_batch_loss(batch, cfg.zeta)
 
 
 def train_step(state: TrainerState, batch: Batch) -> StepMetrics:
@@ -234,64 +199,37 @@ def train_step(state: TrainerState, batch: Batch) -> StepMetrics:
 
 
 def _train_step_inner(state: TrainerState, batch: Batch) -> StepMetrics:
-    cfg = state.config
-    lcfg = cfg.loss
-    m = len(batch)
+    lcfg = state.config.loss
     cache_o = encode_batch(state.encoder, batch.origin_features)
     cache_s = encode_batch(state.encoder, batch.mutant_features)
     origins = cache_o.embeddings
     mutants = cache_s.embeddings
-    samples = [
-        EmbeddedSample(
-            class_id=int(batch.class_ids[i]),
-            origin_embedding=origins[i],
-            mutant_embedding=mutants[i],
-            label=int(batch.labels[i]),
-        )
-        for i in range(m)
-    ]
+    embedded = EmbeddedBatch.from_rows(batch.class_ids, batch.labels, origins, mutants)
 
-    metric_out = _metric_loss(state, samples)
+    metric_out = _metric_loss(state, embedded)
     metric_value = 0.0 if metric_out is None else metric_out.value
     skipped = 0 if metric_out is None else metric_out.skipped_count
 
     pair_cache = classify_pairs(state.head, origins, mutants)
-    d_logits = np.zeros((m, 2), dtype=np.float64)
-    ce_total = 0.0
-    for i in range(m):
-        out = cross_entropy(pair_cache.logits[i], int(batch.labels[i]))
-        ce_total += out.value
-        d_logits[i] = out.logit_grads
-    ce_value = ce_total / m
-    d_logits /= m
+    ce = cross_entropy(pair_cache.logits, embedded.labels)
 
-    joint = joint_loss(metric_value, ce_value, lcfg.lam)
+    joint = joint_loss(metric_value, ce.value, lcfg.lam)
     if not np.isfinite(joint):
         raise DivergenceError(f"non-finite joint loss {joint!r}", epoch=state.epoch)
 
-    head_grads = pair_backward(state.head, pair_cache, d_logits)
+    grads = state.grad_segments
+    head_grads = pair_backward(state.head, pair_cache, ce.logit_grads, out=grads[4:])
     d_origins = head_grads.origin_grads
     d_mutants = head_grads.mutant_grads
-    if metric_out is not None and metric_out.origin_grads is not None:
+    if metric_out is not None:
         d_origins = d_origins + lcfg.lam * metric_out.origin_grads
         d_mutants = d_mutants + lcfg.lam * metric_out.mutant_grads
-    enc_grads_o = encoder_backward(state.encoder, cache_o, d_origins)
-    enc_grads_s = encoder_backward(state.encoder, cache_s, d_mutants)
-
-    grads = state.grad_segments
-    for out, g_o, g_s in zip(grads, _param_grads(enc_grads_o), _param_grads(enc_grads_s)):
-        np.add(g_o, g_s, out=out)
-    for out, g in zip(grads[4:], _param_grads(head_grads)):
-        out[...] = g
+    encoder_backward(state.encoder, cache_o, d_origins, out=grads[:4])
+    encoder_backward(state.encoder, cache_s, d_mutants, out=grads[:4], accumulate=True)
     _adam_step(state)
     return StepMetrics(
-        ce_loss=ce_value, metric_loss=metric_value, joint_loss=joint, skipped_count=skipped
+        ce_loss=ce.value, metric_loss=metric_value, joint_loss=joint, skipped_count=skipped
     )
-
-
-def _param_grads(grads) -> tuple[np.ndarray, ...]:
-    """The w1, b1, w2, b2 gradients of an encoder or head backward pass."""
-    return grads.w1, grads.b1, grads.w2, grads.b2
 
 
 def _adam_step(state: TrainerState) -> None:
@@ -347,7 +285,7 @@ def resume(
     if len(corpus) == 0:
         raise ConfigError("cannot train on an empty corpus")
     cfg = state.config
-    cache = features if isinstance(features, FeatureCache) else FeatureCache.from_corpus(corpus, features)
+    cache = FeatureCache.of(corpus, features)
     history: list[EpochStats] = []
     trace: list[StepMetrics] | None = [] if collect_steps else None
     while state.epoch < cfg.epochs:

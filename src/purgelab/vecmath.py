@@ -1,4 +1,5 @@
-"""Dense vector primitives: normalized cosine distance, exponential moving
+"""Dense vector primitives: normalized cosine distance and its gradient over
+matching rows of two matrices (and of two single vectors), exponential moving
 averages in sequential and closed form, and a finite-difference gradient
 oracle used by the gradient audits.
 
@@ -7,6 +8,7 @@ All arithmetic is 64-bit. Distances live in [0, 1] with 0 at collinearity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,47 +33,73 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return v
 
 
-def cosine_distance(a, b) -> float:
-    """Normalized cosine distance: 1 - (cossim(a, b) + 1) / 2.
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the matching rows of two (m, d) arrays.
 
-    Codomain is [0, 1]: 0 for collinear vectors, 0.5 for orthogonal ones,
-    1 for antiparallel ones. The similarity is clamped into [-1, 1] before
-    the mapping so float drift cannot push the result outside [0, 1].
+    The stacked matmul gives every row the bits ``np.dot`` gives that row;
+    ``einsum`` and ``(a * b).sum(axis=1)`` round differently.
     """
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise DegenerateVectorError("cosine distance is undefined for a zero vector")
-    cos = float(np.dot(a, b)) / (norm_a * norm_b)
-    cos = min(1.0, max(-1.0, cos))
-    return min(1.0, max(0.0, 1.0 - (cos + 1.0) / 2.0))
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def cosine_distance_gradient(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of ``cosine_distance`` with respect to both inputs.
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, with the bits of ``np.linalg.norm`` per row."""
+    return np.sqrt(row_dots(a, a))
+
+
+def cosine_distances(a, b, norm_a, norm_b) -> np.ndarray:
+    """Normalized cosine distance of matching rows: 1 - (cossim + 1) / 2.
+
+    Codomain is [0, 1]: 0 for collinear rows, 0.5 for orthogonal ones, 1 for
+    antiparallel ones. ``norm_a``/``norm_b`` are the rows' nonzero norms. The
+    similarity is clamped into [-1, 1] before the mapping so float drift
+    cannot push a result outside [0, 1].
+    """
+    cos = np.minimum(1.0, np.maximum(-1.0, row_dots(a, b) / (norm_a * norm_b)))
+    return np.minimum(1.0, np.maximum(0.0, 1.0 - (cos + 1.0) / 2.0))
+
+
+def cosine_distance_gradients(a, b, norm_a, norm_b) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of each row's ``cosine_distances`` term w.r.t. both rows.
 
     Valid on the smooth interior (strictly between collinear and antiparallel),
-    for vectors of any norm, so it agrees with central differences even when a
+    for rows of any norm, so it agrees with central differences even when a
     perturbation leaves the unit sphere.
     """
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise DegenerateVectorError("cosine distance is undefined for a zero vector")
+    norm_a = norm_a[:, None]
+    norm_b = norm_b[:, None]
     unit_a = a / norm_a
     unit_b = b / norm_b
-    cos = float(np.dot(unit_a, unit_b))
+    cos = row_dots(unit_a, unit_b)[:, None]
     grad_a = -0.5 * (unit_b - cos * unit_a) / norm_a
     grad_b = -0.5 * (unit_a - cos * unit_b) / norm_b
     return grad_a, grad_b
+
+
+def _single_rows(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two checked vectors as one-row matrices, with their norms."""
+    a = as_vector(a, "a")
+    b = as_vector(b, "b")
+    if a.shape != b.shape:
+        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    a = a[None]
+    b = b[None]
+    norm_a = row_norms(a)
+    norm_b = row_norms(b)
+    if norm_a[0] == 0.0 or norm_b[0] == 0.0:
+        raise DegenerateVectorError("cosine distance is undefined for a zero vector")
+    return a, b, norm_a, norm_b
+
+
+def cosine_distance(a, b) -> float:
+    """:func:`cosine_distances` of two vectors."""
+    return float(cosine_distances(*_single_rows(a, b))[0])
+
+
+def cosine_distance_gradient(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cosine_distance_gradients` of two vectors."""
+    grad_a, grad_b = cosine_distance_gradients(*_single_rows(a, b))
+    return grad_a[0], grad_b[0]
 
 
 @dataclass(frozen=True)
@@ -114,7 +142,7 @@ def ema_batch(current: float, xs: Sequence[float], params: EmaParams) -> float:
     xs = [float(x) for x in xs]
     if not xs:
         raise EmptyBatchError("ema_batch needs at least one observation")
-    if not np.isfinite(current) or not all(np.isfinite(x) for x in xs):
+    if not math.isfinite(current) or not all(math.isfinite(x) for x in xs):
         raise NumericError("EMA inputs must be finite")
     s = params.step
     keep = 1.0 - s

@@ -10,13 +10,15 @@ updated once per minibatch and persists across epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .errors import DeserializeError, EmptyBatchError, RangeError
-from .vecmath import EmaParams, cosine_distance, ema_batch
+from .errors import DeserializeError, RangeError
+from .losses import EmbeddedBatch, EmbeddedSample, as_embedded_batch
+from .vecmath import EmaParams, ema_batch
 
-if TYPE_CHECKING:
-    from .losses import EmbeddedSample
+# Not called here: purgebench's tracer counts calls made through this module
+# attribute, so it stays importable from this module.
+from .vecmath import cosine_distance  # noqa: F401
 
 SNAPSHOT_VERSION = 1
 
@@ -85,7 +87,7 @@ class VergeRegistry:
                     return value
         return ema_batch(value, distances, self.params)
 
-    def batch_update(self, batch: Sequence["EmbeddedSample"]) -> set[int]:
+    def batch_update(self, batch: EmbeddedBatch | Sequence[EmbeddedSample]) -> set[int]:
         """Update verges from a minibatch of embedded samples.
 
         Collects, per class in the batch, the equivalent and non-equivalent
@@ -93,17 +95,15 @@ class VergeRegistry:
         returns the set of touched class ids. Classes not in the batch are
         untouched.
         """
-        if len(batch) == 0:
-            raise EmptyBatchError("batch_update needs at least one sample")
+        batch = as_embedded_batch(batch)
         order: list[int] = []
         pos: dict[int, list[float]] = {}
         neg: dict[int, list[float]] = {}
-        for sample in batch:
-            cid = sample.class_id
+        rows = zip(batch.class_ids.tolist(), batch.labels.tolist(), batch.distances.tolist())
+        for cid, label, d in rows:
             if cid not in pos and cid not in neg:
                 order.append(cid)
-            d = cosine_distance(sample.origin_embedding, sample.mutant_embedding)
-            bucket = pos if sample.label == 1 else neg
+            bucket = pos if label == 1 else neg
             bucket.setdefault(cid, []).append(d)
         for cid in order:
             self.update_class(cid, pos.get(cid, ()), neg.get(cid, ()))

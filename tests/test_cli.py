@@ -2,9 +2,10 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 from purgelab.cli import run
-from purgelab.data import generate_synthetic, ingest, write_corpus
+from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
 
 SMALL_DIMS = [
     "--feature-dim", "24", "--hidden-dim", "12", "--embed-dim", "8", "--pair-hidden-dim", "6",
@@ -284,3 +285,78 @@ def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
         if rc == 1:
             assert re.match(r"ERROR \w+: ", capsys.readouterr().err)
     assert outcomes[1] >= 44  # every truncation is rejected
+
+
+def sweep_args(tmp_path):
+    corpus, features = gen_small(tmp_path / "data")
+    pp = tmp_path / "pp"
+    assert run(["preprocess", "--input", corpus, "--out-dir", str(pp), "--seed", "0"]) == 0
+    return ["sweep", "--train-corpus", str(pp / "train.tsv"), "--test-corpus", str(pp / "test.tsv"),
+            "--features", features, "--epochs", "1", *SMALL_DIMS]
+
+
+@pytest.mark.parametrize("bad_ranges", [
+    ["--lambda-range=nan:nan:1"],
+    ["--lambda-range=0:inf:1"],
+    ["--zeta-range=-inf:0:0.01"],
+    ["--lambda-range=1:2:nan"],
+    ["--lambda-range=1:2:1e-300"],  # 1e300 values
+    ["--zeta-range=-1e308:1e308:1"],  # the span overflows to inf
+    ["--lambda-range=0:1:0.0001"],  # 10,001 values, one over the cap
+    ["--lambda-range=0:55:1", "--zeta-range=0:199:1"],  # 56 x 200 cells
+])
+def test_sweep_rejects_non_finite_and_oversized_ranges(tmp_path, capsys, bad_ranges):
+    args = sweep_args(tmp_path)
+    capsys.readouterr()
+    rc = run([*args, *bad_ranges, "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR ConfigError:")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_records_any_cell_error_and_continues(tmp_path):
+    # lambda = -0.5 is an invalid loss config for its cell alone
+    args = sweep_args(tmp_path)
+    out = tmp_path / "sweep"
+    rc = run([*args, "--lambda-range=-0.5:0.5:0.5", "--zeta-range=0:0:1", "--out-dir", str(out)])
+    assert rc == 0
+    rows = [line.split("\t") for line in (out / "sweep.tsv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["-0.5", "0.0", "0.5"]
+    assert rows[0][4] == "none"
+    assert all(r[4] != "none" for r in rows[1:])
+    errors = (out / "sweep_errors.txt").read_text().splitlines()
+    assert len(errors) == 1 and errors[0].startswith("-0.5\t0.0\tConfigError: ")
+
+
+def test_sweep_workers_clamped_to_cells_and_cpus(monkeypatch):
+    from purgelab import evaluation
+
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
+    cases = {(1, 56): 1, (2, 56): 2, (64, 56): 8, (64, 3): 3, (0, 5): 1, (-4, 5): 1}
+    assert {k: evaluation.sweep_workers(*k) for k in cases} == cases
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+    assert evaluation.sweep_workers(4, 10) == 1
+
+
+def test_stats_and_sweep_featurize_each_corpus_once(tmp_path, monkeypatch):
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt_a = train_small(tmp_path / "a", corpus, features, extra=["--loss-kind", "ce_plus_cpl"])
+    ckpt_b = train_small(tmp_path / "b", corpus, features, extra=["--loss-kind", "ce_only"])
+    args = sweep_args(tmp_path)
+    built = []
+    from_corpus = FeatureCache.from_corpus.__func__
+
+    def counting(cls, corpus, provider):
+        built.append(len(corpus))
+        return from_corpus(cls, corpus, provider)
+
+    monkeypatch.setattr(FeatureCache, "from_corpus", classmethod(counting))
+    rc = run(["stats", "--checkpoint", ckpt_a, "--baseline", ckpt_b, "--corpus", corpus,
+              "--features", features, "--resamples", "50", "--out-dir", str(tmp_path / "stats")])
+    assert rc == 0
+    assert built == [32]
+    built.clear()
+    rc = run([*args, "--lambda-range=1.0:1.1:0.05", "--zeta-range=0:0.01:0.01",
+              "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 0
+    assert len(built) == 2  # the train and the test corpus, for all 6 cells

@@ -122,12 +122,40 @@ def test_zero_upstream_gives_zero_parameter_gradients():
     rng = np.random.default_rng(6)
     cache = encode_batch(enc, rng.normal(size=(3, 8)))
     grads = encoder_backward(enc, cache, np.zeros((3, 4)))
-    for arr in (grads.w1, grads.b1, grads.w2, grads.b2, grads.inputs):
+    for arr in (grads.w1, grads.b1, grads.w2, grads.b2):
         assert np.all(arr == 0.0)
     pcache = classify_pairs(head, cache.embeddings, cache.embeddings)
     pgrads = pair_backward(head, pcache, np.zeros((3, 2)))
     for arr in (pgrads.w1, pgrads.b1, pgrads.w2, pgrads.b2):
         assert np.all(arr == 0.0)
+
+
+def test_backward_writes_into_and_adds_onto_gradient_buffers():
+    enc, head = init_params(0, SMALL)
+    rng = np.random.default_rng(8)
+    cache_o = encode_batch(enc, rng.normal(size=(3, 8)))
+    cache_s = encode_batch(enc, rng.normal(size=(3, 8)))
+    up_o, up_s = rng.normal(size=(2, 3, 4))
+    fresh_o = encoder_backward(enc, cache_o, up_o)
+    fresh_s = encoder_backward(enc, cache_s, up_s)
+    out = [np.full_like(p, np.nan) for p in (enc.w1, enc.b1, enc.w2, enc.b2)]
+    grads = encoder_backward(enc, cache_o, up_o, out=out)
+    assert all(g is o for g, o in zip((grads.w1, grads.b1, grads.w2, grads.b2), out))
+    encoder_backward(enc, cache_s, up_s, out=out, accumulate=True)
+    for name, o in zip(("w1", "b1", "w2", "b2"), out):
+        assert np.array_equal(o, getattr(fresh_o, name) + getattr(fresh_s, name))
+
+    pcache = classify_pairs(head, cache_o.embeddings, cache_s.embeddings)
+    up = rng.normal(size=(3, 2))
+    fresh = pair_backward(head, pcache, up)
+    out = [np.full_like(p, np.nan) for p in (head.w1, head.b1, head.w2, head.b2)]
+    grads = pair_backward(head, pcache, up, out=out)
+    for name, o in zip(("w1", "b1", "w2", "b2"), out):
+        assert getattr(grads, name) is o
+        assert np.array_equal(o, getattr(fresh, name))
+    assert np.array_equal(grads.origin_grads, fresh.origin_grads)
+    with pytest.raises(DimensionError):
+        pair_backward(head, pcache, up, out=out[::-1])
 
 
 def _named(enc, head):
