@@ -410,9 +410,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         for i, lam in enumerate(lambda_values):
             row = f"{lam:^11.2f} |"
             for j in range(len(zeta_values)):
-                r = grid.cell(i, j).report
+                cell = grid.cell(i, j)
+                r = cell.report
                 if r is None:
-                    row += f" {'diverged':^22} |"
+                    row += f" {cell.error.split(':', 1)[0]:^22} |"
                 else:
                     row += f" P{_pct(r.precision)} R{_pct(r.recall)} F{_pct(r.f1)} |"
             fh.write(row + "\n")

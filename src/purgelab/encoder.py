@@ -54,14 +54,13 @@ class PairClassifierParams:
     version: int = 0
 
 
-# The flat parameter layout: every weight of the encoder and the head lives in
-# one contiguous float64 vector, in this segment order. Adam's moments and the
-# step gradient share the layout; checkpoints store the segments by these names.
-PARAM_NAMES = ("enc.w1", "enc.b1", "enc.w2", "enc.b2", "head.w1", "head.b1", "head.w2", "head.b2")
-
-
 def param_shapes(dims: EncoderDims) -> list[tuple[int, ...]]:
-    """Segment shapes of the flat parameter vector, in ``PARAM_NAMES`` order."""
+    """Segment shapes of the flat parameter vector.
+
+    Every weight of the encoder and the head lives in one contiguous float64
+    vector, in the segment order encoder w1, b1, w2, b2, then head w1, b1, w2,
+    b2. Adam's moments, the step gradient and the checkpoint share the layout.
+    """
     h, e, p = dims.hidden_dim, dims.embed_dim, dims.pair_hidden_dim
     return [(h, dims.feature_dim), (h,), (e, h), (e,), (p, 4 * e), (p,), (2, p), (2,)]
 

@@ -18,7 +18,11 @@ from .data import Corpus, FeatureCache
 from .encoder import classify_pairs, encode_batch
 from .errors import ConfigError, PurgelabError, StratifyError, UnknownClassError
 from .trainer import TrainConfig, TrainerState, train, with_loss
-from .vecmath import cosine_distance
+from .vecmath import cosine_distances, row_norms
+
+# Not called here: purgebench's tracer counts calls made through this module
+# attribute, so it stays importable from this module.
+from .vecmath import cosine_distance  # noqa: F401
 
 
 @dataclass
@@ -94,10 +98,7 @@ class DistanceStats:
 def pair_distances(state: TrainerState, corpus: Corpus, features) -> tuple[np.ndarray, np.ndarray]:
     """Raw origin-mutant distances, split by label: (equivalent, non-equivalent)."""
     cache, origins, mutants = _embed_corpus(state, corpus, features)
-    distances = np.array(
-        [cosine_distance(origins[i], mutants[i]) for i in range(len(cache))],
-        dtype=np.float64,
-    )
+    distances = cosine_distances(origins, mutants, row_norms(origins), row_norms(mutants))
     return distances[cache.labels == 1], distances[cache.labels == 0]
 
 

@@ -11,18 +11,17 @@ epochs and live inside the checkpoint.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import math
 import numbers
 import struct
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import Batch, Corpus, FeatureCache, make_batches
 from .encoder import (
-    PARAM_NAMES,
     EncoderDims,
     EncoderParams,
     PairClassifierParams,
@@ -55,7 +54,7 @@ from .losses import (
 from .verges import VergeRegistry
 
 CHECKPOINT_MAGIC = b"purgelab-ckpt"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 LOSS_KINDS = ("ce_only", "ce_plus_cpl", "ce_plus_contrastive", "ce_plus_triplet")
 
@@ -123,7 +122,8 @@ class TrainerState:
     """Everything a training run carries: the checkpointable state.
 
     ``encoder`` and ``head`` are views into the flat vector ``params``, and
-    ``grad_segments`` are the same views into ``adam.grad``.
+    ``grad_segments`` are the same views into ``adam.grad``. The views'
+    version counters start at ``adam.t``: every Adam step bumps all three.
     """
 
     config: TrainConfig
@@ -131,14 +131,13 @@ class TrainerState:
     registry: VergeRegistry
     adam: AdamState
     epoch: int = 0
-    version: InitVar[int] = 0
     encoder: EncoderParams = field(init=False)
     head: PairClassifierParams = field(init=False)
     grad_segments: list[np.ndarray] = field(init=False)
 
-    def __post_init__(self, version: int):
+    def __post_init__(self):
         dims = self.config.dims()
-        self.encoder, self.head = param_views(self.params, dims, version)
+        self.encoder, self.head = param_views(self.params, dims, self.adam.t)
         self.grad_segments = split_flat(self.adam.grad, dims)
 
 
@@ -324,119 +323,75 @@ def resume(
 # --- checkpoint container -------------------------------------------------
 #
 # Layout: magic, u32 version, u32 meta length, meta JSON (config echo, epoch,
-# verge snapshot, Adam step count), u32 array count, then per array: u16 name
-# length, UTF-8 name, u8 ndim, u32 per dim, u32 byte length, raw little-endian
-# float64 data. The arrays are the flat parameter vector's segments, then the
-# same segments of Adam's m and v, named by ``PARAM_NAMES`` with the prefixes
-# below. Fully deterministic: no timestamps.
+# verge snapshot, Adam step count), then the flat parameter vector, Adam's m
+# and Adam's v as one block of raw little-endian float64 (3 x n, where the
+# config's layout fixes n), then the sha256 of every byte before it. Fully
+# deterministic: no timestamps.
 
-_ARRAY_GROUPS = ("", "adam.m.", "adam.v.")
-
-
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
-    name_b = name.encode("utf-8")
-    out = struct.pack("<H", len(name_b)) + name_b
-    out += struct.pack("<B", arr.ndim) + b"".join(struct.pack("<I", d) for d in arr.shape)
-    out += struct.pack("<I", len(data)) + data
-    return out
-
-
-def _read_exact(buf: io.BytesIO, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise DeserializeError("checkpoint truncated")
-    return data
-
-
-def _unpack_array(buf: io.BytesIO) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read_exact(buf, 2))
-    try:
-        name = _read_exact(buf, name_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DeserializeError(f"checkpoint array name is not UTF-8: {exc}") from None
-    (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
-    shape = tuple(struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim))
-    (nbytes,) = struct.unpack("<I", _read_exact(buf, 4))
-    if nbytes != 8 * math.prod(shape):
-        raise DeserializeError(f"checkpoint array {name!r}: {nbytes} bytes for shape {shape}")
-    data = _read_exact(buf, nbytes)
-    return name, np.frombuffer(data, dtype=np.float64).reshape(shape)
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def save_checkpoint(state: TrainerState, path) -> None:
     """Write the versioned checkpoint container; byte-identical for equal states."""
-    cfg = state.config
     meta = {
         "epoch": state.epoch,
         "adam_t": state.adam.t,
-        "param_version": state.encoder.version,
         "verges": state.registry.snapshot().decode("utf-8"),
-        "include_first": state.registry.include_first_in_update,
-        "config": asdict(cfg),
+        "config": asdict(state.config),
     }
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-    names = [prefix + name for prefix in _ARRAY_GROUPS for name in PARAM_NAMES]
-    flats = (state.params, state.adam.m, state.adam.v)
-    arrays = [seg for flat in flats for seg in split_flat(flat, cfg.dims())]
+    header = struct.pack("<II", CHECKPOINT_VERSION, len(meta_b))
+    block = [f.astype("<f8", copy=False) for f in (state.params, state.adam.m, state.adam.v)]
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(meta_b)))
-        fh.write(meta_b)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in zip(names, arrays):
-            fh.write(_pack_array(name, arr))
+        for part in (CHECKPOINT_MAGIC, header, meta_b, *block):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
 def load_checkpoint(path) -> TrainerState:
     """Restore a :class:`TrainerState`; never returns a partial load.
 
-    Every array must carry the name and shape the config's layout expects,
-    and every parameter and moment must be finite.
+    Checks, in order: the magic, the version, the sha256 trailer, the
+    metadata, the block length against the config's layout, and that every
+    parameter and moment is finite.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    buf = io.BytesIO(raw)
-    magic = buf.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
+    start = len(CHECKPOINT_MAGIC)
+    if raw[:start] != CHECKPOINT_MAGIC:
         raise DeserializeError("not a purgelab checkpoint")
-    (version,) = struct.unpack("<I", _read_exact(buf, 4))
+    if len(raw) < start + 8 + _DIGEST_SIZE:
+        raise DeserializeError("checkpoint truncated")
+    version, meta_len = struct.unpack_from("<II", raw, start)
     if version != CHECKPOINT_VERSION:
         raise VersionError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", _read_exact(buf, 4))
+    end = len(raw) - _DIGEST_SIZE
+    if hashlib.sha256(memoryview(raw)[:end]).digest() != raw[end:]:
+        raise DeserializeError("checkpoint digest mismatch: the file is truncated or corrupted")
+    start += 8
     try:
-        meta = json.loads(_read_exact(buf, meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DeserializeError(f"malformed checkpoint metadata: {exc}") from None
-    try:
+        meta = json.loads(raw[start : start + meta_len].decode("utf-8"))
         cfg_dict = dict(meta["config"])
         loss = LossConfig(**cfg_dict.pop("loss"))
         config = TrainConfig(loss=loss, **cfg_dict)
-        shapes = param_shapes(config.dims())
-        param_version = int(meta["param_version"])
+        n = sum(math.prod(shape) for shape in param_shapes(config.dims()))
         adam_t = int(meta["adam_t"])
         epoch = int(meta["epoch"])
         registry = VergeRegistry.restore(meta["verges"].encode("utf-8"))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DeserializeError(f"malformed checkpoint metadata: {exc!r}") from None
-    expected = [(p + n, s) for p in _ARRAY_GROUPS for n, s in zip(PARAM_NAMES, shapes)]
-    (count,) = struct.unpack("<I", _read_exact(buf, 4))
-    if count != len(expected):
-        raise DeserializeError(f"checkpoint holds {count} arrays, expected {len(expected)}")
-    segments = []
-    for name, shape in expected:
-        found, arr = _unpack_array(buf)
-        if (found, arr.shape) != (name, shape):
-            raise DeserializeError(f"checkpoint array {found!r} {arr.shape}, expected {name!r} {shape}")
-        segments.append(arr.ravel())
-    if buf.read(1):
-        raise DeserializeError("trailing bytes after the checkpoint arrays")
-    flat = np.concatenate(segments)
+    start += meta_len
+    if end - start != 3 * 8 * n:
+        raise DeserializeError(
+            f"checkpoint holds {end - start} parameter bytes, the config's layout needs {3 * 8 * n}"
+        )
+    flat = np.frombuffer(raw, dtype="<f8", count=3 * n, offset=start).astype(np.float64)
     if not np.isfinite(flat).all():
         raise DeserializeError("checkpoint holds non-finite parameters or moments")
-    params, m, v = flat.reshape(len(_ARRAY_GROUPS), -1)
-    return TrainerState(config, params, registry, AdamState(m, v, adam_t), epoch, param_version)
+    params, m, v = flat.reshape(3, n)
+    return TrainerState(config, params, registry, AdamState(m, v, adam_t), epoch)
 
 
 def with_loss(config: TrainConfig, **loss_updates) -> TrainConfig:

@@ -20,7 +20,7 @@ from .vecmath import EmaParams, ema_batch
 # attribute, so it stays importable from this module.
 from .vecmath import cosine_distance  # noqa: F401
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _RANGE_TOL = 1e-9
 
@@ -39,16 +39,13 @@ class VergeState:
 class VergeRegistry:
     """Holds one :class:`VergeState` per class observed so far.
 
-    ``include_first_in_update=True`` is the literal update rule: on a class's
-    first observation the verge is pre-initialized to the first distance and
-    the closed-form EMA is then applied over the full tuple, so the first
-    distance is weighted twice. Setting it to False applies the EMA to the
-    remainder only; that variant exists for comparison and is not the default.
+    The update rule is the literal one: on a class's first observation the
+    verge is pre-initialized to the first distance and the closed-form EMA is
+    then applied over the full tuple, so the first distance is weighted twice.
     """
 
-    def __init__(self, params: EmaParams, include_first_in_update: bool = True):
+    def __init__(self, params: EmaParams):
         self.params = params
-        self.include_first_in_update = include_first_in_update
         self.states: dict[int, VergeState] = {}
 
     def get(self, class_id: int) -> VergeState | None:
@@ -79,13 +76,7 @@ class VergeRegistry:
     def _fold(self, value: float | None, distances: list[float]) -> float | None:
         if not distances:
             return value
-        if value is None:
-            value = distances[0]
-            if not self.include_first_in_update:
-                distances = distances[1:]
-                if not distances:
-                    return value
-        return ema_batch(value, distances, self.params)
+        return ema_batch(distances[0] if value is None else value, distances, self.params)
 
     def batch_update(self, batch: EmbeddedBatch | Sequence[EmbeddedSample]) -> set[int]:
         """Update verges from a minibatch of embedded samples.
@@ -114,7 +105,6 @@ class VergeRegistry:
         lines = [
             f"verge-registry {SNAPSHOT_VERSION}",
             f"gamma {float(self.params.gamma)!r}",
-            f"include_first {int(self.include_first_in_update)}",
         ]
         for cid in sorted(self.states):
             state = self.states[cid]
@@ -129,7 +119,7 @@ class VergeRegistry:
         except UnicodeDecodeError as exc:
             raise DeserializeError(f"snapshot is not UTF-8: {exc}") from None
         lines = text.splitlines()
-        if len(lines) < 3:
+        if len(lines) < 2:
             raise DeserializeError("snapshot truncated: header missing")
         head = lines[0].split()
         if len(head) != 2 or head[0] != "verge-registry":
@@ -138,11 +128,10 @@ class VergeRegistry:
             raise DeserializeError(f"unsupported verge snapshot version {head[1]!r}")
         try:
             gamma = float(lines[1].split(" ", 1)[1])
-            include_first = bool(int(lines[2].split(" ", 1)[1]))
         except (IndexError, ValueError) as exc:
             raise DeserializeError(f"malformed snapshot header: {exc}") from None
-        registry = cls(EmaParams(gamma), include_first_in_update=include_first)
-        for line in lines[3:]:
+        registry = cls(EmaParams(gamma))
+        for line in lines[2:]:
             if not line:
                 continue
             parts = line.split("\t")

@@ -256,7 +256,7 @@ def test_commands_do_not_mutate_inputs(tmp_path):
 
 def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
     # Seeded fuzz over a tiny checkpoint: truncations and single-bit flips.
-    # eval either loads the bytes and succeeds, or exits 1 with an error line.
+    # eval exits 1 with an error line on every one of them.
     data = tmp_path / "data"
     rc = run(["gen", "--out-dir", str(data), "--classes", "2", "--per-class", "4",
               "--feature-dim", "16"])
@@ -284,7 +284,7 @@ def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
         outcomes[rc] += 1
         if rc == 1:
             assert re.match(r"ERROR \w+: ", capsys.readouterr().err)
-    assert outcomes[1] >= 44  # every truncation is rejected
+    assert outcomes == {0: 0, 1: len(cases)}
 
 
 def sweep_args(tmp_path):
@@ -326,6 +326,8 @@ def test_sweep_records_any_cell_error_and_continues(tmp_path):
     assert all(r[4] != "none" for r in rows[1:])
     errors = (out / "sweep_errors.txt").read_text().splitlines()
     assert len(errors) == 1 and errors[0].startswith("-0.5\t0.0\tConfigError: ")
+    matrix = (out / "sweep_matrix.txt").read_text().splitlines()
+    assert matrix[2].split("|")[1].strip() == "ConfigError"
 
 
 def test_sweep_workers_clamped_to_cells_and_cpus(monkeypatch):

@@ -271,18 +271,26 @@ def test_corrupted_checkpoint_never_partially_loads(tmp_path):
     (tmp_path / "junk.bin").write_bytes(b"junk" + raw)
     with pytest.raises(DeserializeError):
         load_checkpoint(tmp_path / "junk.bin")
+    # The lowest mantissa bit of the first stored weight: the weight stays
+    # finite and plausible, so only the digest trailer can catch the flip.
+    flipped = bytearray(raw)
+    flipped[len(raw) - 32 - 3 * 8 * result.state.params.size] ^= 1
+    (tmp_path / "flip.bin").write_bytes(bytes(flipped))
+    with pytest.raises(DeserializeError):
+        load_checkpoint(tmp_path / "flip.bin")
 
 
-def test_version_mismatch(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_version_mismatch(tmp_path, version):
     corpus, table = small_setup()
     result = train(small_config(epochs=1), corpus, table)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(result.state, path)
     raw = bytearray(path.read_bytes())
-    raw[13:17] = (99).to_bytes(4, "little")  # version field after magic
-    (tmp_path / "v99.bin").write_bytes(bytes(raw))
+    raw[13:17] = version.to_bytes(4, "little")  # version field after magic
+    (tmp_path / "other.bin").write_bytes(bytes(raw))
     with pytest.raises(VersionError):
-        load_checkpoint(tmp_path / "v99.bin")
+        load_checkpoint(tmp_path / "other.bin")
 
 
 def test_cpl_skipped_counts_surface_in_history():

@@ -78,21 +78,6 @@ def test_range_tolerance_clamps_tiny_drift():
     assert state.v_plus == 1.0
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(1.0, 20.0))
-@settings(max_examples=60, deadline=None)
-def test_preinit_readings_coincide(seed, h, gamma):
-    # Pre-initializing to the first distance makes the first fold step a
-    # fixed point (EMA of x0 starting from x0 is x0), so folding the full
-    # tuple and folding the remainder give the same verge.
-    rng = np.random.default_rng(seed)
-    distances = rng.uniform(size=h).tolist()
-    literal = make_registry(gamma=gamma)
-    remainder = make_registry(gamma=gamma, include_first_in_update=False)
-    literal.update_class(1, pos_distances=distances)
-    remainder.update_class(1, pos_distances=distances)
-    assert abs(literal.get(1).v_plus - remainder.get(1).v_plus) <= 1e-12
-
-
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 12),
@@ -189,7 +174,6 @@ def test_snapshot_roundtrip_partial_state():
     restored = VergeRegistry.restore(registry.snapshot())
     assert restored.get(5).v_plus == 0.4
     assert restored.get(5).v_minus is None
-    assert restored.include_first_in_update is True
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -213,7 +197,7 @@ def test_restore_rejects_malformed():
     with pytest.raises(DeserializeError):
         VergeRegistry.restore(b"not a snapshot\n")
     with pytest.raises(DeserializeError):
-        VergeRegistry.restore(b"verge-registry 99\ngamma 3.0\ninclude_first 1\n")
+        VergeRegistry.restore(b"verge-registry 99\ngamma 3.0\n")
     good = make_registry().snapshot()
     with pytest.raises(DeserializeError):
         VergeRegistry.restore(good + b"5\tbroken\n")
