@@ -7,6 +7,7 @@ ships the corpus tooling, baselines, sweep engine, and diagnostics around it.
 
 from .data import (
     Corpus,
+    FeatureCache,
     FeatureSpec,
     HashingFeatures,
     MutantRecord,
@@ -65,6 +66,7 @@ __all__ = [
     "EmbeddedSample",
     "EncoderDims",
     "EvalReport",
+    "FeatureCache",
     "FeatureSpec",
     "HashingFeatures",
     "LossConfig",

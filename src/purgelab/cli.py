@@ -23,6 +23,7 @@ from .data import (
     generate_synthetic,
     ingest,
     load_feature_table,
+    read_lines,
     split,
     write_corpus,
     write_feature_table,
@@ -66,15 +67,14 @@ def _fmt(value) -> str:
 def load_config_file(path) -> dict[str, str]:
     """Read a flat ``key = value`` manifest into a string map."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_lines(path, ConfigError), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -209,6 +209,12 @@ def _provider(ns: argparse.Namespace):
     return HashingFeatures(FeatureSpec(dim=ns.feature_dim))
 
 
+def _featurized(ns: argparse.Namespace, *paths: str) -> list[FeatureCache]:
+    """Each corpus file, ingested and featurized by the provider the flags select."""
+    provider = _provider(ns)
+    return [FeatureCache.from_corpus(ingest(path), provider) for path in paths]
+
+
 def _outpath(ns: argparse.Namespace, name: str) -> str:
     os.makedirs(ns.out_dir, exist_ok=True)
     return os.path.join(ns.out_dir, name)
@@ -289,13 +295,14 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    corpus = ingest(ns.corpus)
     if ns.resume:
         state = load_checkpoint(ns.resume)
         state.config = _resume_config(ns, state.config)
-        result = resume(state, corpus, _provider(ns), collect_steps=ns.trace)
+        [data] = _featurized(ns, ns.corpus)
+        result = resume(state, data, collect_steps=ns.trace)
     else:
-        result = train(_train_config(ns), corpus, _provider(ns), collect_steps=ns.trace)
+        [data] = _featurized(ns, ns.corpus)
+        result = train(_train_config(ns), data, collect_steps=ns.trace)
     save_checkpoint(result.state, _outpath(ns, "checkpoint.bin"))
     _write_history(_outpath(ns, "history.tsv"), result.history)
     if ns.trace and result.step_trace is not None:
@@ -317,8 +324,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
 def cmd_eval(ns: argparse.Namespace) -> int:
     state = load_checkpoint(ns.checkpoint)
     ns.feature_dim = state.config.feature_dim
-    corpus = ingest(ns.corpus)
-    report = evaluate(state, corpus, _provider(ns))
+    [data] = _featurized(ns, ns.corpus)
+    report = evaluate(state, data)
     path = _outpath(ns, "report.txt")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in ("tp", "fp", "tn", "fn", "precision", "recall", "f1"):
@@ -336,9 +343,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 def cmd_stats(ns: argparse.Namespace) -> int:
     state = load_checkpoint(ns.checkpoint)
     ns.feature_dim = state.config.feature_dim
-    corpus = ingest(ns.corpus)
-    cache = FeatureCache.from_corpus(corpus, _provider(ns))
-    eq, noneq = pair_distances(state, corpus, cache)
+    [data] = _featurized(ns, ns.corpus)
+    eq, noneq = pair_distances(state, data)
     stats = DistanceStats.from_distances(eq, noneq)
     lines = [
         ("n_eq", stats.n_eq),
@@ -351,7 +357,7 @@ def cmd_stats(ns: argparse.Namespace) -> int:
     ]
     if ns.baseline:
         base_state = load_checkpoint(ns.baseline)
-        base_eq, base_noneq = pair_distances(base_state, corpus, cache)
+        base_eq, base_noneq = pair_distances(base_state, data)
         base_stats = DistanceStats.from_distances(base_eq, base_noneq)
         test = permutation_pvalue(noneq, base_noneq, resamples=ns.resamples, seed=ns.stats_seed)
         lines += [
@@ -376,23 +382,13 @@ def _pct(value) -> str:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    train_corpus = ingest(ns.train_corpus)
-    test_corpus = ingest(ns.test_corpus)
-    provider = _provider(ns)
     lambda_values = _parse_range(ns.lambda_range)
     zeta_values = _parse_range(ns.zeta_range)
     cells = len(lambda_values) * len(zeta_values)
     if cells > MAX_SWEEP_CELLS:
         raise ConfigError(f"sweep grid has {cells} cells, more than {MAX_SWEEP_CELLS}")
-    grid = sweep(
-        _train_config(ns),
-        train_corpus,
-        test_corpus,
-        provider,
-        lambda_values,
-        zeta_values,
-        workers=ns.workers,
-    )
+    train_data, test_data = _featurized(ns, ns.train_corpus, ns.test_corpus)
+    grid = sweep(_train_config(ns), train_data, test_data, lambda_values, zeta_values, workers=ns.workers)
     with open(_outpath(ns, "sweep.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# lambda\tzeta\tprecision\trecall\tf1\n")
         for cell in grid.cells:
@@ -445,8 +441,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 def cmd_export(ns: argparse.Namespace) -> int:
     state = load_checkpoint(ns.checkpoint)
     ns.feature_dim = state.config.feature_dim
-    corpus = ingest(ns.corpus)
-    rows = export_embeddings(state, corpus, _provider(ns), _parse_classes(ns.classes))
+    [data] = _featurized(ns, ns.corpus)
+    rows = export_embeddings(state, data, _parse_classes(ns.classes))
     with open(_outpath(ns, "embeddings.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             class_id, label, role, *components = row

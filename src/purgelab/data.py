@@ -21,14 +21,15 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateInputError,
-    DimensionError,
     EmptyCorpusError,
     ParseError,
+    PurgelabError,
     SchemaError,
     StratifyError,
 )
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+NGRAM_ORDERS = (1, 2)  # token unigrams and bigrams
 
 # Geometric-mode constants. Non-equivalent mutants are offset by a controlled
 # radial shift along a fixed "mutation" direction set shared across classes
@@ -63,7 +64,6 @@ class MutantRecord:
 @dataclass
 class Corpus:
     records: list[MutantRecord] = field(default_factory=list)
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -112,30 +112,39 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
+def read_lines(path, error: type[PurgelabError] = ParseError):
+    """Yield the lines of the UTF-8 text file ``path``, line endings kept.
+    Bytes that are not UTF-8 raise ``error``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def ingest(path) -> Corpus:
     """Parse a corpus file and validate the per-class origin invariant."""
     records: list[MutantRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                class_id = int(parts[0])
-                label = int(parts[1])
-                record = MutantRecord(
-                    class_id=class_id,
-                    origin_text=_unescape(parts[2]),
-                    mutant_text=_unescape(parts[3]),
-                    label=label,
-                )
-            except (ValueError, SchemaError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            records.append(record)
-    corpus = Corpus(records=records, provenance=str(path))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            class_id = int(parts[0])
+            label = int(parts[1])
+            record = MutantRecord(
+                class_id=class_id,
+                origin_text=_unescape(parts[2]),
+                mutant_text=_unescape(parts[3]),
+                label=label,
+            )
+        except (ValueError, SchemaError) as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        records.append(record)
+    corpus = Corpus(records=records)
     validate_corpus(corpus)
     return corpus
 
@@ -165,7 +174,7 @@ def dedup(corpus: Corpus) -> Corpus:
             continue
         seen.add(key)
         kept.append(record)
-    return Corpus(records=kept, provenance=corpus.provenance)
+    return Corpus(records=kept)
 
 
 def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -194,23 +203,21 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
         test_idx.extend(indices[order[take:]].tolist())
     train_idx.sort()
     test_idx.sort()
-    train = Corpus([corpus.records[i] for i in train_idx], provenance=corpus.provenance)
-    test = Corpus([corpus.records[i] for i in test_idx], provenance=corpus.provenance)
+    train = Corpus([corpus.records[i] for i in train_idx])
+    test = Corpus([corpus.records[i] for i in test_idx])
     return train, test
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Hashed token n-gram features; stable across runs (seedless hash)."""
+    """Hashed token n-gram features (orders :data:`NGRAM_ORDERS`); stable
+    across runs (seedless hash)."""
 
     dim: int = 256
-    ngram_orders: tuple[int, ...] = (1, 2)
 
     def __post_init__(self):
         if self.dim < 16:
             raise ConfigError(f"feature dim must be >= 16, got {self.dim}")
-        if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
-            raise ConfigError("ngram_orders must be positive integers")
 
 
 def extract_features(spec: FeatureSpec, text: str) -> np.ndarray:
@@ -221,7 +228,7 @@ def extract_features(spec: FeatureSpec, text: str) -> np.ndarray:
     if not tokens:
         raise DegenerateInputError("text contains no tokens")
     vec = np.zeros(spec.dim, dtype=np.float64)
-    for order in sorted(spec.ngram_orders):
+    for order in NGRAM_ORDERS:
         for i in range(len(tokens) - order + 1):
             gram = f"{order}:" + "\x1f".join(tokens[i : i + order])
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
@@ -271,29 +278,38 @@ def write_feature_table(features: TableFeatures, path) -> None:
 
 
 def load_feature_table(path) -> TableFeatures:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n").split()
-        if len(header) != 3 or header[0] != "feature-table" or header[1] != "1":
-            raise ParseError(f"not a feature table: {header!r}")
+    """Read a feature table; a malformed header or line, a component that is
+    not a finite float, or bytes that are not UTF-8 raise :class:`ParseError`."""
+    lines = read_lines(path)
+    header = next(lines, "").rstrip("\n").split()
+    if len(header) != 3 or header[0] != "feature-table" or header[1] != "1":
+        raise ParseError(f"not a feature table: {header!r}")
+    try:
         dim = int(header[2])
-        table: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                key, comps = line.split("\t")
-                vec = np.array([float(x) for x in comps.split(" ")], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if vec.shape[0] != dim:
-                raise ParseError(f"line {lineno}: expected {dim} components")
-            table[_unescape(key)] = vec
+    except ValueError:
+        raise ParseError(f"feature table dim must be an integer, got {header[2]!r}") from None
+    table: dict[str, np.ndarray] = {}
+    for lineno, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            key, comps = line.split("\t")
+            vec = np.array([float(x) for x in comps.split(" ")], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if vec.shape[0] != dim:
+            raise ParseError(f"line {lineno}: expected {dim} components")
+        if not np.isfinite(vec).all():
+            raise ParseError(f"line {lineno}: components must be finite")
+        table[_unescape(key)] = vec
     return TableFeatures(dim=dim, table=table)
 
 
 class FeatureCache:
-    """Per-corpus feature matrices, extracted once and then sliced per batch."""
+    """A featurized corpus: per-record class ids, labels and origin and mutant
+    feature rows, in corpus order. Built once per corpus by :meth:`from_corpus`;
+    a minibatch is a row subset, made by :meth:`take`."""
 
     def __init__(self, class_ids, labels, origin_features, mutant_features):
         self.class_ids = np.asarray(class_ids, dtype=np.int64)
@@ -303,12 +319,6 @@ class FeatureCache:
 
     def __len__(self) -> int:
         return int(self.class_ids.shape[0])
-
-    @classmethod
-    def of(cls, corpus: Corpus, features) -> "FeatureCache":
-        """``features`` when it is already this corpus's cache, else the cache
-        the provider ``features`` builds from the corpus."""
-        return features if isinstance(features, cls) else cls.from_corpus(corpus, features)
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, provider) -> "FeatureCache":
@@ -331,55 +341,23 @@ class FeatureCache:
             mutant_features=mutant_features,
         )
 
-
-@dataclass
-class Batch:
-    """Feature-level minibatch: parallel arrays over the batch dimension."""
-
-    class_ids: np.ndarray  # (m,)
-    origin_features: np.ndarray  # (m, dim)
-    mutant_features: np.ndarray  # (m, dim)
-    labels: np.ndarray  # (m,)
-
-    def __len__(self) -> int:
-        return int(self.class_ids.shape[0])
+    def take(self, rows) -> "FeatureCache":
+        """The given rows, in the given order."""
+        return FeatureCache(
+            self.class_ids[rows], self.labels[rows], self.origin_features[rows], self.mutant_features[rows]
+        )
 
 
-def make_batches(
-    corpus: Corpus,
-    batch_size: int,
-    seed: int,
-    epoch_index: int,
-    features,
-) -> list[Batch]:
-    """Epoch-deterministic shuffled minibatches; the final partial batch stays.
-
-    ``features`` is a provider (``HashingFeatures``/``TableFeatures``) or an
-    already-built :class:`FeatureCache` for this corpus.
-    """
+def make_batches(data: FeatureCache, batch_size: int, seed: int, epoch_index: int) -> list[FeatureCache]:
+    """Epoch-deterministic shuffled minibatches; the final partial batch stays."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if len(corpus) == 0:
+    if len(data) == 0:
         raise EmptyCorpusError("cannot batch an empty corpus")
     if epoch_index < 0:
         raise ConfigError(f"epoch_index must be >= 0, got {epoch_index}")
-    cache = FeatureCache.of(corpus, features)
-    if len(cache) != len(corpus):
-        raise DimensionError("feature cache does not match corpus length")
-    rng = np.random.default_rng([seed, epoch_index])
-    order = rng.permutation(len(corpus))
-    batches = []
-    for start in range(0, len(corpus), batch_size):
-        idx = order[start : start + batch_size]
-        batches.append(
-            Batch(
-                class_ids=cache.class_ids[idx],
-                origin_features=cache.origin_features[idx],
-                mutant_features=cache.mutant_features[idx],
-                labels=cache.labels[idx],
-            )
-        )
-    return batches
+    order = np.random.default_rng([seed, epoch_index]).permutation(len(data))
+    return [data.take(order[start : start + batch_size]) for start in range(0, len(data), batch_size)]
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -468,8 +446,7 @@ def _generate_geometric(n_classes, per_class, n_equiv, noise, seed, dim):
                     label=1 if equivalent else 0,
                 )
             )
-    corpus = Corpus(records=records, provenance=f"synthetic:geometric:seed={seed}")
-    return corpus, TableFeatures(dim=dim, table=table)
+    return Corpus(records=records), TableFeatures(dim=dim, table=table)
 
 
 def _codegen_origin(c: int) -> str:
@@ -523,4 +500,4 @@ def _generate_codegen(n_classes, per_class, n_equiv, seed):
                     class_id=c, origin_text=origin, mutant_text=mutant, label=label
                 )
             )
-    return Corpus(records=records, provenance=f"synthetic:codegen:seed={seed}")
+    return Corpus(records=records)

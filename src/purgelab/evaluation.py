@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, FeatureCache
+from .data import FeatureCache
 from .encoder import classify_pairs, encode_batch
 from .errors import ConfigError, PurgelabError, StratifyError, UnknownClassError
 from .trainer import TrainConfig, TrainerState, train, with_loss
@@ -45,19 +45,20 @@ class EvalReport:
         return cls(tp=tp, fp=fp, tn=tn, fn=fn, precision=precision, recall=recall, f1=f1)
 
 
-def _embed_corpus(state: TrainerState, corpus: Corpus, features):
-    cache = FeatureCache.of(corpus, features)
-    origins = encode_batch(state.encoder, cache.origin_features).embeddings
-    mutants = encode_batch(state.encoder, cache.mutant_features).embeddings
-    return cache, origins, mutants
+def _embed(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndarray]:
+    """The (origin, mutant) embeddings of every pair."""
+    return (
+        encode_batch(state.encoder, data.origin_features).embeddings,
+        encode_batch(state.encoder, data.mutant_features).embeddings,
+    )
 
 
-def evaluate(state: TrainerState, corpus: Corpus, features) -> EvalReport:
+def evaluate(state: TrainerState, data: FeatureCache) -> EvalReport:
     """Classify every pair and aggregate binary metrics on the equivalent class."""
-    cache, origins, mutants = _embed_corpus(state, corpus, features)
+    origins, mutants = _embed(state, data)
     logits = classify_pairs(state.head, origins, mutants).logits
     predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # tie -> 0
-    labels = cache.labels
+    labels = data.labels
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
     tn = int(np.sum((predictions == 0) & (labels == 0)))
@@ -95,15 +96,15 @@ class DistanceStats:
         )
 
 
-def pair_distances(state: TrainerState, corpus: Corpus, features) -> tuple[np.ndarray, np.ndarray]:
+def pair_distances(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndarray]:
     """Raw origin-mutant distances, split by label: (equivalent, non-equivalent)."""
-    cache, origins, mutants = _embed_corpus(state, corpus, features)
+    origins, mutants = _embed(state, data)
     distances = cosine_distances(origins, mutants, row_norms(origins), row_norms(mutants))
-    return distances[cache.labels == 1], distances[cache.labels == 0]
+    return distances[data.labels == 1], distances[data.labels == 0]
 
 
-def distance_stats(state: TrainerState, corpus: Corpus, features) -> DistanceStats:
-    return DistanceStats.from_distances(*pair_distances(state, corpus, features))
+def distance_stats(state: TrainerState, data: FeatureCache) -> DistanceStats:
+    return DistanceStats.from_distances(*pair_distances(state, data))
 
 
 @dataclass
@@ -171,11 +172,11 @@ class SweepGrid:
 
 
 def _run_cell(payload) -> tuple[int, float, float, dict | None, str | None]:
-    index, base_config, train_corpus, test_corpus, train_cache, test_cache, lam, zeta = payload
+    index, base_config, train_data, test_data, lam, zeta = payload
     try:
         config = with_loss(base_config, lam=lam, zeta=zeta)
-        result = train(config, train_corpus, train_cache)
-        report = evaluate(result.state, test_corpus, test_cache)
+        result = train(config, train_data)
+        report = evaluate(result.state, test_data)
     except PurgelabError as exc:
         return index, lam, zeta, None, f"{type(exc).__name__}: {exc}"
     return index, lam, zeta, vars(report), None
@@ -188,33 +189,29 @@ def sweep_workers(requested: int, cells: int) -> int:
 
 def sweep(
     base_config: TrainConfig,
-    train_corpus: Corpus,
-    test_corpus: Corpus,
-    features,
+    train_data: FeatureCache,
+    test_data: FeatureCache,
     lambda_values,
     zeta_values,
     workers: int = 1,
 ) -> SweepGrid:
     """Train and evaluate one model per (lam, zeta) cell.
 
-    All cells share the base config and seed and are fully independent, so a
-    cell rerun in isolation reproduces its in-sweep result exactly. Both
-    corpora are featurized once, up front, for every cell. A cell that fails
-    with a purgelab error (divergence, an invalid lam or zeta) records its
-    error and the sweep continues. ``workers`` is capped by
-    :func:`sweep_workers`.
+    All cells share the base config, seed and featurized corpora and are
+    fully independent, so a cell rerun in isolation reproduces its in-sweep
+    result exactly. A cell that fails with a purgelab error (divergence, an
+    invalid lam or zeta) records its error and the sweep continues.
+    ``workers`` is capped by :func:`sweep_workers`.
     """
     lambda_values = [float(v) for v in lambda_values]
     zeta_values = [float(v) for v in zeta_values]
     if not lambda_values or not zeta_values:
         raise ConfigError("sweep needs at least one value per axis")
-    train_cache = FeatureCache.of(train_corpus, features)
-    test_cache = FeatureCache.of(test_corpus, features)
     jobs = []
     index = 0
     for lam in lambda_values:
         for zeta in zeta_values:
-            jobs.append((index, base_config, train_corpus, test_corpus, train_cache, test_cache, lam, zeta))
+            jobs.append((index, base_config, train_data, test_data, lam, zeta))
             index += 1
     workers = sweep_workers(workers, len(jobs))
     if workers > 1:
@@ -229,17 +226,15 @@ def sweep(
     return SweepGrid(lambda_values=lambda_values, zeta_values=zeta_values, cells=cells)
 
 
-def export_embeddings(
-    state: TrainerState, corpus: Corpus, features, class_filter=None
-) -> list[tuple]:
+def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None) -> list[tuple]:
     """Embedding rows (class_id, label, role, *components) for external tools.
 
     One ``origin`` row per selected class (label -1: origins carry no
     equivalence label) followed by one ``mutant`` row per record, in
     deterministic class-then-corpus order.
     """
-    cache, origins, mutants = _embed_corpus(state, corpus, features)
-    present = {int(c) for c in cache.class_ids}
+    origins, mutants = _embed(state, data)
+    present = {int(c) for c in data.class_ids}
     if class_filter is not None:
         wanted = {int(c) for c in class_filter}
         unknown = wanted - present
@@ -249,9 +244,9 @@ def export_embeddings(
         wanted = present
     rows: list[tuple] = []
     for cid in sorted(wanted):
-        mask = np.flatnonzero(cache.class_ids == cid)
+        mask = np.flatnonzero(data.class_ids == cid)
         first = int(mask[0])
         rows.append((cid, -1, "origin", *origins[first].tolist()))
         for i in mask:
-            rows.append((cid, int(cache.labels[i]), "mutant", *mutants[int(i)].tolist()))
+            rows.append((cid, int(data.labels[i]), "mutant", *mutants[int(i)].tolist()))
     return rows

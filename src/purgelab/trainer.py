@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Batch, Corpus, FeatureCache, make_batches
+from .data import FeatureCache, make_batches
 from .encoder import (
     EncoderDims,
     EncoderParams,
@@ -184,7 +184,7 @@ def _metric_loss(state: TrainerState, batch: EmbeddedBatch) -> LossOutput | None
     return triplet_batch_loss(batch, cfg.zeta)
 
 
-def train_step(state: TrainerState, batch: Batch) -> StepMetrics:
+def train_step(state: TrainerState, batch: FeatureCache) -> StepMetrics:
     """One forward/backward/update cycle; mutates the state in place.
 
     Any non-finite value surfacing in the forward pass or the loss marks
@@ -197,7 +197,7 @@ def train_step(state: TrainerState, batch: Batch) -> StepMetrics:
         raise DivergenceError(f"numeric divergence: {exc}", epoch=state.epoch) from exc
 
 
-def _train_step_inner(state: TrainerState, batch: Batch) -> StepMetrics:
+def _train_step_inner(state: TrainerState, batch: FeatureCache) -> StepMetrics:
     lcfg = state.config.loss
     cache_o = encode_batch(state.encoder, batch.origin_features)
     cache_s = encode_batch(state.encoder, batch.mutant_features)
@@ -259,37 +259,26 @@ def _adam_step(state: TrainerState) -> None:
     state.head.version += 1
 
 
-def train(
-    config: TrainConfig,
-    corpus: Corpus,
-    features,
-    collect_steps: bool = False,
-) -> TrainResult:
+def train(config: TrainConfig, data: FeatureCache, collect_steps: bool = False) -> TrainResult:
     """Train from a fresh state for ``config.epochs`` epochs."""
     state = init_state(config)
-    return resume(state, corpus, features, collect_steps=collect_steps)
+    return resume(state, data, collect_steps=collect_steps)
 
 
-def resume(
-    state: TrainerState,
-    corpus: Corpus,
-    features,
-    collect_steps: bool = False,
-) -> TrainResult:
+def resume(state: TrainerState, data: FeatureCache, collect_steps: bool = False) -> TrainResult:
     """Continue a (possibly restored) state up to its configured epoch count.
 
     Epoch shuffles are keyed by (seed, epoch index), so a resumed run walks
     the same batches an uninterrupted run would.
     """
-    if len(corpus) == 0:
+    if len(data) == 0:
         raise ConfigError("cannot train on an empty corpus")
     cfg = state.config
-    cache = FeatureCache.of(corpus, features)
     history: list[EpochStats] = []
     trace: list[StepMetrics] | None = [] if collect_steps else None
     while state.epoch < cfg.epochs:
         epoch = state.epoch
-        batches = make_batches(corpus, cfg.batch_size, cfg.seed, epoch, cache)
+        batches = make_batches(data, cfg.batch_size, cfg.seed, epoch)
         ce_sum = metric_sum = joint_sum = 0.0
         skipped_sum = 0
         for step_index, batch in enumerate(batches):

@@ -9,7 +9,7 @@ bit-deterministic, so the printed numbers are stable on one platform.
 import numpy as np
 
 from purgelab.cli import _parse_range, run
-from purgelab.data import Corpus, MutantRecord, dedup, generate_synthetic, split
+from purgelab.data import Corpus, FeatureCache, MutantRecord, dedup, generate_synthetic, split
 from purgelab.encoder import (
     EncoderDims,
     classify_pairs,
@@ -400,12 +400,16 @@ def test_criterion_5_embedding_structure_effect():
     corpus, table = generate_synthetic(
         "geometric", n_classes=8, per_class=40, equiv_fraction=0.5, seed=seed
     )
-    base = train(TrainConfig(loss_kind="ce_only", epochs=30, seed=seed), corpus, table)
-    purge = train(TrainConfig(loss_kind="ce_plus_cpl", epochs=30, seed=seed), corpus, table)
-    stats_base = distance_stats(base.state, corpus, table)
-    stats_purge = distance_stats(purge.state, corpus, table)
-    _, noneq_purge = pair_distances(purge.state, corpus, table)
-    _, noneq_base = pair_distances(base.state, corpus, table)
+    base = train(
+        TrainConfig(loss_kind="ce_only", epochs=30, seed=seed), FeatureCache.from_corpus(corpus, table)
+    )
+    purge = train(
+        TrainConfig(loss_kind="ce_plus_cpl", epochs=30, seed=seed), FeatureCache.from_corpus(corpus, table)
+    )
+    stats_base = distance_stats(base.state, FeatureCache.from_corpus(corpus, table))
+    stats_purge = distance_stats(purge.state, FeatureCache.from_corpus(corpus, table))
+    _, noneq_purge = pair_distances(purge.state, FeatureCache.from_corpus(corpus, table))
+    _, noneq_base = pair_distances(base.state, FeatureCache.from_corpus(corpus, table))
     test = permutation_pvalue(noneq_purge, noneq_base, resamples=10_000, seed=0)
     factor = stats_purge.ratio / stats_base.ratio
     ok = factor >= 1.5 and test.p_value < 0.01
@@ -437,7 +441,10 @@ def test_criterion_6_classification_effect():
             config = with_loss(
                 TrainConfig(loss_kind=kind, epochs=30, seed=seed), lam=lam, zeta=zeta
             )
-            rep = evaluate(train(config, train_side, table).state, test_side, table)
+            rep = evaluate(
+                train(config, FeatureCache.from_corpus(train_side, table)).state,
+                FeatureCache.from_corpus(test_side, table),
+            )
             f1[kind].append(rep.f1 if rep.f1 is not None else 0.0)
     ce = float(np.mean(f1["ce_only"]))
     contrast = float(np.mean(f1["ce_plus_contrastive"]))
@@ -472,7 +479,13 @@ def test_criterion_7_sweep_shape():
     )
     cpl_lams = _parse_range("1.00:1.30:0.05")
     cpl_zetas = _parse_range("-0.06:0.01:0.01")
-    grid = sweep(config, train_side, test_side, table, cpl_lams, cpl_zetas)
+    grid = sweep(
+        config,
+        FeatureCache.from_corpus(train_side, table),
+        FeatureCache.from_corpus(test_side, table),
+        cpl_lams,
+        cpl_zetas,
+    )
 
     contrast_config = TrainConfig(
         loss_kind="ce_plus_contrastive",
@@ -480,13 +493,23 @@ def test_criterion_7_sweep_shape():
     )
     contrast_zetas = _parse_range("0.03:0.18:0.03")
     contrast_grid = sweep(
-        contrast_config, train_side, test_side, table, cpl_lams, contrast_zetas
+        contrast_config,
+        FeatureCache.from_corpus(train_side, table),
+        FeatureCache.from_corpus(test_side, table),
+        cpl_lams,
+        contrast_zetas,
     )
 
     rerun_ok = True
     for i, j in ((2, 3), (6, 7)):
         cell = grid.cell(i, j)
-        alone = sweep(config, train_side, test_side, table, [cell.lam], [cell.zeta])
+        alone = sweep(
+            config,
+            FeatureCache.from_corpus(train_side, table),
+            FeatureCache.from_corpus(test_side, table),
+            [cell.lam],
+            [cell.zeta],
+        )
         if alone.cells[0].report != cell.report:
             rerun_ok = False
     ok = len(grid.cells) == 56 and len(contrast_grid.cells) == 42 and rerun_ok

@@ -10,7 +10,7 @@ bit (``np.array_equal``, ``==``), not merely within a tolerance.
 import numpy as np
 import pytest
 
-from purgelab.data import Batch
+from purgelab.data import FeatureCache
 from purgelab.errors import DivergenceError, NormalizationError
 from purgelab.losses import (
     EmbeddedBatch,
@@ -307,7 +307,7 @@ def _step_setup(monkeypatch, corrupt):
     config = TrainConfig(epochs=1, feature_dim=12, hidden_dim=8, embed_dim=6, pair_hidden_dim=5)
     state = init_state(config)
     rng = np.random.default_rng(3)
-    batch = Batch(
+    batch = FeatureCache(
         class_ids=np.array([0, 0, 1]),
         origin_features=rng.normal(size=(3, 12)),
         mutant_features=rng.normal(size=(3, 12)),

@@ -1,5 +1,7 @@
+import hashlib
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +289,36 @@ def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
     assert outcomes == {0: 0, 1: len(cases)}
 
 
+def _corrupt_features(path, text):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rsplit(" ", 1)[0] + f" {text}\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("name, corrupt, error", [
+    pytest.param("features", lambda p: p.write_text(p.read_text().replace("table 1 24", "table 1 abc")),
+                 "ParseError", id="feature-table-dim-not-integer"),
+    pytest.param("features", lambda p: _corrupt_features(p, "nan"), "ParseError", id="feature-nan"),
+    pytest.param("features", lambda p: _corrupt_features(p, "-inf"), "ParseError", id="feature-inf"),
+    pytest.param("features", lambda p: p.write_bytes(p.read_bytes() + b"\xff\n"), "ParseError",
+                 id="feature-table-not-utf8"),
+    pytest.param("corpus", lambda p: p.write_bytes(p.read_bytes() + b"0\t1\ta\xff\tb\n"), "ParseError",
+                 id="corpus-not-utf8"),
+    pytest.param("config", lambda p: p.write_bytes(b"corpus = \xff\n"), "ConfigError", id="config-not-utf8"),
+])
+def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt, error):
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    config = tmp_path / "config.txt"
+    config.write_text("")
+    corrupt({"features": Path(features), "corpus": Path(corpus), "config": config}[name])
+    capsys.readouterr()
+    rc = run(["eval", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
+              "--config", str(config), "--out-dir", str(tmp_path / "eval")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"ERROR {error}: ")
+
+
 def sweep_args(tmp_path):
     corpus, features = gen_small(tmp_path / "data")
     pp = tmp_path / "pp"
@@ -362,3 +394,25 @@ def test_stats_and_sweep_featurize_each_corpus_once(tmp_path, monkeypatch):
               "--out-dir", str(tmp_path / "sweep")])
     assert rc == 0
     assert len(built) == 2  # the train and the test corpus, for all 6 cells
+
+
+# sha256 of the outputs of one small geometric train + eval. A refactor that
+# must not move float bits keeps these; a change that does move them says so
+# and re-pins them.
+PINNED_DIGESTS = {
+    "history.tsv": "4c9b4484e1091a6b3208c478990fddb6eee50c2ba9067258cd66a94c773a548c",
+    "report.txt": "65ceb3e74e73f6bf459be75bfe018722f3b4137e9fd7bb6e6bd81928f72bff2b",
+}
+
+
+def test_small_train_eval_outputs_are_pinned(tmp_path):
+    corpus, features = gen_small(tmp_path / "data", seed=3)
+    ckpt = train_small(tmp_path / "run", corpus, features, extra=["--epochs", "3", "--seed", "3"])
+    rc = run(["eval", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
+              "--out-dir", str(tmp_path / "run")])
+    assert rc == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in PINNED_DIGESTS
+    }
+    assert digests == PINNED_DIGESTS

@@ -240,8 +240,6 @@ def test_extract_features_rejects_empty():
 def test_feature_spec_validation():
     with pytest.raises(ConfigError):
         FeatureSpec(dim=8)
-    with pytest.raises(ConfigError):
-        FeatureSpec(ngram_orders=())
 
 
 def test_feature_table_roundtrip(tmp_path):
@@ -269,17 +267,17 @@ def test_table_features_unknown_key():
 
 def test_make_batches_sizes():
     corpus = small_corpus(n_eq=5, n_ne=5)
-    features = HashingFeatures(FeatureSpec(dim=32))
-    batches = make_batches(corpus, batch_size=4, seed=0, epoch_index=0, features=features)
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(FeatureSpec(dim=32)))
+    batches = make_batches(data, batch_size=4, seed=0, epoch_index=0)
     assert [len(b) for b in batches] == [4, 4, 2]
 
 
 def test_make_batches_epoch_deterministic():
     corpus = small_corpus(n_eq=6, n_ne=6)
-    features = HashingFeatures(FeatureSpec(dim=32))
-    a = make_batches(corpus, 4, seed=5, epoch_index=2, features=features)
-    b = make_batches(corpus, 4, seed=5, epoch_index=2, features=features)
-    c = make_batches(corpus, 4, seed=5, epoch_index=3, features=features)
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(FeatureSpec(dim=32)))
+    a = make_batches(data, 4, seed=5, epoch_index=2)
+    b = make_batches(data, 4, seed=5, epoch_index=2)
+    c = make_batches(data, 4, seed=5, epoch_index=3)
     assert all(np.array_equal(x.mutant_features, y.mutant_features) for x, y in zip(a, b))
     assert any(
         not np.array_equal(x.mutant_features, y.mutant_features) for x, y in zip(a, c)
@@ -288,12 +286,12 @@ def test_make_batches_epoch_deterministic():
 
 def test_make_batches_empty_corpus():
     with pytest.raises(EmptyCorpusError):
-        make_batches(Corpus(), 4, 0, 0, HashingFeatures())
+        make_batches(FeatureCache.from_corpus(Corpus(), HashingFeatures()), 4, 0, 0)
 
 
 def test_make_batches_rejects_bad_size():
     with pytest.raises(ConfigError):
-        make_batches(small_corpus(), 0, 0, 0, HashingFeatures(FeatureSpec(dim=32)))
+        make_batches(FeatureCache.from_corpus(small_corpus(), HashingFeatures(FeatureSpec(dim=32))), 0, 0, 0)
 
 
 def test_feature_cache_matches_provider():

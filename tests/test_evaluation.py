@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from purgelab.data import generate_synthetic, split
+from purgelab.data import FeatureCache, generate_synthetic, split
 from purgelab.errors import ConfigError, StratifyError, UnknownClassError
 from purgelab.evaluation import (
     EvalReport,
@@ -21,7 +21,13 @@ def small_setup(seed=0):
     corpus, table = generate_synthetic(
         "geometric", n_classes=4, per_class=8, seed=seed, feature_dim=24
     )
-    return corpus, table
+    return corpus, FeatureCache.from_corpus(corpus, table)
+
+
+def small_split():
+    corpus, table = generate_synthetic("geometric", n_classes=4, per_class=8, seed=0, feature_dim=24)
+    train_side, test_side = split(corpus, 0.5, seed=0)
+    return FeatureCache.from_corpus(train_side, table), FeatureCache.from_corpus(test_side, table)
 
 
 def small_config(**overrides):
@@ -67,10 +73,10 @@ def test_f1_identity_on_random_counts():
 
 
 def test_evaluate_is_pure():
-    corpus, table = small_setup()
-    state = train(small_config(), corpus, table).state
-    a = evaluate(state, corpus, table)
-    b = evaluate(state, corpus, table)
+    corpus, data = small_setup()
+    state = train(small_config(), data).state
+    a = evaluate(state, data)
+    b = evaluate(state, data)
     assert a == b
     assert a.tp + a.fp + a.tn + a.fn == len(corpus)
 
@@ -78,11 +84,11 @@ def test_evaluate_is_pure():
 def test_evaluate_untrained_ties_break_toward_nonequivalent():
     # a zeroed head gives identical logits for every pair: argmax ties resolve
     # to label 0, so nothing is predicted equivalent
-    corpus, table = small_setup()
+    _, data = small_setup()
     state = init_state(small_config())
     state.head.w2[:] = 0.0
     state.head.b2[:] = 0.0
-    report = evaluate(state, corpus, table)
+    report = evaluate(state, data)
     assert report.tp == 0 and report.fp == 0
     assert report.precision is None
 
@@ -91,9 +97,9 @@ def test_evaluate_untrained_ties_break_toward_nonequivalent():
 
 
 def test_distance_stats_shapes_and_ranges():
-    corpus, table = small_setup()
+    corpus, data = small_setup()
     state = init_state(small_config())
-    stats = distance_stats(state, corpus, table)
+    stats = distance_stats(state, data)
     assert stats.n_eq + stats.n_noneq == len(corpus)
     assert 0.0 <= stats.mean_eq <= 1.0
     assert 0.0 <= stats.mean_noneq <= 1.0
@@ -106,15 +112,15 @@ def test_distance_stats_identical_pairs_have_absent_ratio():
     )
     # with zero noise equivalents coincide with origins: mean_eq == 0
     state = init_state(small_config())
-    stats = distance_stats(state, corpus, table)
+    stats = distance_stats(state, FeatureCache.from_corpus(corpus, table))
     assert stats.mean_eq == pytest.approx(0.0, abs=1e-9)
     assert stats.ratio is None
 
 
 def test_pair_distances_split_by_label():
-    corpus, table = small_setup()
+    corpus, data = small_setup()
     state = init_state(small_config())
-    eq, noneq = pair_distances(state, corpus, table)
+    eq, noneq = pair_distances(state, data)
     labels = corpus.labels()
     assert eq.size == int(labels.sum())
     assert noneq.size == int((1 - labels).sum())
@@ -167,13 +173,11 @@ def test_permutation_validation():
 
 
 def test_sweep_cell_counts():
-    corpus, table = small_setup()
-    train_side, test_side = split(corpus, 0.5, seed=0)
+    train_side, test_side = small_split()
     grid = sweep(
         small_config(epochs=1),
         train_side,
         test_side,
-        table,
         lambda_values=[1.0, 1.1],
         zeta_values=[-0.02, 0.0, 0.01],
     )
@@ -184,24 +188,21 @@ def test_sweep_cell_counts():
 
 
 def test_sweep_single_cell_equals_direct_run():
-    corpus, table = small_setup()
-    train_side, test_side = split(corpus, 0.5, seed=0)
+    train_side, test_side = small_split()
     config = small_config(epochs=1)
-    grid = sweep(config, train_side, test_side, table, [1.2], [-0.03])
+    grid = sweep(config, train_side, test_side, [1.2], [-0.03])
     direct = evaluate(
-        train(with_loss(config, lam=1.2, zeta=-0.03), train_side, table).state,
+        train(with_loss(config, lam=1.2, zeta=-0.03), train_side).state,
         test_side,
-        table,
     )
     assert grid.cells[0].report == direct
 
 
 def test_sweep_cell_rerun_bit_identical():
-    corpus, table = small_setup()
-    train_side, test_side = split(corpus, 0.5, seed=0)
+    train_side, test_side = small_split()
     config = small_config(epochs=1)
-    grid = sweep(config, train_side, test_side, table, [1.0, 1.3], [-0.05, 0.0])
-    again = sweep(config, train_side, test_side, table, [1.3], [0.0])
+    grid = sweep(config, train_side, test_side, [1.0, 1.3], [-0.05, 0.0])
+    again = sweep(config, train_side, test_side, [1.3], [0.0])
     target = [c for c in grid.cells if c.lam == 1.3 and c.zeta == 0.0][0]
     assert target.report == again.cells[0].report
 
@@ -222,37 +223,35 @@ def test_sweep_best_tie_breaking():
 
 
 def test_sweep_parallel_matches_sequential():
-    corpus, table = small_setup()
-    train_side, test_side = split(corpus, 0.5, seed=0)
+    train_side, test_side = small_split()
     config = small_config(epochs=1)
-    seq = sweep(config, train_side, test_side, table, [1.0, 1.2], [0.0])
-    par = sweep(config, train_side, test_side, table, [1.0, 1.2], [0.0], workers=2)
+    seq = sweep(config, train_side, test_side, [1.0, 1.2], [0.0])
+    par = sweep(config, train_side, test_side, [1.0, 1.2], [0.0], workers=2)
     assert [c.report for c in seq.cells] == [c.report for c in par.cells]
 
 
 def test_sweep_records_divergence_and_continues():
-    corpus, table = small_setup()
-    train_side, test_side = split(corpus, 0.5, seed=0)
+    train_side, test_side = small_split()
     config = small_config(epochs=1, step_size=float("inf"))
     with np.errstate(all="ignore"):
-        grid = sweep(config, train_side, test_side, table, [1.0], [0.0, 0.01])
+        grid = sweep(config, train_side, test_side, [1.0], [0.0, 0.01])
     assert all(c.report is None and c.error for c in grid.cells)
     assert grid.best() is None
 
 
 def test_sweep_validation():
-    corpus, table = small_setup()
+    _, data = small_setup()
     with pytest.raises(ConfigError):
-        sweep(small_config(), corpus, corpus, table, [], [0.0])
+        sweep(small_config(), data, data, [], [0.0])
 
 
 # --- embedding export ------------------------------------------------------------
 
 
 def test_export_row_count_and_order():
-    corpus, table = small_setup()
+    corpus, data = small_setup()
     state = init_state(small_config())
-    rows = export_embeddings(state, corpus, table)
+    rows = export_embeddings(state, data)
     n_classes = len({r.class_id for r in corpus.records})
     assert len(rows) == n_classes + len(corpus)
     roles = [row[2] for row in rows]
@@ -262,25 +261,25 @@ def test_export_row_count_and_order():
 
 
 def test_export_class_filter():
-    corpus, table = small_setup()
+    corpus, data = small_setup()
     state = init_state(small_config())
-    rows = export_embeddings(state, corpus, table, class_filter=[2])
+    rows = export_embeddings(state, data, class_filter=[2])
     assert all(row[0] == 2 for row in rows)
     mutants = [row for row in rows if row[2] == "mutant"]
     assert len(mutants) == sum(1 for r in corpus.records if r.class_id == 2)
 
 
 def test_export_unknown_class():
-    corpus, table = small_setup()
+    _, data = small_setup()
     state = init_state(small_config())
     with pytest.raises(UnknownClassError):
-        export_embeddings(state, corpus, table, class_filter=[99])
+        export_embeddings(state, data, class_filter=[99])
 
 
 def test_export_origin_rows_use_sentinel_label():
-    corpus, table = small_setup()
+    _, data = small_setup()
     state = init_state(small_config())
-    rows = export_embeddings(state, corpus, table)
+    rows = export_embeddings(state, data)
     for row in rows:
         if row[2] == "origin":
             assert row[1] == -1

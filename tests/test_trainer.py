@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from purgelab.data import Batch, FeatureCache, generate_synthetic, make_batches
+from purgelab.data import FeatureCache, generate_synthetic, make_batches
 from purgelab.encoder import encode_batch, encoder_backward, split_flat
 from purgelab.errors import (
     ConfigError,
@@ -29,7 +29,7 @@ def small_setup(seed=0, n_classes=4, per_class=8):
     corpus, table = generate_synthetic(
         "geometric", n_classes=n_classes, per_class=per_class, seed=seed, feature_dim=24
     )
-    return corpus, table
+    return FeatureCache.from_corpus(corpus, table)
 
 
 def small_config(**overrides):
@@ -68,8 +68,8 @@ def test_config_validation():
 
 
 def test_ce_only_reports_zero_metric_and_joint_equals_ce():
-    corpus, table = small_setup()
-    result = train(small_config(loss_kind="ce_only", epochs=2), corpus, table)
+    data = small_setup()
+    result = train(small_config(loss_kind="ce_only", epochs=2), data)
     for stats in result.history:
         assert stats.metric_loss == 0.0
         assert stats.joint_loss == pytest.approx(stats.ce_loss, abs=1e-15)
@@ -77,11 +77,11 @@ def test_ce_only_reports_zero_metric_and_joint_equals_ce():
 
 
 def test_lambda_zero_cpl_matches_ce_only_updates():
-    corpus, table = small_setup()
+    data = small_setup()
     cfg_ce = small_config(loss_kind="ce_only", epochs=2)
     cfg_cpl = with_loss(small_config(loss_kind="ce_plus_cpl", epochs=2), lam=0.0)
-    state_ce = train(cfg_ce, corpus, table).state
-    state_cpl = train(cfg_cpl, corpus, table).state
+    state_ce = train(cfg_ce, data).state
+    state_cpl = train(cfg_cpl, data).state
     assert np.array_equal(state_ce.encoder.w1, state_cpl.encoder.w1)
     assert np.array_equal(state_ce.head.w2, state_cpl.head.w2)
 
@@ -99,11 +99,11 @@ def test_single_step_reproduces_hand_derived_joint():
     state.registry.update_class(0, pos_distances=(0.05,), neg_distances=(0.9,))
     rng = np.random.default_rng(9)
     f = rng.normal(size=24)
-    batch = Batch(
+    batch = FeatureCache(
         class_ids=np.array([0, 0]),
+        labels=np.array([1, 0]),
         origin_features=np.stack([f, f]),
         mutant_features=np.stack([-f, f]),
-        labels=np.array([1, 0]),
     )
     metrics = train_step(state, batch)
     assert metrics.ce_loss == pytest.approx(np.log(2.0), abs=1e-12)
@@ -112,24 +112,24 @@ def test_single_step_reproduces_hand_derived_joint():
 
 
 def test_train_deterministic():
-    corpus, table = small_setup()
+    data = small_setup()
     config = small_config(loss_kind="ce_plus_cpl")
-    a = train(config, corpus, table)
-    b = train(config, corpus, table)
+    a = train(config, data)
+    b = train(config, data)
     assert checkpoints_equal(a.state, b.state)
     assert [s.joint_loss for s in a.history] == [s.joint_loss for s in b.history]
 
 
 def test_contrastive_never_touches_registry():
-    corpus, table = small_setup()
-    result = train(small_config(loss_kind="ce_plus_contrastive", epochs=2), corpus, table)
+    data = small_setup()
+    result = train(small_config(loss_kind="ce_plus_contrastive", epochs=2), data)
     assert result.state.registry.states == {}
 
 
 def test_triplet_runs_and_reports():
-    corpus, table = small_setup()
+    data = small_setup()
     config = with_loss(small_config(loss_kind="ce_plus_triplet", epochs=2), zeta=0.2)
-    result = train(config, corpus, table)
+    result = train(config, data)
     assert len(result.history) == 2
     assert all(np.isfinite(s.joint_loss) for s in result.history)
 
@@ -137,13 +137,9 @@ def test_triplet_runs_and_reports():
 def test_no_gradient_leaks_through_verges():
     # Recomputing a step with the registry hard-frozen at the post-update
     # values yields identical parameter updates.
-    corpus, table = small_setup()
+    data = small_setup()
     config = small_config(loss_kind="ce_plus_cpl", epochs=1)
-    cache = FeatureCache.from_corpus(corpus, table)
-
-    from purgelab.data import make_batches
-
-    batch = make_batches(corpus, 4, config.seed, 0, cache)[0]
+    batch = make_batches(data, 4, config.seed, 0)[0]
 
     state_a = init_state(config)
     train_step(state_a, batch)
@@ -163,10 +159,10 @@ def test_no_gradient_leaks_through_verges():
 
 def test_divergence_raises_with_location():
     # an unbounded step size drives parameters to inf/NaN after one update
-    corpus, table = small_setup()
+    data = small_setup()
     config = small_config(loss_kind="ce_only", epochs=1, step_size=float("inf"))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        train(config, corpus, table)
+        train(config, data)
     assert info.value.epoch == 0
     assert info.value.step >= 1
     assert info.value.history == []
@@ -203,16 +199,16 @@ def test_flat_adam_matches_textbook_per_array_update():
 
 
 def test_param_version_counts_steps_and_stales_caches(tmp_path):
-    corpus, table = small_setup()
-    result = train(small_config(epochs=2), corpus, table)
-    steps = 2 * int(np.ceil(len(corpus) / 4))
+    data = small_setup()
+    result = train(small_config(epochs=2), data)
+    steps = 2 * int(np.ceil(len(data) / 4))
     state = result.state
     assert state.encoder.version == state.head.version == state.adam.t == steps
     path = tmp_path / "ckpt.bin"
     save_checkpoint(state, path)
     loaded = load_checkpoint(path)
     assert loaded.encoder.version == loaded.head.version == loaded.adam.t == steps
-    batch = make_batches(corpus, 4, 0, 0, FeatureCache.from_corpus(corpus, table))[0]
+    batch = make_batches(data, 4, 0, 0)[0]
     cache = encode_batch(loaded.encoder, batch.origin_features)
     train_step(loaded, batch)
     assert loaded.encoder.version == loaded.adam.t == steps + 1
@@ -221,8 +217,8 @@ def test_param_version_counts_steps_and_stales_caches(tmp_path):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    corpus, table = small_setup()
-    result = train(small_config(loss_kind="ce_plus_cpl"), corpus, table)
+    data = small_setup()
+    result = train(small_config(loss_kind="ce_plus_cpl"), data)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(result.state, path)
     loaded = load_checkpoint(path)
@@ -231,8 +227,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
-    corpus, table = small_setup()
-    result = train(small_config(), corpus, table)
+    data = small_setup()
+    result = train(small_config(), data)
     p1 = tmp_path / "a.bin"
     p2 = tmp_path / "b.bin"
     save_checkpoint(result.state, p1)
@@ -241,17 +237,17 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 
 
 def test_resume_equals_uninterrupted(tmp_path):
-    corpus, table = small_setup()
-    full = train(small_config(loss_kind="ce_plus_cpl", epochs=4), corpus, table)
+    data = small_setup()
+    full = train(small_config(loss_kind="ce_plus_cpl", epochs=4), data)
 
-    part = train(small_config(loss_kind="ce_plus_cpl", epochs=2), corpus, table)
+    part = train(small_config(loss_kind="ce_plus_cpl", epochs=2), data)
     path = tmp_path / "part.bin"
     save_checkpoint(part.state, path)
     resumed_state = load_checkpoint(path)
     from dataclasses import replace
 
     resumed_state.config = replace(resumed_state.config, epochs=4)
-    resumed = resume(resumed_state, corpus, table)
+    resumed = resume(resumed_state, data)
 
     assert checkpoints_equal(full.state, resumed.state)
     assert [s.joint_loss for s in full.history[2:]] == [
@@ -260,8 +256,8 @@ def test_resume_equals_uninterrupted(tmp_path):
 
 
 def test_corrupted_checkpoint_never_partially_loads(tmp_path):
-    corpus, table = small_setup()
-    result = train(small_config(epochs=1), corpus, table)
+    data = small_setup()
+    result = train(small_config(epochs=1), data)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(result.state, path)
     raw = path.read_bytes()
@@ -282,8 +278,8 @@ def test_corrupted_checkpoint_never_partially_loads(tmp_path):
 
 @pytest.mark.parametrize("version", [1, 99])
 def test_version_mismatch(tmp_path, version):
-    corpus, table = small_setup()
-    result = train(small_config(epochs=1), corpus, table)
+    data = small_setup()
+    result = train(small_config(epochs=1), data)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(result.state, path)
     raw = bytearray(path.read_bytes())
@@ -295,15 +291,15 @@ def test_version_mismatch(tmp_path, version):
 
 def test_cpl_skipped_counts_surface_in_history():
     # classes with only one label leave the opposite verge uninitialized
-    corpus, table = small_setup()
-    result = train(small_config(loss_kind="ce_plus_cpl", epochs=1), corpus, table)
+    data = small_setup()
+    result = train(small_config(loss_kind="ce_plus_cpl", epochs=1), data)
     assert result.history[0].skipped_count >= 0
 
 
 def test_step_trace_collection():
-    corpus, table = small_setup()
-    result = train(small_config(epochs=2), corpus, table, collect_steps=True)
-    steps_per_epoch = int(np.ceil(len(corpus) / 4))
+    data = small_setup()
+    result = train(small_config(epochs=2), data, collect_steps=True)
+    steps_per_epoch = int(np.ceil(len(data) / 4))
     assert len(result.step_trace) == 2 * steps_per_epoch
 
 
@@ -313,6 +309,7 @@ def test_cpl_training_loss_decreases_on_separable_data():
     corpus, table = generate_synthetic(
         "geometric", n_classes=8, per_class=40, noise=0.3, seed=4
     )
-    result = train(TrainConfig(loss_kind="ce_plus_cpl", epochs=5, seed=4), corpus, table)
+    data = FeatureCache.from_corpus(corpus, table)
+    result = train(TrainConfig(loss_kind="ce_plus_cpl", epochs=5, seed=4), data)
     joints = [e.joint_loss for e in result.history]
     assert all(b <= a for a, b in zip(joints, joints[1:]))
