@@ -34,7 +34,6 @@ from .evaluation import (
 )
 from .losses import (
     EmbeddedBatch,
-    EmbeddedSample,
     LossConfig,
     LossOutput,
     cluster_purge_loss,
@@ -42,7 +41,6 @@ from .losses import (
     cross_entropy,
     joint_loss,
     triplet_batch_loss,
-    triplet_loss,
 )
 from .trainer import (
     TrainConfig,
@@ -63,7 +61,6 @@ __all__ = [
     "DistanceStats",
     "EmaParams",
     "EmbeddedBatch",
-    "EmbeddedSample",
     "EncoderDims",
     "EvalReport",
     "FeatureCache",
@@ -105,6 +102,5 @@ __all__ = [
     "train",
     "train_step",
     "triplet_batch_loss",
-    "triplet_loss",
     "write_corpus",
 ]

@@ -96,11 +96,19 @@ class _StoreGiven(argparse.Action):
         namespace.given = namespace.given | {self.dest}
 
 
+def _zero_or_one(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise argparse.ArgumentTypeError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
 class _Args:
     """add_argument wrapper that lets a config file override built-in defaults.
 
-    ``given`` on the parsed namespace names every value that came from the
-    command line or the config file rather than a built-in default.
+    A config value is passed to argparse as a string default, so the chosen
+    subcommand parses it like the same flag on the command line. ``given`` on
+    the parsed namespace names every value that came from the command line or
+    the config file rather than a built-in default.
     """
 
     def __init__(self, parser: argparse.ArgumentParser, file_defaults: dict[str, str]):
@@ -113,7 +121,7 @@ class _Args:
             dest = names[-1].lstrip("-").replace("-", "_")
         raw = self.file_defaults.get(dest)
         if raw is not None:
-            default = None if raw == "none" else type(raw)
+            default = None if raw == "none" else raw
         self.parser.add_argument(
             *names, dest=dest, type=type, default=default, action=_StoreGiven, **kwargs
         )
@@ -121,10 +129,11 @@ class _Args:
     def flag(self, *names, dest=None, default=False, **kwargs):
         if dest is None:
             dest = names[-1].lstrip("-").replace("-", "_")
-        raw = self.file_defaults.get(dest)
-        if raw is not None:
-            default = bool(int(raw))
-        self.parser.add_argument(*names, dest=dest, action="store_true", default=default, **kwargs)
+        default = self.file_defaults.get(dest, default)
+        action = self.parser.add_argument(
+            *names, dest=dest, action="store_true", default=default, **kwargs
+        )
+        action.type = _zero_or_one  # argparse applies it to a config file's string default
 
 
 def _add_train_flags(args: _Args) -> None:
@@ -301,8 +310,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
         [data] = _featurized(ns, ns.corpus)
         result = resume(state, data, collect_steps=ns.trace)
     else:
+        config = _train_config(ns)
         [data] = _featurized(ns, ns.corpus)
-        result = train(_train_config(ns), data, collect_steps=ns.trace)
+        result = train(config, data, collect_steps=ns.trace)
     save_checkpoint(result.state, _outpath(ns, "checkpoint.bin"))
     _write_history(_outpath(ns, "history.tsv"), result.history)
     if ns.trace and result.step_trace is not None:
@@ -387,8 +397,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     cells = len(lambda_values) * len(zeta_values)
     if cells > MAX_SWEEP_CELLS:
         raise ConfigError(f"sweep grid has {cells} cells, more than {MAX_SWEEP_CELLS}")
+    config = _train_config(ns)
     train_data, test_data = _featurized(ns, ns.train_corpus, ns.test_corpus)
-    grid = sweep(_train_config(ns), train_data, test_data, lambda_values, zeta_values, workers=ns.workers)
+    grid = sweep(config, train_data, test_data, lambda_values, zeta_values, workers=ns.workers)
     with open(_outpath(ns, "sweep.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# lambda\tzeta\tprecision\trecall\tf1\n")
         for cell in grid.cells:

@@ -279,7 +279,8 @@ def write_feature_table(features: TableFeatures, path) -> None:
 
 def load_feature_table(path) -> TableFeatures:
     """Read a feature table; a malformed header or line, a component that is
-    not a finite float, or bytes that are not UTF-8 raise :class:`ParseError`."""
+    not a finite float, a repeated key, or bytes that are not UTF-8 raise
+    :class:`ParseError`."""
     lines = read_lines(path)
     header = next(lines, "").rstrip("\n").split()
     if len(header) != 3 or header[0] != "feature-table" or header[1] != "1":
@@ -302,7 +303,10 @@ def load_feature_table(path) -> TableFeatures:
             raise ParseError(f"line {lineno}: expected {dim} components")
         if not np.isfinite(vec).all():
             raise ParseError(f"line {lineno}: components must be finite")
-        table[_unescape(key)] = vec
+        key = _unescape(key)
+        if key in table:
+            raise ParseError(f"line {lineno}: repeated key {key!r}")
+        table[key] = vec
     return TableFeatures(dim=dim, table=table)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVectorError, DimensionError, StateError
+from .errors import ConfigError, DegenerateVectorError, DimensionError, NumericError, StateError
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,8 @@ def encode_batch(params: EncoderParams, features: np.ndarray) -> EncoderCache:
     norms = np.linalg.norm(prenorm, axis=1, keepdims=True)  # (m, 1)
     if np.any(norms == 0.0):
         raise DegenerateVectorError("encoder produced a zero vector before normalization")
+    if not np.isfinite(norms).all():
+        raise NumericError("encoder pre-normalization norm is not finite")
     embeddings = prenorm / norms
     return EncoderCache(
         features=features,

@@ -55,6 +55,8 @@ def _embed(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndar
 
 def evaluate(state: TrainerState, data: FeatureCache) -> EvalReport:
     """Classify every pair and aggregate binary metrics on the equivalent class."""
+    if len(data) == 0:
+        raise ConfigError("cannot evaluate on an empty corpus")
     origins, mutants = _embed(state, data)
     logits = classify_pairs(state.head, origins, mutants).logits
     predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # tie -> 0
@@ -233,6 +235,8 @@ def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None
     equivalence label) followed by one ``mutant`` row per record, in
     deterministic class-then-corpus order.
     """
+    if len(data) == 0:
+        raise ConfigError("cannot export an empty corpus")
     origins, mutants = _embed(state, data)
     present = {int(c) for c in data.class_ids}
     if class_filter is not None:

@@ -20,7 +20,7 @@ from the scalar one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .vecmath import (
     EmaParams,
-    as_vector,
     cosine_distance_gradients,
     cosine_distances,
     row_norms,
@@ -75,10 +74,10 @@ class LossConfig:
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma < 1.0:
             raise ConfigError(f"gamma must be finite and >= 1, got {self.gamma!r}")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ConfigError("alpha and beta must be strictly positive")
-        if self.lam < 0.0:
-            raise ConfigError(f"lam must be non-negative, got {self.lam!r}")
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+            raise ConfigError("alpha and beta must be finite and strictly positive")
+        if not 0.0 <= self.lam < np.inf:
+            raise ConfigError(f"lam must be finite and non-negative, got {self.lam!r}")
         if not 0.0 < self.hinge_epsilon <= 1e-3:
             raise ConfigError(f"hinge_epsilon must be in (0, 1e-3], got {self.hinge_epsilon!r}")
         if not np.isfinite(self.zeta):
@@ -86,38 +85,6 @@ class LossConfig:
 
     def ema_params(self) -> EmaParams:
         return EmaParams(self.gamma)
-
-
-@dataclass
-class EmbeddedSample:
-    """One corpus pair in embedding space.
-
-    ``origin_embedding`` is the embedding of the class's original program,
-    ``mutant_embedding`` the embedding of one of its mutants, and ``label``
-    is 1 when the mutant is equivalent to the origin. Both embeddings must
-    be unit-norm. A sequence of samples is accepted wherever an
-    :class:`EmbeddedBatch` is.
-    """
-
-    class_id: int
-    origin_embedding: np.ndarray
-    mutant_embedding: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        self.origin_embedding = as_vector(self.origin_embedding, "origin_embedding")
-        self.mutant_embedding = as_vector(self.mutant_embedding, "mutant_embedding")
-        if self.origin_embedding.shape != self.mutant_embedding.shape:
-            raise DimensionError("origin and mutant embeddings must share a dimension")
-        for name, vec in (
-            ("origin_embedding", self.origin_embedding),
-            ("mutant_embedding", self.mutant_embedding),
-        ):
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > _UNIT_NORM_TOL:
-                raise NormalizationError(f"{name} must be unit-norm, got norm {norm!r}")
-        if self.label not in (0, 1):
-            raise ConfigError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass(eq=False)
@@ -203,31 +170,12 @@ class EmbeddedBatch:
         return origin_grads, mutant_grads
 
 
-def as_embedded_batch(batch: EmbeddedBatch | Iterable[EmbeddedSample]) -> EmbeddedBatch:
-    """The batch itself, or samples stacked in order into one batch (each
-    sample checked itself on construction)."""
-    if isinstance(batch, EmbeddedBatch):
-        return batch
-    samples = list(batch)
-    if not samples:
-        raise EmptyBatchError("a batch needs at least one sample")
-    try:
-        origins = np.stack([s.origin_embedding for s in samples])
-        mutants = np.stack([s.mutant_embedding for s in samples])
-    except ValueError:
-        raise DimensionError("samples must share one embedding dimension") from None
-    return EmbeddedBatch(
-        [s.class_id for s in samples], [s.label for s in samples], origins, mutants
-    )
-
-
 @dataclass
 class LossOutput:
     """Loss value plus the gradients the caller needs to backpropagate.
 
     Batch losses fill ``origin_grads``/``mutant_grads`` (one row per sample);
-    cross-entropy fills ``logit_grads``; the triplet loss fills the
-    anchor/positive/negative fields. ``skipped_count`` counts samples whose
+    cross-entropy fills ``logit_grads``. ``skipped_count`` counts samples whose
     term was dropped because the required opposite verge was uninitialized.
     """
 
@@ -236,13 +184,10 @@ class LossOutput:
     origin_grads: np.ndarray | None = None
     mutant_grads: np.ndarray | None = None
     logit_grads: np.ndarray | None = None
-    anchor_grad: np.ndarray | None = None
-    positive_grad: np.ndarray | None = None
-    negative_grad: np.ndarray | None = None
 
 
 def cluster_purge_loss(
-    batch: EmbeddedBatch | Sequence[EmbeddedSample], registry: VergeRegistry, cfg: LossConfig
+    batch: EmbeddedBatch, registry: VergeRegistry, cfg: LossConfig
 ) -> LossOutput:
     """Cluster purge loss over a minibatch, with gradients into both embeddings.
 
@@ -255,7 +200,6 @@ def cluster_purge_loss(
     constants: callers update it before computing the loss, and no gradient
     flows into the verges.
     """
-    batch = as_embedded_batch(batch)
     m = len(batch)
     total = 0.0
     skipped = 0
@@ -294,15 +238,12 @@ def cluster_purge_loss(
     )
 
 
-def contrastive_loss(
-    batch: EmbeddedBatch | Sequence[EmbeddedSample], cfg: LossConfig
-) -> LossOutput:
+def contrastive_loss(batch: EmbeddedBatch, cfg: LossConfig) -> LossOutput:
     """Adapted contrastive loss over origin-mutant pairs; class ids are unused.
 
     Equivalent pairs pay their raw distance, non-equivalent pairs pay
     [zeta - dist]_+, i.e. only while they sit inside the margin.
     """
-    batch = as_embedded_batch(batch)
     m = len(batch)
     total = 0.0
     rows: list[int] = []
@@ -323,9 +264,7 @@ def contrastive_loss(
     return LossOutput(value=total / m, origin_grads=origin_grads, mutant_grads=mutant_grads)
 
 
-def triplet_batch_loss(
-    batch: EmbeddedBatch | Sequence[EmbeddedSample], margin: float
-) -> LossOutput:
+def triplet_batch_loss(batch: EmbeddedBatch, margin: float) -> LossOutput:
     """Mean triplet hinge [dist(o_i, s_i) - dist(o_i, s_j) + margin]_+ over a
     minimal in-batch sampler.
 
@@ -334,7 +273,6 @@ def triplet_batch_loss(
     order. The mean is over all triplets; a batch without one contributes
     zero. Uses the same normalized cosine distance as the other losses.
     """
-    batch = as_embedded_batch(batch)
     origin_grads = np.zeros_like(batch.origins)
     mutant_grads = np.zeros_like(batch.mutants)
     equivalent = batch.labels == 1
@@ -366,30 +304,6 @@ def triplet_batch_loss(
     origin_grads /= n
     mutant_grads /= n
     return LossOutput(value=total / n, origin_grads=origin_grads, mutant_grads=mutant_grads)
-
-
-def triplet_loss(anchor, positive, negative, margin: float) -> LossOutput:
-    """Classic triplet hinge [dist(a, p) - dist(a, n) + margin]_+ for one triplet.
-
-    Inputs must be unit-norm. Evaluated as :func:`triplet_batch_loss` on the
-    two-row batch (anchor, positive, equivalent), (anchor, negative,
-    non-equivalent).
-    """
-    anchor = as_vector(anchor, "anchor")
-    positive = as_vector(positive, "positive")
-    negative = as_vector(negative, "negative")
-    if not anchor.shape == positive.shape == negative.shape:
-        raise DimensionError("anchor, positive and negative must share a dimension")
-    batch = EmbeddedBatch.from_rows(
-        [0, 0], [1, 0], np.stack([anchor, anchor]), np.stack([positive, negative])
-    )
-    out = triplet_batch_loss(batch, margin)
-    return LossOutput(
-        value=out.value,
-        anchor_grad=out.origin_grads[0],
-        positive_grad=out.mutant_grads[0],
-        negative_grad=out.mutant_grads[1],
-    )
 
 
 def cross_entropy(logits, labels) -> LossOutput:

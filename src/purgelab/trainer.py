@@ -88,12 +88,12 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.step_size <= 0.0:
-            raise ConfigError(f"step_size must be positive, got {self.step_size!r}")
+        if not 0.0 < self.step_size < math.inf:
+            raise ConfigError(f"step_size must be finite and positive, got {self.step_size!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("moment decay rates must lie in [0, 1)")
-        if self.adam_epsilon <= 0.0:
-            raise ConfigError("adam_epsilon must be positive")
+        if not 0.0 < self.adam_epsilon < math.inf:
+            raise ConfigError(f"adam_epsilon must be finite and positive, got {self.adam_epsilon!r}")
 
     def dims(self) -> EncoderDims:
         return EncoderDims(

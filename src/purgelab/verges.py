@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DeserializeError, RangeError
-from .losses import EmbeddedBatch, EmbeddedSample, as_embedded_batch
+from .losses import EmbeddedBatch
 from .vecmath import EmaParams, ema_batch
 
 # Not called here: purgebench's tracer counts calls made through this module
@@ -78,15 +78,14 @@ class VergeRegistry:
             return value
         return ema_batch(distances[0] if value is None else value, distances, self.params)
 
-    def batch_update(self, batch: EmbeddedBatch | Sequence[EmbeddedSample]) -> set[int]:
-        """Update verges from a minibatch of embedded samples.
+    def batch_update(self, batch: EmbeddedBatch) -> set[int]:
+        """Update verges from one embedded minibatch.
 
         Collects, per class in the batch, the equivalent and non-equivalent
         origin-mutant distances in stable batch order, folds them in, and
         returns the set of touched class ids. Classes not in the batch are
         untouched.
         """
-        batch = as_embedded_batch(batch)
         order: list[int] = []
         pos: dict[int, list[float]] = {}
         neg: dict[int, list[float]] = {}

@@ -26,13 +26,13 @@ from purgelab.evaluation import (
     sweep,
 )
 from purgelab.losses import (
-    EmbeddedSample,
+    EmbeddedBatch,
     LossConfig,
     cluster_purge_loss,
     contrastive_loss,
     cross_entropy,
     joint_loss,
-    triplet_loss,
+    triplet_batch_loss,
 )
 from purgelab.trainer import TrainConfig, train, with_loss
 from purgelab.vecmath import (
@@ -59,6 +59,27 @@ def unit_at_distance(d, dim=4):
 
 
 ORIGIN4 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def batch_of(rows):
+    """A unit-norm batch from (class_id, origin, mutant, label) rows."""
+    class_ids, origins, mutants, labels = zip(*rows)
+    return EmbeddedBatch.from_rows(class_ids, labels, np.stack(origins), np.stack(mutants))
+
+
+def rebuilt_batch(batch, x):
+    """``batch`` with its rows replaced by ``x``, row i's origin then mutant;
+    off-sphere rows are accepted, as finite-difference probes need."""
+    dim = batch.origins.shape[1]
+    pairs = x.reshape(len(batch), 2 * dim)
+    return EmbeddedBatch(batch.class_ids, batch.labels, pairs[:, :dim], pairs[:, dim:])
+
+
+def triplet(anchor, positive, negative, margin):
+    """The one-triplet hinge as the two-row batch (a, p, 1), (a, n, 0)."""
+    origins = np.stack([anchor, anchor])
+    batch = EmbeddedBatch([0, 0], [1, 0], origins, np.stack([positive, negative]))
+    return triplet_batch_loss(batch, margin)
 
 
 def random_unit(rng, dim):
@@ -96,17 +117,19 @@ def test_criterion_2_loss_fixtures():
     registry = VergeRegistry(EmaParams(3.0))
     registry.update_class(7, pos_distances=(0.1,), neg_distances=(0.5,))
     cpl_out = cluster_purge_loss(
-        [
-            EmbeddedSample(7, ORIGIN4, unit_at_distance(0.6), 1),
-            EmbeddedSample(7, ORIGIN4, unit_at_distance(0.05), 0),
-        ],
+        batch_of(
+            [
+                (7, ORIGIN4, unit_at_distance(0.6), 1),
+                (7, ORIGIN4, unit_at_distance(0.05), 0),
+            ]
+        ),
         registry,
         LossConfig(zeta=0.05, alpha=2.0, beta=0.5),
     )
     cfg = LossConfig(zeta=0.09)
-    contrast_eq = contrastive_loss([EmbeddedSample(0, ORIGIN4, unit_at_distance(0.3), 1)], cfg)
-    contrast_out = contrastive_loss([EmbeddedSample(0, ORIGIN4, unit_at_distance(0.12), 0)], cfg)
-    contrast_in = contrastive_loss([EmbeddedSample(0, ORIGIN4, unit_at_distance(0.02), 0)], cfg)
+    contrast_eq = contrastive_loss(batch_of([(0, ORIGIN4, unit_at_distance(0.3), 1)]), cfg)
+    contrast_out = contrastive_loss(batch_of([(0, ORIGIN4, unit_at_distance(0.12), 0)]), cfg)
+    contrast_in = contrastive_loss(batch_of([(0, ORIGIN4, unit_at_distance(0.02), 0)]), cfg)
     ce_uniform = cross_entropy(np.array([0.0, 0.0]), 1)
     ce_hand = cross_entropy(np.array([1.0, 3.0]), 1)
     joint = joint_loss(cpl_out.value, ce_uniform.value, 1.15)
@@ -142,7 +165,7 @@ def _audit_cpl(rng, count):
         )
         registry = VergeRegistry(EmaParams(float(rng.uniform(1.0, 20.0))))
         dim = int(rng.integers(4, 17))
-        batch = []
+        rows = []
         ok = True
         for i in range(int(rng.integers(2, 9))):
             o = random_unit(rng, dim)
@@ -158,30 +181,17 @@ def _audit_cpl(rng, count):
                 registry.update_class(i, neg_distances=(verge,))
             else:
                 registry.update_class(i, pos_distances=(verge,))
-            batch.append(EmbeddedSample(i, o, s, label))
-        if not ok or not batch:
+            rows.append((i, o, s, label))
+        if not ok or not rows:
             continue
         done += 1
+        batch = batch_of(rows)
         out = cluster_purge_loss(batch, registry, cfg)
-        analytic = np.concatenate(
-            [np.concatenate([out.origin_grads[i], out.mutant_grads[i]]) for i in range(len(batch))]
-        )
-        flat = np.concatenate(
-            [np.concatenate([s.origin_embedding, s.mutant_embedding]) for s in batch]
-        )
+        analytic = np.concatenate([out.origin_grads, out.mutant_grads], axis=1).ravel()
+        flat = np.concatenate([batch.origins, batch.mutants], axis=1).ravel()
 
-        def value_at(x, batch=batch, registry=registry, cfg=cfg, dim=dim):
-            clones = []
-            i = 0
-            for s in batch:
-                clone = EmbeddedSample.__new__(EmbeddedSample)
-                clone.class_id = s.class_id
-                clone.origin_embedding = x[i : i + dim]
-                clone.mutant_embedding = x[i + dim : i + 2 * dim]
-                clone.label = s.label
-                clones.append(clone)
-                i += 2 * dim
-            return cluster_purge_loss(clones, registry, cfg).value
+        def value_at(x, batch=batch, registry=registry, cfg=cfg):
+            return cluster_purge_loss(rebuilt_batch(batch, x), registry, cfg).value
 
         numeric = finite_difference_gradient(value_at, flat, step=1e-6)
         worst = max(worst, relative_error(analytic, numeric))
@@ -202,16 +212,12 @@ def _audit_contrastive_triplet_ce(rng, count):
         if abs(arg) <= 1e-3:
             continue
         done += 1
-        out = contrastive_loss([EmbeddedSample(0, o, s, label)], cfg)
+        batch = batch_of([(0, o, s, label)])
+        out = contrastive_loss(batch, cfg)
         analytic = np.concatenate([out.origin_grads[0], out.mutant_grads[0]])
 
-        def value_at(x, label=label, cfg=cfg):
-            clone = EmbeddedSample.__new__(EmbeddedSample)
-            clone.class_id = 0
-            clone.origin_embedding = x[:5]
-            clone.mutant_embedding = x[5:]
-            clone.label = label
-            return contrastive_loss([clone], cfg).value
+        def value_at(x, batch=batch, cfg=cfg):
+            return contrastive_loss(rebuilt_batch(batch, x), cfg).value
 
         numeric = finite_difference_gradient(value_at, np.concatenate([o, s]), step=1e-6)
         worst = max(worst, relative_error(analytic, numeric))
@@ -225,10 +231,11 @@ def _audit_contrastive_triplet_ce(rng, count):
         if abs(cosine_distance(a, p) - cosine_distance(a, n) + margin) <= 1e-3:
             continue
         done += 1
-        out = triplet_loss(a, p, n, margin)
-        analytic = np.concatenate([out.anchor_grad, out.positive_grad, out.negative_grad])
+        out = triplet(a, p, n, margin)
+        d_anchor = out.origin_grads[0] + out.origin_grads[1]
+        analytic = np.concatenate([d_anchor, out.mutant_grads[0], out.mutant_grads[1]])
         numeric = finite_difference_gradient(
-            lambda x, margin=margin: triplet_loss(x[:5], x[5:10], x[10:], margin).value,
+            lambda x, margin=margin: triplet(x[:5], x[5:10], x[10:], margin).value,
             np.concatenate([a, p, n]),
             step=1e-6,
         )
@@ -270,16 +277,8 @@ def _audit_composite(rng, count):
                 verge = min(1.0, max(0.0, d - cfg.zeta + arg))
                 registry.update_class(i, pos_distances=(verge,))
 
-        def samples_from(origins, mutants):
-            out = []
-            for i in range(m):
-                clone = EmbeddedSample.__new__(EmbeddedSample)
-                clone.class_id = i
-                clone.origin_embedding = origins[i]
-                clone.mutant_embedding = mutants[i]
-                clone.label = int(labels[i])
-                out.append(clone)
-            return out
+        def batch_from(origins, mutants):
+            return EmbeddedBatch(np.arange(m), labels, origins, mutants)
 
         def loss_value():
             co = encode_batch(enc, f_o)
@@ -287,7 +286,7 @@ def _audit_composite(rng, count):
             pc = classify_pairs(head, co.embeddings, cs.embeddings)
             ce = sum(cross_entropy(pc.logits[i], int(labels[i])).value for i in range(m)) / m
             metric = cluster_purge_loss(
-                samples_from(co.embeddings, cs.embeddings), registry, cfg
+                batch_from(co.embeddings, cs.embeddings), registry, cfg
             ).value
             return joint_loss(metric, ce, cfg.lam)
 
@@ -300,7 +299,7 @@ def _audit_composite(rng, count):
         d_logits /= m
         hg = pair_backward(head, pc, d_logits)
         metric_out = cluster_purge_loss(
-            samples_from(co.embeddings, cs.embeddings), registry, cfg
+            batch_from(co.embeddings, cs.embeddings), registry, cfg
         )
         d_origins = hg.origin_grads + cfg.lam * metric_out.origin_grads
         d_mutants = hg.mutant_grads + cfg.lam * metric_out.mutant_grads

@@ -14,13 +14,11 @@ from purgelab.data import FeatureCache
 from purgelab.errors import DivergenceError, NormalizationError
 from purgelab.losses import (
     EmbeddedBatch,
-    EmbeddedSample,
     LossConfig,
     cluster_purge_loss,
     contrastive_loss,
     cross_entropy,
     triplet_batch_loss,
-    triplet_loss,
 )
 from purgelab.trainer import TrainConfig, init_state, train_step
 from purgelab.vecmath import EmaParams
@@ -247,17 +245,19 @@ def test_triplet_sampler_matches_reference(m, seed):
 
 
 def test_single_triplet_matches_reference():
+    # the triplet (a, p, n) is the two-row batch (a, p, 1), (a, n, 0)
     rng = np.random.default_rng(7)
     active = inactive = 0
     for _ in range(60):
         a, p, n = unit_rows(rng, 3, 8)
         margin = float(rng.uniform(-0.2, 0.4))
         value, ga, gp, gn = ref_triplet(a, p, n, margin)
-        out = triplet_loss(a, p, n, margin)
+        batch = EmbeddedBatch.from_rows([0, 0], [1, 0], np.stack([a, a]), np.stack([p, n]))
+        out = triplet_batch_loss(batch, margin)
         assert out.value == value
-        assert np.array_equal(out.anchor_grad, ga)
-        assert np.array_equal(out.positive_grad, gp)
-        assert np.array_equal(out.negative_grad, gn)
+        assert np.array_equal(out.origin_grads[0] + out.origin_grads[1], ga)
+        assert np.array_equal(out.mutant_grads[0], gp)
+        assert np.array_equal(out.mutant_grads[1], gn)
         active += value > 0.0
         inactive += value == 0.0
     assert active and inactive
@@ -272,18 +272,6 @@ def test_cross_entropy_matches_reference(m, seed):
     out = cross_entropy(logits, labels)
     assert out.value == value
     assert np.array_equal(out.logit_grads, grads)
-
-
-def test_sample_list_converts_to_the_same_batch():
-    rows, batch, registry, cfg = random_case(np.random.default_rng(5), 16)
-    samples = [EmbeddedSample(*row) for row in rows]
-    for a, b in (
-        (cluster_purge_loss(samples, registry, cfg), cluster_purge_loss(batch, registry, cfg)),
-        (contrastive_loss(samples, cfg), contrastive_loss(batch, cfg)),
-        (triplet_batch_loss(samples, 0.1), triplet_batch_loss(batch, 0.1)),
-    ):
-        assert (a.value, a.skipped_count) == (b.value, b.skipped_count)
-        assert_grads_equal(a, b.origin_grads, b.mutant_grads)
 
 
 def test_cases_cover_skips_inactive_hinges_and_both_labels():

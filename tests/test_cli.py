@@ -305,6 +305,9 @@ def _corrupt_features(path, text):
     pytest.param("corpus", lambda p: p.write_bytes(p.read_bytes() + b"0\t1\ta\xff\tb\n"), "ParseError",
                  id="corpus-not-utf8"),
     pytest.param("config", lambda p: p.write_bytes(b"corpus = \xff\n"), "ConfigError", id="config-not-utf8"),
+    pytest.param("features", lambda p: p.write_text(p.read_text() + p.read_text().splitlines()[1] + "\n"),
+                 "ParseError", id="feature-table-repeated-key"),
+    pytest.param("corpus", lambda p: p.write_bytes(b""), "ConfigError", id="eval-empty-corpus"),
 ])
 def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt, error):
     corpus, features = gen_small(tmp_path / "data")
@@ -317,6 +320,58 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
               "--config", str(config), "--out-dir", str(tmp_path / "eval")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"ERROR {error}: ")
+
+
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("export", [], id="export-empty-corpus"),
+    pytest.param("train", ["--step-size", "inf"], id="step-size-inf"),
+    pytest.param("train", ["--adam-epsilon", "inf"], id="adam-epsilon-inf"),
+    pytest.param("train", ["--alpha", "nan"], id="alpha-nan"),
+    pytest.param("train", ["--beta", "nan"], id="beta-nan"),
+    pytest.param("train", ["--lambda", "nan"], id="lambda-nan"),
+    pytest.param("sweep", ["--step-size", "inf"], id="sweep-step-size-inf"),
+])
+def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
+    # train and sweep get missing corpora, so a check made after featurizing
+    # would surface as FileNotFoundError instead
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    empty, missing = tmp_path / "empty.tsv", str(tmp_path / "missing.tsv")
+    empty.write_bytes(b"")
+    inputs = {
+        "export": ["--checkpoint", ckpt, "--corpus", str(empty), "--features", features],
+        "train": ["--corpus", missing],
+        "sweep": ["--train-corpus", missing, "--test-corpus", missing],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run([command, *inputs, *flags, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR ConfigError: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["gamma = abc", "epochs = 1.5", "trace = abc", "trace = 2"])
+def test_bad_config_value_exits_2_like_the_flag(tmp_path, capsys, line):
+    config = tmp_path / "config.txt"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    rc = run(["train", "--config", str(config), "--out-dir", str(out)])
+    assert rc == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_manifest_replays_with_config(tmp_path):
+    # an export manifest holds "classes = " (all classes), which gen's integer
+    # --classes must not try to parse
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["export", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
+                "--out-dir", str(first)]) == 0
+    assert run(["export", "--config", str(first / "manifest.txt"), "--out-dir", str(again)]) == 0
+    assert (again / "embeddings.tsv").read_bytes() == (first / "embeddings.tsv").read_bytes()
 
 
 def sweep_args(tmp_path):

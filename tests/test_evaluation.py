@@ -232,7 +232,7 @@ def test_sweep_parallel_matches_sequential():
 
 def test_sweep_records_divergence_and_continues():
     train_side, test_side = small_split()
-    config = small_config(epochs=1, step_size=float("inf"))
+    config = small_config(epochs=1, step_size=1e300)
     with np.errstate(all="ignore"):
         grid = sweep(config, train_side, test_side, [1.0], [0.0, 0.01])
     assert all(c.report is None and c.error for c in grid.cells)

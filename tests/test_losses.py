@@ -9,13 +9,13 @@ from purgelab.errors import (
     NumericError,
 )
 from purgelab.losses import (
-    EmbeddedSample,
+    EmbeddedBatch,
     LossConfig,
     cluster_purge_loss,
     contrastive_loss,
     cross_entropy,
     joint_loss,
-    triplet_loss,
+    triplet_batch_loss,
 )
 from purgelab.vecmath import EmaParams, cosine_distance, finite_difference_gradient
 from purgelab.verges import VergeRegistry
@@ -30,6 +30,19 @@ def unit_at_distance(d, dim=4):
 
 
 ORIGIN = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def batch_of(rows):
+    """A unit-norm batch from (class_id, origin, mutant, label) rows."""
+    class_ids, origins, mutants, labels = zip(*rows)
+    return EmbeddedBatch.from_rows(class_ids, labels, np.stack(origins), np.stack(mutants))
+
+
+def triplet(anchor, positive, negative, margin):
+    """The one-triplet hinge as the two-row batch (a, p, 1), (a, n, 0)."""
+    origins = np.stack([anchor, anchor])
+    batch = EmbeddedBatch([0, 0], [1, 0], origins, np.stack([positive, negative]))
+    return triplet_batch_loss(batch, margin)
 
 
 def registry_with(class_id, v_plus=None, v_minus=None, gamma=3.0):
@@ -56,10 +69,9 @@ def test_cpl_hand_derived_fixture():
     # v_plus=0.1; zeta=0.05, alpha=2, beta=0.5 -> (0.15^2 + 0.10^0.5) / 2
     registry = registry_with(7, v_plus=0.1, v_minus=0.5)
     cfg = LossConfig(zeta=0.05, alpha=2.0, beta=0.5)
-    batch = [
-        EmbeddedSample(7, ORIGIN, unit_at_distance(0.6), 1),
-        EmbeddedSample(7, ORIGIN, unit_at_distance(0.05), 0),
-    ]
+    batch = batch_of(
+        [(7, ORIGIN, unit_at_distance(0.6), 1), (7, ORIGIN, unit_at_distance(0.05), 0)]
+    )
     out = cluster_purge_loss(batch, registry, cfg)
     assert out.value == pytest.approx(0.169364, abs=1e-6)
     assert out.skipped_count == 0
@@ -68,7 +80,7 @@ def test_cpl_hand_derived_fixture():
 def test_cpl_negative_hinge_argument_contributes_zero():
     registry = registry_with(1, v_minus=0.4)
     cfg = LossConfig(zeta=-0.05)
-    batch = [EmbeddedSample(1, ORIGIN, unit_at_distance(0.3), 1)]
+    batch = batch_of([(1, ORIGIN, unit_at_distance(0.3), 1)])
     out = cluster_purge_loss(batch, registry, cfg)
     assert out.value == 0.0
     assert np.all(out.origin_grads == 0.0)
@@ -78,10 +90,9 @@ def test_cpl_negative_hinge_argument_contributes_zero():
 def test_cpl_all_inactive_batch_is_zero_with_zero_gradients():
     registry = registry_with(1, v_plus=0.1, v_minus=0.9)
     cfg = LossConfig(zeta=-0.05)
-    batch = [
-        EmbeddedSample(1, ORIGIN, unit_at_distance(0.2), 1),
-        EmbeddedSample(1, ORIGIN, unit_at_distance(0.5), 0),
-    ]
+    batch = batch_of(
+        [(1, ORIGIN, unit_at_distance(0.2), 1), (1, ORIGIN, unit_at_distance(0.5), 0)]
+    )
     out = cluster_purge_loss(batch, registry, cfg)
     assert out.value == 0.0
     assert np.all(out.origin_grads == 0.0)
@@ -93,10 +104,9 @@ def test_cpl_uninitialized_opposite_verge_skips_but_keeps_divisor():
     # verge, so it is skipped; the l=0 sample is active. Divisor stays m=2.
     registry = registry_with(2, v_plus=0.5)
     cfg = LossConfig(zeta=0.0, beta=1.0)
-    batch = [
-        EmbeddedSample(2, ORIGIN, unit_at_distance(0.6), 1),
-        EmbeddedSample(2, ORIGIN, unit_at_distance(0.2), 0),
-    ]
+    batch = batch_of(
+        [(2, ORIGIN, unit_at_distance(0.6), 1), (2, ORIGIN, unit_at_distance(0.2), 0)]
+    )
     out = cluster_purge_loss(batch, registry, cfg)
     assert out.skipped_count == 1
     assert out.value == pytest.approx((0.5 - 0.2) / 2.0, abs=1e-9)
@@ -105,7 +115,7 @@ def test_cpl_uninitialized_opposite_verge_skips_but_keeps_divisor():
 def test_cpl_unknown_class_skips_every_sample():
     registry = VergeRegistry(EmaParams(3.0))
     out = cluster_purge_loss(
-        [EmbeddedSample(9, ORIGIN, unit_at_distance(0.4), 1)], registry, LossConfig()
+        batch_of([(9, ORIGIN, unit_at_distance(0.4), 1)]), registry, LossConfig()
     )
     assert out.value == 0.0
     assert out.skipped_count == 1
@@ -113,12 +123,12 @@ def test_cpl_unknown_class_skips_every_sample():
 
 def test_cpl_empty_batch():
     with pytest.raises(EmptyBatchError):
-        cluster_purge_loss([], VergeRegistry(EmaParams(3.0)), LossConfig())
+        EmbeddedBatch([], [], np.zeros((0, 4)), np.zeros((0, 4)))
 
 
 def test_cpl_rejects_non_unit_embeddings():
     with pytest.raises(NormalizationError):
-        EmbeddedSample(1, ORIGIN * 2.0, ORIGIN, 1)
+        batch_of([(1, ORIGIN * 2.0, ORIGIN, 1)])
 
 
 def test_cpl_monotone_in_distance():
@@ -127,9 +137,9 @@ def test_cpl_monotone_in_distance():
     values_eq = []
     values_ne = []
     for d in np.linspace(0.05, 0.95, 10):
-        batch = [EmbeddedSample(1, ORIGIN, unit_at_distance(float(d)), 1)]
+        batch = batch_of([(1, ORIGIN, unit_at_distance(float(d)), 1)])
         values_eq.append(cluster_purge_loss(batch, registry, cfg).value)
-        batch = [EmbeddedSample(1, ORIGIN, unit_at_distance(float(d)), 0)]
+        batch = batch_of([(1, ORIGIN, unit_at_distance(float(d)), 0)])
         values_ne.append(cluster_purge_loss(batch, registry, cfg).value)
     assert all(b >= a - 1e-12 for a, b in zip(values_eq, values_eq[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(values_ne, values_ne[1:]))
@@ -137,10 +147,9 @@ def test_cpl_monotone_in_distance():
 
 def test_cpl_monotone_in_zeta():
     registry = registry_with(1, v_plus=0.4, v_minus=0.4)
-    batch = [
-        EmbeddedSample(1, ORIGIN, unit_at_distance(0.5), 1),
-        EmbeddedSample(1, ORIGIN, unit_at_distance(0.3), 0),
-    ]
+    batch = batch_of(
+        [(1, ORIGIN, unit_at_distance(0.5), 1), (1, ORIGIN, unit_at_distance(0.3), 0)]
+    )
     values = [
         cluster_purge_loss(batch, registry, LossConfig(zeta=z)).value
         for z in np.linspace(-0.2, 0.2, 9)
@@ -152,14 +161,12 @@ def test_cpl_permutation_invariant():
     rng = np.random.default_rng(11)
     registry = registry_with(1, v_plus=0.4, v_minus=0.4)
     registry.update_class(2, pos_distances=(0.2,), neg_distances=(0.6,))
-    batch = [
-        EmbeddedSample(
-            int(rng.integers(1, 3)), random_unit(rng, 6), random_unit(rng, 6), int(rng.integers(0, 2))
-        )
+    rows = [
+        (int(rng.integers(1, 3)), random_unit(rng, 6), random_unit(rng, 6), int(rng.integers(0, 2)))
         for _ in range(6)
     ]
-    value = cluster_purge_loss(batch, registry, LossConfig()).value
-    shuffled = [batch[i] for i in rng.permutation(6)]
+    value = cluster_purge_loss(batch_of(rows), registry, LossConfig()).value
+    shuffled = batch_of([rows[i] for i in rng.permutation(6)])
     assert cluster_purge_loss(shuffled, registry, LossConfig()).value == pytest.approx(
         value, abs=1e-15
     )
@@ -171,10 +178,12 @@ def test_cpl_nonnegative_on_random_batches():
         registry = registry_with(
             1, v_plus=float(rng.uniform()), v_minus=float(rng.uniform())
         )
-        batch = [
-            EmbeddedSample(1, random_unit(rng, 5), random_unit(rng, 5), int(rng.integers(0, 2)))
-            for _ in range(4)
-        ]
+        batch = batch_of(
+            [
+                (1, random_unit(rng, 5), random_unit(rng, 5), int(rng.integers(0, 2)))
+                for _ in range(4)
+            ]
+        )
         cfg = LossConfig(zeta=float(rng.uniform(-0.1, 0.1)))
         assert cluster_purge_loss(batch, registry, cfg).value >= 0.0
 
@@ -185,7 +194,7 @@ def test_cpl_derivative_guard_bounds_fractional_exponent():
     registry = registry_with(1, v_plus=0.2)
     cfg = LossConfig(zeta=0.0, beta=0.5, hinge_epsilon=1e-6)
     d = 0.2 - 1e-9  # argument w = 1e-9
-    batch = [EmbeddedSample(1, ORIGIN, unit_at_distance(d), 0)]
+    batch = batch_of([(1, ORIGIN, unit_at_distance(d), 0)])
     out = cluster_purge_loss(batch, registry, cfg)
     assert out.value == pytest.approx(1e-9**0.5, rel=1e-4)
     guard_bound = 0.5 * cfg.hinge_epsilon ** (-0.5)  # max derivative factor
@@ -200,37 +209,36 @@ def test_cpl_derivative_guard_bounds_fractional_exponent():
 
 def test_contrastive_equivalent_pays_distance():
     cfg = LossConfig(zeta=0.09)
-    batch = [EmbeddedSample(0, ORIGIN, unit_at_distance(0.3), 1)]
+    batch = batch_of([(0, ORIGIN, unit_at_distance(0.3), 1)])
     assert contrastive_loss(batch, cfg).value == pytest.approx(0.3, abs=1e-9)
 
 
 def test_contrastive_nonequivalent_beyond_margin_is_free():
     cfg = LossConfig(zeta=0.09)
-    batch = [EmbeddedSample(0, ORIGIN, unit_at_distance(0.12), 0)]
+    batch = batch_of([(0, ORIGIN, unit_at_distance(0.12), 0)])
     assert contrastive_loss(batch, cfg).value == 0.0
 
 
 def test_contrastive_nonequivalent_inside_margin():
     cfg = LossConfig(zeta=0.09)
-    batch = [EmbeddedSample(0, ORIGIN, unit_at_distance(0.02), 0)]
+    batch = batch_of([(0, ORIGIN, unit_at_distance(0.02), 0)])
     assert contrastive_loss(batch, cfg).value == pytest.approx(0.07, abs=1e-9)
 
 
 def test_contrastive_all_equivalent_reduces_to_mean_distance():
     distances = [0.1, 0.25, 0.4]
-    batch = [EmbeddedSample(0, ORIGIN, unit_at_distance(d), 1) for d in distances]
+    batch = batch_of([(0, ORIGIN, unit_at_distance(d), 1) for d in distances])
     out = contrastive_loss(batch, LossConfig(zeta=0.09))
     assert out.value == pytest.approx(np.mean(distances), abs=1e-9)
 
 
 def test_contrastive_permutation_invariant():
     rng = np.random.default_rng(3)
-    batch = [
-        EmbeddedSample(0, random_unit(rng, 5), random_unit(rng, 5), int(rng.integers(0, 2)))
-        for _ in range(5)
+    rows = [
+        (0, random_unit(rng, 5), random_unit(rng, 5), int(rng.integers(0, 2))) for _ in range(5)
     ]
-    value = contrastive_loss(batch, LossConfig()).value
-    shuffled = [batch[i] for i in rng.permutation(5)]
+    value = contrastive_loss(batch_of(rows), LossConfig()).value
+    shuffled = batch_of([rows[i] for i in rng.permutation(5)])
     assert contrastive_loss(shuffled, LossConfig()).value == pytest.approx(value, abs=1e-15)
 
 
@@ -238,18 +246,18 @@ def test_contrastive_permutation_invariant():
 
 
 def test_triplet_well_separated():
-    out = triplet_loss(ORIGIN, unit_at_distance(0.1), unit_at_distance(0.6), margin=0.2)
+    out = triplet(ORIGIN, unit_at_distance(0.1), unit_at_distance(0.6), margin=0.2)
     assert out.value == 0.0
 
 
 def test_triplet_violating():
-    out = triplet_loss(ORIGIN, unit_at_distance(0.4), unit_at_distance(0.3), margin=0.2)
+    out = triplet(ORIGIN, unit_at_distance(0.4), unit_at_distance(0.3), margin=0.2)
     assert out.value == pytest.approx(0.3, abs=1e-9)
 
 
 def test_triplet_identical_positive_negative():
     p = unit_at_distance(0.37)
-    out = triplet_loss(ORIGIN, p, p, margin=0.2)
+    out = triplet(ORIGIN, p, p, margin=0.2)
     assert out.value == pytest.approx(0.2, abs=1e-12)
 
 
@@ -339,9 +347,9 @@ def cpl_case(rng, dim=5, m=4):
         beta=float(rng.uniform(0.3, 0.9)),
     )
     registry = VergeRegistry(EmaParams(float(rng.uniform(1.0, 20.0))))
-    batch = []
+    rows = []
     guard = 0
-    while len(batch) < m:
+    while len(rows) < m:
         guard += 1
         assert guard < 10_000
         o = random_unit(rng, dim)
@@ -352,39 +360,26 @@ def cpl_case(rng, dim=5, m=4):
         arg = d - verge + cfg.zeta if label == 1 else verge - d + cfg.zeta
         if abs(arg) <= 1e-3:
             continue
-        cid = len(batch) + 1
-        sample = EmbeddedSample(cid, o, s, label)
+        cid = len(rows) + 1
         if label == 1:
             registry.update_class(cid, neg_distances=(verge,))
         else:
             registry.update_class(cid, pos_distances=(verge,))
-        batch.append(sample)
-    return batch, registry, cfg
+        rows.append((cid, o, s, label))
+    return batch_of(rows), registry, cfg
 
 
-def flat_batch_embeddings(batch):
-    return np.concatenate(
-        [np.concatenate([s.origin_embedding, s.mutant_embedding]) for s in batch]
-    )
+def flat_batch_embeddings(origins, mutants):
+    """Row i's origin then mutant, for every row in order."""
+    return np.concatenate([origins, mutants], axis=1).ravel()
 
 
 def rebuilt_batch(batch, flat):
-    # bypasses __post_init__ so finite-difference probes may leave the unit
-    # sphere; the analytic distance gradient is exact at general points
-    dim = batch[0].origin_embedding.size
-    out = []
-    i = 0
-    for s in batch:
-        o = flat[i : i + dim]
-        m = flat[i + dim : i + 2 * dim]
-        i += 2 * dim
-        clone = EmbeddedSample.__new__(EmbeddedSample)
-        clone.class_id = s.class_id
-        clone.origin_embedding = o
-        clone.mutant_embedding = m
-        clone.label = s.label
-        out.append(clone)
-    return out
+    # EmbeddedBatch itself accepts off-sphere rows, so finite-difference probes
+    # may leave the unit sphere; the analytic distance gradient is exact there
+    dim = batch.origins.shape[1]
+    pairs = flat.reshape(len(batch), 2 * dim)
+    return EmbeddedBatch(batch.class_ids, batch.labels, pairs[:, :dim], pairs[:, dim:])
 
 
 def test_cpl_gradients_match_finite_differences():
@@ -396,13 +391,10 @@ def test_cpl_gradients_match_finite_differences():
             return cluster_purge_loss(rebuilt_batch(batch, flat), registry, cfg).value
 
         out = cluster_purge_loss(batch, registry, cfg)
-        analytic = np.concatenate(
-            [
-                np.concatenate([out.origin_grads[i], out.mutant_grads[i]])
-                for i in range(len(batch))
-            ]
+        analytic = flat_batch_embeddings(out.origin_grads, out.mutant_grads)
+        numeric = finite_difference_gradient(
+            value_at, flat_batch_embeddings(batch.origins, batch.mutants), step=1e-6
         )
-        numeric = finite_difference_gradient(value_at, flat_batch_embeddings(batch), step=1e-6)
         assert relative_error(analytic, numeric) < 1e-4
 
 
@@ -411,15 +403,15 @@ def test_contrastive_gradients_match_finite_differences():
     checked = 0
     while checked < 30:
         cfg = LossConfig(zeta=float(rng.uniform(0.02, 0.2)))
-        batch = [
-            EmbeddedSample(0, random_unit(rng, 5), random_unit(rng, 5), int(rng.integers(0, 2)))
-            for _ in range(4)
-        ]
+        batch = batch_of(
+            [
+                (0, random_unit(rng, 5), random_unit(rng, 5), int(rng.integers(0, 2)))
+                for _ in range(4)
+            ]
+        )
         args = [
-            cosine_distance(s.origin_embedding, s.mutant_embedding)
-            if s.label == 1
-            else cfg.zeta - cosine_distance(s.origin_embedding, s.mutant_embedding)
-            for s in batch
+            cosine_distance(o, s) if label == 1 else cfg.zeta - cosine_distance(o, s)
+            for o, s, label in zip(batch.origins, batch.mutants, batch.labels)
         ]
         if any(abs(a) <= 1e-3 for a in args):
             continue
@@ -429,13 +421,10 @@ def test_contrastive_gradients_match_finite_differences():
             return contrastive_loss(rebuilt_batch(batch, flat), cfg).value
 
         out = contrastive_loss(batch, cfg)
-        analytic = np.concatenate(
-            [
-                np.concatenate([out.origin_grads[i], out.mutant_grads[i]])
-                for i in range(len(batch))
-            ]
+        analytic = flat_batch_embeddings(out.origin_grads, out.mutant_grads)
+        numeric = finite_difference_gradient(
+            value_at, flat_batch_embeddings(batch.origins, batch.mutants), step=1e-6
         )
-        numeric = finite_difference_gradient(value_at, flat_batch_embeddings(batch), step=1e-6)
         assert relative_error(analytic, numeric) < 1e-4
 
 
@@ -451,11 +440,12 @@ def test_triplet_gradients_match_finite_differences():
         if abs(arg) <= 1e-3:
             continue
         checked += 1
-        out = triplet_loss(a, p, n, margin)
-        analytic = np.concatenate([out.anchor_grad, out.positive_grad, out.negative_grad])
+        out = triplet(a, p, n, margin)
+        d_anchor = out.origin_grads[0] + out.origin_grads[1]
+        analytic = np.concatenate([d_anchor, out.mutant_grads[0], out.mutant_grads[1]])
 
         def value_at(flat):
-            return triplet_loss(flat[:5], flat[5:10], flat[10:], margin).value
+            return triplet(flat[:5], flat[5:10], flat[10:], margin).value
 
         numeric = finite_difference_gradient(
             value_at, np.concatenate([a, p, n]), step=1e-6

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purgelab.errors import DeserializeError, EmptyBatchError, RangeError
-from purgelab.losses import EmbeddedSample
+from purgelab.losses import EmbeddedBatch
 from purgelab.vecmath import EmaParams, ema_step
 from purgelab.verges import VergeRegistry, VergeState
 
@@ -25,13 +25,13 @@ def unit_at_distance(d, dim=4):
 ORIGIN = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def sample(class_id, d, label):
-    return EmbeddedSample(
-        class_id=class_id,
-        origin_embedding=ORIGIN,
-        mutant_embedding=unit_at_distance(d),
-        label=label,
-    )
+def batch_of(rows):
+    """A unit-norm batch from (class_id, distance, label) rows, each mutant at
+    that distance from ORIGIN."""
+    class_ids, distances, labels = zip(*rows)
+    origins = np.stack([ORIGIN] * len(rows))
+    mutants = np.stack([unit_at_distance(d) for d in distances])
+    return EmbeddedBatch.from_rows(class_ids, labels, origins, mutants)
 
 
 def test_worked_update_example():
@@ -123,7 +123,7 @@ def test_class_isolation():
 
 def test_batch_update_single_class_single_equivalent():
     registry = make_registry(gamma=3.0)
-    touched = registry.batch_update([sample(4, 0.2, 1)])
+    touched = registry.batch_update(batch_of([(4, 0.2, 1)]))
     assert touched == {4}
     # pre-init to the single observation, then EMA fixed point at 0.2
     assert registry.get(4).v_plus == pytest.approx(0.2, abs=1e-12)
@@ -133,26 +133,24 @@ def test_batch_update_single_class_single_equivalent():
 def test_batch_update_returns_unique_classes_and_isolates_others():
     registry = make_registry()
     registry.update_class(9, pos_distances=(0.5,))
-    touched = registry.batch_update(
-        [sample(3, 0.1, 1), sample(7, 0.3, 0), sample(3, 0.2, 0)]
-    )
+    touched = registry.batch_update(batch_of([(3, 0.1, 1), (7, 0.3, 0), (3, 0.2, 0)]))
     assert touched == {3, 7}
     assert registry.get(9).v_plus == pytest.approx(0.5)
 
 
 def test_batch_update_two_equivalents_match_worked_example():
     registry = make_registry(gamma=3.0)
-    registry.batch_update([sample(1, 0.3, 1), sample(1, 0.5, 1)])
+    registry.batch_update(batch_of([(1, 0.3, 1), (1, 0.5, 1)]))
     assert registry.get(1).v_plus == pytest.approx(0.4, abs=1e-9)
 
 
 def test_batch_update_empty_batch():
     with pytest.raises(EmptyBatchError):
-        make_registry().batch_update([])
+        make_registry().batch_update(EmbeddedBatch([], [], np.zeros((0, 4)), np.zeros((0, 4))))
 
 
 def test_batch_update_order_stable():
-    batch = [sample(1, 0.3, 1), sample(1, 0.5, 1), sample(2, 0.7, 0)]
+    batch = batch_of([(1, 0.3, 1), (1, 0.5, 1), (2, 0.7, 0)])
     a = make_registry(gamma=5.0)
     b = make_registry(gamma=5.0)
     a.batch_update(batch)
