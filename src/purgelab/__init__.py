@@ -20,7 +20,6 @@ from .data import (
     split,
     write_corpus,
 )
-from .encoder import EncoderDims, init_params
 from .errors import PurgelabError
 from .evaluation import (
     DistanceStats,
@@ -61,7 +60,6 @@ __all__ = [
     "DistanceStats",
     "EmaParams",
     "EmbeddedBatch",
-    "EncoderDims",
     "EvalReport",
     "FeatureCache",
     "FeatureSpec",
@@ -90,7 +88,6 @@ __all__ = [
     "finite_difference_gradient",
     "generate_synthetic",
     "ingest",
-    "init_params",
     "joint_loss",
     "load_checkpoint",
     "make_batches",

@@ -397,6 +397,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     cells = len(lambda_values) * len(zeta_values)
     if cells > MAX_SWEEP_CELLS:
         raise ConfigError(f"sweep grid has {cells} cells, more than {MAX_SWEEP_CELLS}")
+    if ns.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {ns.workers}")
     config = _train_config(ns)
     train_data, test_data = _featurized(ns, ns.train_corpus, ns.test_corpus)
     grid = sweep(config, train_data, test_data, lambda_values, zeta_values, workers=ns.workers)

@@ -42,6 +42,9 @@ GEOMETRIC_SHIFT = 1.2
 GEOMETRIC_JITTER = 0.5
 GEOMETRIC_SUBSPACE_DIM = 8
 
+# Largest synthetic corpus (n_classes * per_class records); the default is 320.
+MAX_GEN_RECORDS = 100_000
+
 
 @dataclass(frozen=True)
 class MutantRecord:
@@ -397,10 +400,12 @@ def generate_synthetic(
         raise ConfigError(f"n_classes must be >= 2, got {n_classes}")
     if per_class < 4:
         raise ConfigError(f"per_class must be >= 4, got {per_class}")
+    if n_classes * per_class > MAX_GEN_RECORDS:
+        raise ConfigError(f"{n_classes} x {per_class} records is more than {MAX_GEN_RECORDS}")
     if not 0.0 < equiv_fraction < 1.0:
         raise ConfigError(f"equiv_fraction must be in (0, 1), got {equiv_fraction!r}")
-    if noise < 0.0:
-        raise ConfigError(f"noise must be >= 0, got {noise!r}")
+    if not 0.0 <= noise < np.inf:
+        raise ConfigError(f"noise must be finite and >= 0, got {noise!r}")
     n_equiv = int(per_class * equiv_fraction + 0.5)
     if n_equiv == 0 or n_equiv == per_class:
         raise ConfigError("equiv_fraction leaves one label empty at this per_class")

@@ -16,24 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVectorError, DimensionError, NumericError, StateError
+from .errors import DegenerateVectorError, DimensionError, NumericError, StateError
 
-
-@dataclass(frozen=True)
-class EncoderDims:
-    feature_dim: int = 256
-    hidden_dim: int = 128
-    embed_dim: int = 64
-    pair_hidden_dim: int = 64
-
-    def __post_init__(self):
-        for name in ("feature_dim", "hidden_dim", "embed_dim", "pair_hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 
 @dataclass
@@ -54,20 +44,20 @@ class PairClassifierParams:
     version: int = 0
 
 
-def param_shapes(dims: EncoderDims) -> list[tuple[int, ...]]:
-    """Segment shapes of the flat parameter vector.
+def param_shapes(config: TrainConfig) -> list[tuple[int, ...]]:
+    """Segment shapes of the flat parameter vector under ``config``'s dimensions.
 
     Every weight of the encoder and the head lives in one contiguous float64
     vector, in the segment order encoder w1, b1, w2, b2, then head w1, b1, w2,
     b2. Adam's moments, the step gradient and the checkpoint share the layout.
     """
-    h, e, p = dims.hidden_dim, dims.embed_dim, dims.pair_hidden_dim
-    return [(h, dims.feature_dim), (h,), (e, h), (e,), (p, 4 * e), (p,), (2, p), (2,)]
+    h, e, p = config.hidden_dim, config.embed_dim, config.pair_hidden_dim
+    return [(h, config.feature_dim), (h,), (e, h), (e,), (p, 4 * e), (p,), (2, p), (2,)]
 
 
-def split_flat(flat: np.ndarray, dims: EncoderDims) -> list[np.ndarray]:
+def split_flat(flat: np.ndarray, config: TrainConfig) -> list[np.ndarray]:
     """Views of the flat vector ``flat`` as the segments of :func:`param_shapes`."""
-    shapes = param_shapes(dims)
+    shapes = param_shapes(config)
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     if flat.shape != (ends[-1],):
         raise DimensionError(f"flat parameters must be ({ends[-1]},), got {flat.shape}")
@@ -75,28 +65,21 @@ def split_flat(flat: np.ndarray, dims: EncoderDims) -> list[np.ndarray]:
 
 
 def param_views(
-    flat: np.ndarray, dims: EncoderDims, version: int = 0
+    flat: np.ndarray, config: TrainConfig, version: int = 0
 ) -> tuple[EncoderParams, PairClassifierParams]:
     """Encoder and head whose arrays are views into the flat vector ``flat``."""
-    views = split_flat(flat, dims)
+    views = split_flat(flat, config)
     return EncoderParams(*views[:4], version), PairClassifierParams(*views[4:], version)
 
 
-def init_flat_params(seed: int, dims: EncoderDims = EncoderDims()) -> np.ndarray:
+def init_flat_params(seed: int, config: TrainConfig) -> np.ndarray:
     """Reproducible scale-balanced initialization: Glorot weights, zero biases."""
     rng = np.random.default_rng(seed)
-    flat = np.zeros(sum(math.prod(shape) for shape in param_shapes(dims)))
-    for seg in split_flat(flat, dims):
+    flat = np.zeros(sum(math.prod(shape) for shape in param_shapes(config)))
+    for seg in split_flat(flat, config):
         if seg.ndim == 2:
             seg[...] = rng.normal(0.0, np.sqrt(2.0 / sum(seg.shape)), size=seg.shape)
     return flat
-
-
-def init_params(
-    seed: int, dims: EncoderDims = EncoderDims()
-) -> tuple[EncoderParams, PairClassifierParams]:
-    """Initialized encoder and head, as views into one flat vector."""
-    return param_views(init_flat_params(seed, dims), dims)
 
 
 @dataclass
@@ -107,14 +90,6 @@ class EncoderCache:
     norms: np.ndarray  # (m, 1)
     embeddings: np.ndarray  # (m, embed), unit rows
     params_version: int
-
-
-@dataclass
-class EncoderGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 def encode_batch(params: EncoderParams, features: np.ndarray) -> EncoderCache:
@@ -146,15 +121,15 @@ def encoder_backward(
     params: EncoderParams,
     cache: EncoderCache,
     upstream: np.ndarray,
-    out: Sequence[np.ndarray] | None = None,
+    out: Sequence[np.ndarray],
     accumulate: bool = False,
-) -> EncoderGrads:
+) -> None:
     """Backpropagate gradients w.r.t. embeddings into the parameters.
 
     The normalization Jacobian (I - e e^T) / ||z|| is applied first, so
     upstream gradients on the unit embeddings flow correctly into the raw
-    layer outputs. The w1, b1, w2, b2 gradients are written into ``out``
-    (fresh arrays when it is None), or added to it with ``accumulate``.
+    layer outputs. The w1, b1, w2, b2 gradients are written into the buffers
+    ``out``, or added to them with ``accumulate``.
     """
     if cache.params_version != params.version:
         raise StateError(
@@ -166,21 +141,18 @@ def encoder_backward(
         raise DimensionError(
             f"upstream must match embeddings shape {cache.embeddings.shape}, got {upstream.shape}"
         )
-    grads = EncoderGrads(*_grad_arrays((params.w1, params.b1, params.w2, params.b2), out))
+    w1, b1, w2, b2 = _checked_out((params.w1, params.b1, params.w2, params.b2), out)
     e = cache.embeddings
     radial = np.sum(upstream * e, axis=1, keepdims=True)
     d_prenorm = (upstream - radial * e) / cache.norms  # (m, embed)
     d_hidden = d_prenorm @ params.w2  # (m, hidden)
     d_pre1 = d_hidden * (1.0 - cache.hidden**2)  # tanh'
-    _layer_grads(d_prenorm, cache.hidden, grads.w2, grads.b2, accumulate)
-    _layer_grads(d_pre1, cache.features, grads.w1, grads.b1, accumulate)
-    return grads
+    _layer_grads(d_prenorm, cache.hidden, w2, b2, accumulate)
+    _layer_grads(d_pre1, cache.features, w1, b1, accumulate)
 
 
-def _grad_arrays(params: Sequence[np.ndarray], out: Sequence[np.ndarray] | None):
-    """``out`` checked against the parameter shapes, or fresh arrays for them."""
-    if out is None:
-        return [np.empty_like(p) for p in params]
+def _checked_out(params: Sequence[np.ndarray], out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+    """The gradient buffers ``out``, checked against the parameter shapes."""
     if [o.shape for o in out] != [p.shape for p in params]:
         raise DimensionError("gradient buffers must match the parameter shapes")
     return out
@@ -205,16 +177,6 @@ class PairCache:
     hidden: np.ndarray  # (m, pair_hidden), post-tanh
     logits: np.ndarray  # (m, 2)
     params_version: int
-
-
-@dataclass
-class PairGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    origin_grads: np.ndarray  # (m, embed)
-    mutant_grads: np.ndarray  # (m, embed)
 
 
 def pair_features(origins: np.ndarray, mutants: np.ndarray) -> np.ndarray:
@@ -253,13 +215,13 @@ def pair_backward(
     params: PairClassifierParams,
     cache: PairCache,
     upstream: np.ndarray,
-    out: Sequence[np.ndarray] | None = None,
-) -> PairGrads:
+    out: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate logit gradients into head parameters and both embeddings.
 
-    The w1, b1, w2, b2 gradients are written into ``out`` (fresh arrays when
-    it is None). |o - s| uses the sign subgradient, with sign(0) = 0 on tied
-    components.
+    The w1, b1, w2, b2 gradients are written into the buffers ``out``; the
+    gradients on the origin and mutant rows are returned, in that order.
+    |o - s| uses the sign subgradient, with sign(0) = 0 on tied components.
     """
     if cache.params_version != params.version:
         raise StateError(
@@ -271,7 +233,7 @@ def pair_backward(
         raise DimensionError(
             f"upstream must match logits shape {cache.logits.shape}, got {upstream.shape}"
         )
-    w1, b1, w2, b2 = _grad_arrays((params.w1, params.b1, params.w2, params.b2), out)
+    w1, b1, w2, b2 = _checked_out((params.w1, params.b1, params.w2, params.b2), out)
     _layer_grads(upstream, cache.hidden, w2, b2, accumulate=False)
     d_hidden = upstream @ params.w2
     d_pre = d_hidden * (1.0 - cache.hidden**2)
@@ -281,11 +243,4 @@ def pair_backward(
     diff_sign = np.sign(cache.origins - cache.mutants)
     origin_grads = d_o_block + diff_sign * d_abs + cache.mutants * d_prod
     mutant_grads = d_s_block - diff_sign * d_abs + cache.origins * d_prod
-    return PairGrads(
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
-        origin_grads=origin_grads,
-        mutant_grads=mutant_grads,
-    )
+    return origin_grads, mutant_grads

@@ -209,6 +209,8 @@ def sweep(
     zeta_values = [float(v) for v in zeta_values]
     if not lambda_values or not zeta_values:
         raise ConfigError("sweep needs at least one value per axis")
+    if len(train_data) == 0 or len(test_data) == 0:
+        raise ConfigError("cannot sweep over an empty train or test corpus")
     jobs = []
     index = 0
     for lam in lambda_values:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .data import FeatureCache, make_batches
 from .encoder import (
-    EncoderDims,
     EncoderParams,
     PairClassifierParams,
     classify_pairs,
@@ -80,6 +79,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "seed", *dims):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if name in dims and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.epochs < 1:
@@ -94,14 +95,6 @@ class TrainConfig:
             raise ConfigError("moment decay rates must lie in [0, 1)")
         if not 0.0 < self.adam_epsilon < math.inf:
             raise ConfigError(f"adam_epsilon must be finite and positive, got {self.adam_epsilon!r}")
-
-    def dims(self) -> EncoderDims:
-        return EncoderDims(
-            feature_dim=self.feature_dim,
-            hidden_dim=self.hidden_dim,
-            embed_dim=self.embed_dim,
-            pair_hidden_dim=self.pair_hidden_dim,
-        )
 
 
 @dataclass
@@ -136,9 +129,8 @@ class TrainerState:
     grad_segments: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        dims = self.config.dims()
-        self.encoder, self.head = param_views(self.params, dims, self.adam.t)
-        self.grad_segments = split_flat(self.adam.grad, dims)
+        self.encoder, self.head = param_views(self.params, self.config, self.adam.t)
+        self.grad_segments = split_flat(self.adam.grad, self.config)
 
 
 @dataclass
@@ -166,7 +158,7 @@ class TrainResult:
 
 
 def init_state(config: TrainConfig) -> TrainerState:
-    params = init_flat_params(config.seed, config.dims())
+    params = init_flat_params(config.seed, config)
     adam = AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
     return TrainerState(config, params, VergeRegistry(config.loss.ema_params()), adam)
 
@@ -217,14 +209,12 @@ def _train_step_inner(state: TrainerState, batch: FeatureCache) -> StepMetrics:
         raise DivergenceError(f"non-finite joint loss {joint!r}", epoch=state.epoch)
 
     grads = state.grad_segments
-    head_grads = pair_backward(state.head, pair_cache, ce.logit_grads, out=grads[4:])
-    d_origins = head_grads.origin_grads
-    d_mutants = head_grads.mutant_grads
+    d_origins, d_mutants = pair_backward(state.head, pair_cache, ce.logit_grads, grads[4:])
     if metric_out is not None:
         d_origins = d_origins + lcfg.lam * metric_out.origin_grads
         d_mutants = d_mutants + lcfg.lam * metric_out.mutant_grads
-    encoder_backward(state.encoder, cache_o, d_origins, out=grads[:4])
-    encoder_backward(state.encoder, cache_s, d_mutants, out=grads[:4], accumulate=True)
+    encoder_backward(state.encoder, cache_o, d_origins, grads[:4])
+    encoder_backward(state.encoder, cache_s, d_mutants, grads[:4], accumulate=True)
     _adam_step(state)
     return StepMetrics(
         ce_loss=ce.value, metric_loss=metric_value, joint_loss=joint, skipped_count=skipped
@@ -365,7 +355,7 @@ def load_checkpoint(path) -> TrainerState:
         cfg_dict = dict(meta["config"])
         loss = LossConfig(**cfg_dict.pop("loss"))
         config = TrainConfig(loss=loss, **cfg_dict)
-        n = sum(math.prod(shape) for shape in param_shapes(config.dims()))
+        n = sum(math.prod(shape) for shape in param_shapes(config))
         adam_t = int(meta["adam_t"])
         epoch = int(meta["epoch"])
         registry = VergeRegistry.restore(meta["verges"].encode("utf-8"))

@@ -11,12 +11,13 @@ import numpy as np
 from purgelab.cli import _parse_range, run
 from purgelab.data import Corpus, FeatureCache, MutantRecord, dedup, generate_synthetic, split
 from purgelab.encoder import (
-    EncoderDims,
     classify_pairs,
     encode_batch,
     encoder_backward,
-    init_params,
+    init_flat_params,
     pair_backward,
+    param_views,
+    split_flat,
 )
 from purgelab.evaluation import (
     evaluate,
@@ -254,10 +255,11 @@ def _audit_contrastive_triplet_ce(rng, count):
 
 def _audit_composite(rng, count):
     """Joint CE + weighted purge loss through the whole encoder+head model."""
-    dims = EncoderDims(feature_dim=8, hidden_dim=6, embed_dim=4, pair_hidden_dim=5)
+    dims = TrainConfig(feature_dim=8, hidden_dim=6, embed_dim=4, pair_hidden_dim=5)
     worst = 0.0
     for trial in range(count):
-        enc, head = init_params(int(rng.integers(0, 2**31)), dims)
+        params = init_flat_params(int(rng.integers(0, 2**31)), dims)
+        enc, head = param_views(params, dims)
         cfg = LossConfig(zeta=float(rng.uniform(-0.05, 0.05)))
         m = 3
         f_o = rng.normal(size=(m, 8))
@@ -297,36 +299,27 @@ def _audit_composite(rng, count):
         for i in range(m):
             d_logits[i] = cross_entropy(pc.logits[i], int(labels[i])).logit_grads
         d_logits /= m
-        hg = pair_backward(head, pc, d_logits)
+        analytic = np.zeros_like(params)
+        segments = split_flat(analytic, dims)
+        head_o, head_s = pair_backward(head, pc, d_logits, segments[4:])
         metric_out = cluster_purge_loss(
             batch_from(co.embeddings, cs.embeddings), registry, cfg
         )
-        d_origins = hg.origin_grads + cfg.lam * metric_out.origin_grads
-        d_mutants = hg.mutant_grads + cfg.lam * metric_out.mutant_grads
-        eo = encoder_backward(enc, co, d_origins)
-        es = encoder_backward(enc, cs, d_mutants)
-        analytic = {
-            "enc.w1": eo.w1 + es.w1, "enc.b1": eo.b1 + es.b1,
-            "enc.w2": eo.w2 + es.w2, "enc.b2": eo.b2 + es.b2,
-            "head.w1": hg.w1, "head.b1": hg.b1, "head.w2": hg.w2, "head.b2": hg.b2,
-        }
-        named = [
-            ("enc.w1", enc.w1), ("enc.b1", enc.b1), ("enc.w2", enc.w2), ("enc.b2", enc.b2),
-            ("head.w1", head.w1), ("head.b1", head.b1), ("head.w2", head.w2), ("head.b2", head.b2),
-        ]
+        d_origins = head_o + cfg.lam * metric_out.origin_grads
+        d_mutants = head_s + cfg.lam * metric_out.mutant_grads
+        encoder_backward(enc, co, d_origins, segments[:4])
+        encoder_backward(enc, cs, d_mutants, segments[:4], accumulate=True)
         step = 1e-6
-        for name, arr in named:
-            flat = arr.ravel()
-            for k in range(flat.size):
-                keep = flat[k]
-                flat[k] = keep + step
-                f_hi = loss_value()
-                flat[k] = keep - step
-                f_lo = loss_value()
-                flat[k] = keep
-                numeric = (f_hi - f_lo) / (2.0 * step)
-                a = analytic[name].ravel()[k]
-                worst = max(worst, abs(a - numeric) / max(1e-6, abs(a), abs(numeric)))
+        for k in range(params.size):
+            keep = params[k]
+            params[k] = keep + step
+            f_hi = loss_value()
+            params[k] = keep - step
+            f_lo = loss_value()
+            params[k] = keep
+            numeric = (f_hi - f_lo) / (2.0 * step)
+            a = analytic[k]
+            worst = max(worst, abs(a - numeric) / max(1e-6, abs(a), abs(numeric)))
     return worst
 
 

@@ -308,16 +308,29 @@ def _corrupt_features(path, text):
     pytest.param("features", lambda p: p.write_text(p.read_text() + p.read_text().splitlines()[1] + "\n"),
                  "ParseError", id="feature-table-repeated-key"),
     pytest.param("corpus", lambda p: p.write_bytes(b""), "ConfigError", id="eval-empty-corpus"),
+    pytest.param("train_corpus", lambda p: p.write_bytes(b""), "ConfigError",
+                 id="sweep-empty-train-corpus"),
+    pytest.param("test_corpus", lambda p: p.write_bytes(b""), "ConfigError",
+                 id="sweep-empty-test-corpus"),
 ])
 def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt, error):
+    # eval reads --corpus; sweep reads copies of it as its train and test corpora
     corpus, features = gen_small(tmp_path / "data")
     ckpt = train_small(tmp_path / "run", corpus, features)
     config = tmp_path / "config.txt"
     config.write_text("")
-    corrupt({"features": Path(features), "corpus": Path(corpus), "config": config}[name])
+    sides = {side: tmp_path / f"{side}.tsv" for side in ("train_corpus", "test_corpus")}
+    for path in sides.values():
+        path.write_bytes(Path(corpus).read_bytes())
+    corrupt({"features": Path(features), "corpus": Path(corpus), "config": config, **sides}[name])
+    common = ["--features", features, "--config", str(config), "--out-dir", str(tmp_path / "out")]
     capsys.readouterr()
-    rc = run(["eval", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
-              "--config", str(config), "--out-dir", str(tmp_path / "eval")])
+    if name in sides:
+        rc = run(["sweep", "--train-corpus", str(sides["train_corpus"]),
+                  "--test-corpus", str(sides["test_corpus"]), "--lambda-range", "1:1:1",
+                  "--zeta-range", "0:0:1", "--epochs", "1", *SMALL_DIMS, *common])
+    else:
+        rc = run(["eval", "--checkpoint", ckpt, "--corpus", corpus, *common])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"ERROR {error}: ")
 
@@ -330,6 +343,13 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
     pytest.param("train", ["--beta", "nan"], id="beta-nan"),
     pytest.param("train", ["--lambda", "nan"], id="lambda-nan"),
     pytest.param("sweep", ["--step-size", "inf"], id="sweep-step-size-inf"),
+    pytest.param("train", ["--hidden-dim", "0"], id="hidden-dim-0"),
+    pytest.param("sweep", ["--embed-dim", "0"], id="sweep-embed-dim-0"),
+    pytest.param("sweep", ["--workers", "-3"], id="sweep-workers-negative"),
+    pytest.param("gen", ["--noise", "nan"], id="gen-noise-nan"),
+    pytest.param("gen", ["--noise", "inf"], id="gen-noise-inf"),
+    # 1e10 records: rejected by the product alone, before anything is generated
+    pytest.param("gen", ["--classes", "100000", "--per-class", "100000"], id="gen-too-many-records"),
 ])
 def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     # train and sweep get missing corpora, so a check made after featurizing
@@ -342,6 +362,7 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
         "export": ["--checkpoint", ckpt, "--corpus", str(empty), "--features", features],
         "train": ["--corpus", missing],
         "sweep": ["--train-corpus", missing, "--test-corpus", missing],
+        "gen": [],
     }[command]
     out = tmp_path / "out"
     capsys.readouterr()

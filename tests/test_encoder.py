@@ -2,30 +2,39 @@ import numpy as np
 import pytest
 
 from purgelab.encoder import (
-    EncoderDims,
     classify_pairs,
     encode_batch,
     encoder_backward,
     init_flat_params,
-    init_params,
     pair_backward,
     pair_features,
     param_shapes,
     param_views,
+    split_flat,
 )
 from purgelab.errors import ConfigError, DimensionError, StateError
 from purgelab.losses import cross_entropy
+from purgelab.trainer import TrainConfig
 
-SMALL = EncoderDims(feature_dim=8, hidden_dim=6, embed_dim=4, pair_hidden_dim=5)
+SMALL = TrainConfig(feature_dim=8, hidden_dim=6, embed_dim=4, pair_hidden_dim=5)
+
+
+def small_params(seed):
+    return param_views(init_flat_params(seed, SMALL), SMALL)
+
+
+def zeros_like_params(params):
+    return [np.zeros_like(p) for p in (params.w1, params.b1, params.w2, params.b2)]
 
 
 def test_dims_validation():
-    with pytest.raises(ConfigError):
-        EncoderDims(feature_dim=0)
+    for name in ("feature_dim", "hidden_dim", "embed_dim", "pair_hidden_dim"):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+            TrainConfig(**{name: 0})
 
 
 def test_encode_output_is_unit_norm():
-    enc, _ = init_params(0, SMALL)
+    enc, _ = small_params(0)
     rng = np.random.default_rng(1)
     for _ in range(20):
         e = encode_batch(enc, rng.normal(size=(1, 8))).embeddings[0]
@@ -33,42 +42,43 @@ def test_encode_output_is_unit_norm():
 
 
 def test_encode_deterministic():
-    enc, _ = init_params(0, SMALL)
+    enc, _ = small_params(0)
     f = np.linspace(-1.0, 1.0, 8)[None, :]
     assert np.array_equal(encode_batch(enc, f).embeddings, encode_batch(enc, f).embeddings)
 
 
 def test_encode_dimension_mismatch():
-    enc, _ = init_params(0, SMALL)
+    enc, _ = small_params(0)
     with pytest.raises(DimensionError):
         encode_batch(enc, np.zeros((1, 9)))
 
 
 def test_init_reproducible_and_seed_sensitive():
-    a_enc, a_head = init_params(42, SMALL)
-    b_enc, b_head = init_params(42, SMALL)
-    c_enc, _ = init_params(43, SMALL)
+    a_enc, a_head = small_params(42)
+    b_enc, b_head = small_params(42)
+    c_enc, _ = small_params(43)
     assert np.array_equal(a_enc.w1, b_enc.w1)
     assert np.array_equal(a_head.w2, b_head.w2)
     assert not np.array_equal(a_enc.w1, c_enc.w1)
 
 
 def test_param_views_share_one_flat_vector():
-    flat = init_flat_params(0, EncoderDims())
+    config = TrainConfig()
+    flat = init_flat_params(0, config)
     assert flat.shape == (57_730,)
-    enc, head = param_views(flat, EncoderDims())
+    enc, head = param_views(flat, config)
     arrays = [enc.w1, enc.b1, enc.w2, enc.b2, head.w1, head.b1, head.w2, head.b2]
-    assert [a.shape for a in arrays] == param_shapes(EncoderDims())
+    assert [a.shape for a in arrays] == param_shapes(config)
     assert all(np.shares_memory(a, flat) for a in arrays)
     flat[-1] = 5.0
     assert head.b2[1] == 5.0
     with pytest.raises(DimensionError):
-        param_views(flat[:-1], EncoderDims())
+        param_views(flat[:-1], config)
 
 
 def test_default_dims():
-    dims = EncoderDims()
-    assert (dims.feature_dim, dims.hidden_dim, dims.embed_dim) == (256, 128, 64)
+    config = TrainConfig()
+    assert (config.feature_dim, config.hidden_dim, config.embed_dim) == (256, 128, 64)
 
 
 def test_pair_features_zero_difference_block():
@@ -80,7 +90,7 @@ def test_pair_features_zero_difference_block():
 
 
 def test_classify_pair_deterministic_and_softmax_normalized():
-    enc, head = init_params(7, SMALL)
+    enc, head = small_params(7)
     rng = np.random.default_rng(3)
     o = encode_batch(enc, rng.normal(size=(1, 8))).embeddings
     s = encode_batch(enc, rng.normal(size=(1, 8))).embeddings
@@ -93,80 +103,79 @@ def test_classify_pair_deterministic_and_softmax_normalized():
 
 def test_normalization_jacobian_orthogonality():
     # J^T applied to the unit output has no component along the input.
-    enc, _ = init_params(0, SMALL)
+    enc, _ = small_params(0)
     rng = np.random.default_rng(4)
     cache = encode_batch(enc, rng.normal(size=(1, 8)))
-    grads = encoder_backward(enc, cache, cache.embeddings.copy())
+    grads = zeros_like_params(enc)
+    encoder_backward(enc, cache, cache.embeddings.copy(), grads)
     # upstream = e means the pre-normalization gradient is (e - (e.e)e)/n = 0
     d_prenorm = (cache.embeddings - cache.embeddings) / cache.norms
     assert np.allclose(d_prenorm, 0.0)
     # and the parameter gradients of the final layer vanish with it
-    assert np.allclose(grads.w2, 0.0, atol=1e-15)
+    assert np.allclose(grads[2], 0.0, atol=1e-15)
 
 
 def test_backward_rejects_stale_cache():
-    enc, head = init_params(0, SMALL)
+    enc, head = small_params(0)
     rng = np.random.default_rng(5)
     cache = encode_batch(enc, rng.normal(size=(2, 8)))
     pcache = classify_pairs(head, cache.embeddings, cache.embeddings)
     enc.version += 1
     head.version += 1
     with pytest.raises(StateError):
-        encoder_backward(enc, cache, np.zeros((2, 4)))
+        encoder_backward(enc, cache, np.zeros((2, 4)), zeros_like_params(enc))
     with pytest.raises(StateError):
-        pair_backward(head, pcache, np.zeros((2, 2)))
+        pair_backward(head, pcache, np.zeros((2, 2)), zeros_like_params(head))
 
 
 def test_zero_upstream_gives_zero_parameter_gradients():
-    enc, head = init_params(0, SMALL)
+    enc, head = small_params(0)
     rng = np.random.default_rng(6)
     cache = encode_batch(enc, rng.normal(size=(3, 8)))
-    grads = encoder_backward(enc, cache, np.zeros((3, 4)))
-    for arr in (grads.w1, grads.b1, grads.w2, grads.b2):
+    grads = [np.full_like(g, np.nan) for g in zeros_like_params(enc)]
+    encoder_backward(enc, cache, np.zeros((3, 4)), grads)
+    for arr in grads:
         assert np.all(arr == 0.0)
     pcache = classify_pairs(head, cache.embeddings, cache.embeddings)
-    pgrads = pair_backward(head, pcache, np.zeros((3, 2)))
-    for arr in (pgrads.w1, pgrads.b1, pgrads.w2, pgrads.b2):
+    pgrads = [np.full_like(g, np.nan) for g in zeros_like_params(head)]
+    pair_backward(head, pcache, np.zeros((3, 2)), pgrads)
+    for arr in pgrads:
         assert np.all(arr == 0.0)
 
 
 def test_backward_writes_into_and_adds_onto_gradient_buffers():
-    enc, head = init_params(0, SMALL)
+    enc, head = small_params(0)
     rng = np.random.default_rng(8)
     cache_o = encode_batch(enc, rng.normal(size=(3, 8)))
     cache_s = encode_batch(enc, rng.normal(size=(3, 8)))
     up_o, up_s = rng.normal(size=(2, 3, 4))
-    fresh_o = encoder_backward(enc, cache_o, up_o)
-    fresh_s = encoder_backward(enc, cache_s, up_s)
-    out = [np.full_like(p, np.nan) for p in (enc.w1, enc.b1, enc.w2, enc.b2)]
-    grads = encoder_backward(enc, cache_o, up_o, out=out)
-    assert all(g is o for g, o in zip((grads.w1, grads.b1, grads.w2, grads.b2), out))
-    encoder_backward(enc, cache_s, up_s, out=out, accumulate=True)
-    for name, o in zip(("w1", "b1", "w2", "b2"), out):
-        assert np.array_equal(o, getattr(fresh_o, name) + getattr(fresh_s, name))
+    only_o, only_s = zeros_like_params(enc), zeros_like_params(enc)
+    encoder_backward(enc, cache_o, up_o, only_o)
+    encoder_backward(enc, cache_s, up_s, only_s)
+    out = [np.full_like(p, np.nan) for p in only_o]
+    encoder_backward(enc, cache_o, up_o, out)
+    encoder_backward(enc, cache_s, up_s, out, accumulate=True)
+    for o, a, b in zip(out, only_o, only_s):
+        assert np.array_equal(o, a + b)
+    with pytest.raises(DimensionError):
+        encoder_backward(enc, cache_o, up_o, out[::-1])
 
     pcache = classify_pairs(head, cache_o.embeddings, cache_s.embeddings)
     up = rng.normal(size=(3, 2))
-    fresh = pair_backward(head, pcache, up)
-    out = [np.full_like(p, np.nan) for p in (head.w1, head.b1, head.w2, head.b2)]
-    grads = pair_backward(head, pcache, up, out=out)
-    for name, o in zip(("w1", "b1", "w2", "b2"), out):
-        assert getattr(grads, name) is o
-        assert np.array_equal(o, getattr(fresh, name))
-    assert np.array_equal(grads.origin_grads, fresh.origin_grads)
+    first = zeros_like_params(head)
+    d_o, d_s = pair_backward(head, pcache, up, first)
+    out = [np.full_like(p, np.nan) for p in first]
+    again_o, again_s = pair_backward(head, pcache, up, out)
+    for o, f in zip(out, first):
+        assert np.array_equal(o, f)
+    assert np.array_equal(again_o, d_o) and np.array_equal(again_s, d_s)
     with pytest.raises(DimensionError):
-        pair_backward(head, pcache, up, out=out[::-1])
-
-
-def _named(enc, head):
-    return [
-        ("enc.w1", enc.w1), ("enc.b1", enc.b1), ("enc.w2", enc.w2), ("enc.b2", enc.b2),
-        ("head.w1", head.w1), ("head.b1", head.b1), ("head.w2", head.w2), ("head.b2", head.b2),
-    ]
+        pair_backward(head, pcache, up, out[::-1])
 
 
 def test_whole_model_gradient_matches_finite_differences():
-    enc, head = init_params(3, SMALL)
+    params = init_flat_params(3, SMALL)
+    enc, head = param_views(params, SMALL)
     rng = np.random.default_rng(7)
     m = 4
     f_o = rng.normal(size=(m, 8))
@@ -186,33 +195,27 @@ def test_whole_model_gradient_matches_finite_differences():
     for i in range(m):
         d_logits[i] = cross_entropy(pc.logits[i], int(labels[i])).logit_grads
     d_logits /= m
-    hg = pair_backward(head, pc, d_logits)
-    eo = encoder_backward(enc, co, hg.origin_grads)
-    es = encoder_backward(enc, cs, hg.mutant_grads)
-    analytic = {
-        "enc.w1": eo.w1 + es.w1, "enc.b1": eo.b1 + es.b1,
-        "enc.w2": eo.w2 + es.w2, "enc.b2": eo.b2 + es.b2,
-        "head.w1": hg.w1, "head.b1": hg.b1, "head.w2": hg.w2, "head.b2": hg.b2,
-    }
+    grad = np.zeros_like(params)
+    segments = split_flat(grad, SMALL)
+    d_origins, d_mutants = pair_backward(head, pc, d_logits, segments[4:])
+    encoder_backward(enc, co, d_origins, segments[:4])
+    encoder_backward(enc, cs, d_mutants, segments[:4], accumulate=True)
     step = 1e-6
     worst = 0.0
-    for name, arr in _named(enc, head):
-        flat = arr.ravel()
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + step
-            f_hi = loss_value()
-            flat[k] = keep - step
-            f_lo = loss_value()
-            flat[k] = keep
-            numeric = (f_hi - f_lo) / (2.0 * step)
-            a = analytic[name].ravel()[k]
-            worst = max(worst, abs(a - numeric) / max(1e-6, abs(a), abs(numeric)))
+    for k in range(params.size):
+        keep = params[k]
+        params[k] = keep + step
+        f_hi = loss_value()
+        params[k] = keep - step
+        f_lo = loss_value()
+        params[k] = keep
+        numeric = (f_hi - f_lo) / (2.0 * step)
+        worst = max(worst, abs(grad[k] - numeric) / max(1e-6, abs(grad[k]), abs(numeric)))
     assert worst < 1e-4
 
 
 def test_unit_norm_survives_parameter_updates():
-    enc, _ = init_params(11, SMALL)
+    enc, _ = small_params(11)
     rng = np.random.default_rng(12)
     for _ in range(5):
         enc.w1 -= 0.05 * rng.normal(size=enc.w1.shape)

@@ -174,7 +174,7 @@ def test_flat_adam_matches_textbook_per_array_update():
     # exact-zero gradients.
     config = small_config(step_size=3e-3, beta1=0.8, beta2=0.99, adam_epsilon=1e-7)
     state = init_state(config)
-    ref_params = [seg.copy() for seg in split_flat(state.params, config.dims())]
+    ref_params = [seg.copy() for seg in split_flat(state.params, config)]
     ref_m = [np.zeros_like(p) for p in ref_params]
     ref_v = [np.zeros_like(p) for p in ref_params]
     rng = np.random.default_rng(17)
@@ -213,7 +213,8 @@ def test_param_version_counts_steps_and_stales_caches(tmp_path):
     train_step(loaded, batch)
     assert loaded.encoder.version == loaded.adam.t == steps + 1
     with pytest.raises(StateError):
-        encoder_backward(loaded.encoder, cache, np.zeros_like(cache.embeddings))
+        upstream = np.zeros_like(cache.embeddings)
+        encoder_backward(loaded.encoder, cache, upstream, loaded.grad_segments[:4])
 
 
 def test_checkpoint_roundtrip(tmp_path):
