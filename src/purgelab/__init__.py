@@ -8,7 +8,6 @@ ships the corpus tooling, baselines, sweep engine, and diagnostics around it.
 from .data import (
     Corpus,
     FeatureCache,
-    FeatureSpec,
     HashingFeatures,
     MutantRecord,
     TableFeatures,
@@ -50,7 +49,7 @@ from .trainer import (
     train,
     train_step,
 )
-from .vecmath import EmaParams, cosine_distance, ema_batch, ema_step, finite_difference_gradient
+from .vecmath import cosine_distance, ema_batch, ema_step, finite_difference_gradient
 from .verges import VergeRegistry, VergeState
 
 __version__ = "0.1.0"
@@ -58,11 +57,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus",
     "DistanceStats",
-    "EmaParams",
     "EmbeddedBatch",
     "EvalReport",
     "FeatureCache",
-    "FeatureSpec",
     "HashingFeatures",
     "LossConfig",
     "LossOutput",

@@ -13,11 +13,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from .data import (
     FeatureCache,
-    FeatureSpec,
     HashingFeatures,
     dedup,
     generate_synthetic,
@@ -36,11 +35,13 @@ from .evaluation import (
     pair_distances,
     permutation_pvalue,
     sweep,
+    sweep_workers,
 )
 from .losses import LossConfig
 from .trainer import (
     LOSS_KINDS,
     TrainConfig,
+    TrainerState,
     load_checkpoint,
     resume,
     save_checkpoint,
@@ -52,6 +53,9 @@ MAX_SWEEP_CELLS = 10_000
 
 _TRAIN_DEFAULTS = TrainConfig()
 _LOSS_DEFAULTS = LossConfig()
+
+# gen flags that only geometric mode reads, with their defaults.
+_GEOMETRIC_FLAGS = {"noise": 1.0, "feature_dim": _TRAIN_DEFAULTS.feature_dim}
 
 
 def _fmt(value) -> str:
@@ -136,54 +140,52 @@ class _Args:
         action.type = _zero_or_one  # argparse applies it to a config file's string default
 
 
+# Training flags whose names differ from their config field's.
+_FLAG_NAMES = {"lam": "--lambda", "batch_size": "--batch"}
+
+_TRAIN_HELP = {
+    "gamma": "verge EMA smoothing factor",
+    "alpha": "equivalent-side hinge exponent",
+    "beta": "non-equivalent-side hinge exponent",
+    "zeta": "hinge margin (may be negative)",
+    "lam": "metric-loss weight",
+    "hinge_epsilon": "derivative guard for fractional hinge exponents",
+    "loss_kind": "training objective",
+    "epochs": "training epochs",
+    "batch_size": "minibatch size",
+    "feature_dim": "input feature width",
+    "hidden_dim": "encoder hidden width",
+    "embed_dim": "embedding width",
+    "pair_hidden_dim": "pair-classifier hidden width",
+    "step_size": "optimizer step size",
+    "beta1": "first-moment decay",
+    "beta2": "second-moment decay",
+    "adam_epsilon": "optimizer denominator guard",
+    "seed": "initialization and shuffling seed",
+}
+
+
 def _add_train_flags(args: _Args) -> None:
-    d = _TRAIN_DEFAULTS
-    l = _LOSS_DEFAULTS
-    args.add("--loss-kind", choices=LOSS_KINDS, default=d.loss_kind,
-             help=f"training objective (default {d.loss_kind})")
-    args.add("--gamma", type=float, default=l.gamma, help="verge EMA smoothing factor")
-    args.add("--alpha", type=float, default=l.alpha, help="equivalent-side hinge exponent")
-    args.add("--beta", type=float, default=l.beta, help="non-equivalent-side hinge exponent")
-    args.add("--zeta", type=float, default=l.zeta, help="hinge margin (may be negative)")
-    args.add("--lambda", dest="lam", type=float, default=l.lam, help="metric-loss weight")
-    args.add("--hinge-epsilon", type=float, default=l.hinge_epsilon,
-             help="derivative guard for fractional hinge exponents")
-    args.add("--epochs", type=int, default=d.epochs)
-    args.add("--batch", dest="batch_size", type=int, default=d.batch_size)
-    args.add("--feature-dim", type=int, default=d.feature_dim)
-    args.add("--hidden-dim", type=int, default=d.hidden_dim)
-    args.add("--embed-dim", type=int, default=d.embed_dim)
-    args.add("--pair-hidden-dim", type=int, default=d.pair_hidden_dim)
-    args.add("--step-size", type=float, default=d.step_size, help="optimizer step size")
-    args.add("--beta1", type=float, default=d.beta1, help="first-moment decay")
-    args.add("--beta2", type=float, default=d.beta2, help="second-moment decay")
-    args.add("--adam-epsilon", type=float, default=d.adam_epsilon)
-    args.add("--seed", type=int, default=d.seed)
+    """One flag per field of LossConfig and TrainConfig, with its default and type."""
+    for defaults in (_LOSS_DEFAULTS, _TRAIN_DEFAULTS):
+        for f in fields(defaults):
+            if f.name == "loss":
+                continue
+            default = getattr(defaults, f.name)
+            args.add(
+                _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                dest=f.name,
+                type=type(default),
+                default=default,
+                choices=LOSS_KINDS if f.name == "loss_kind" else None,
+                help=_TRAIN_HELP[f.name] + " (default %(default)s)",
+            )
 
 
 def _train_config(ns: argparse.Namespace) -> TrainConfig:
-    loss = LossConfig(
-        gamma=ns.gamma,
-        alpha=ns.alpha,
-        beta=ns.beta,
-        zeta=ns.zeta,
-        lam=ns.lam,
-        hinge_epsilon=ns.hinge_epsilon,
-    )
+    loss = LossConfig(**{f.name: getattr(ns, f.name) for f in fields(LossConfig)})
     return TrainConfig(
-        loss_kind=ns.loss_kind,
-        loss=loss,
-        epochs=ns.epochs,
-        batch_size=ns.batch_size,
-        feature_dim=ns.feature_dim,
-        hidden_dim=ns.hidden_dim,
-        embed_dim=ns.embed_dim,
-        pair_hidden_dim=ns.pair_hidden_dim,
-        step_size=ns.step_size,
-        beta1=ns.beta1,
-        beta2=ns.beta2,
-        adam_epsilon=ns.adam_epsilon,
-        seed=ns.seed,
+        loss=loss, **{f.name: getattr(ns, f.name) for f in fields(TrainConfig) if f.name != "loss"}
     )
 
 
@@ -215,7 +217,7 @@ def _provider(ns: argparse.Namespace):
                 f"feature table dim {table.dim} does not match --feature-dim {ns.feature_dim}"
             )
         return table
-    return HashingFeatures(FeatureSpec(dim=ns.feature_dim))
+    return HashingFeatures(ns.feature_dim)
 
 
 def _featurized(ns: argparse.Namespace, *paths: str) -> list[FeatureCache]:
@@ -229,16 +231,29 @@ def _outpath(ns: argparse.Namespace, name: str) -> str:
     return os.path.join(ns.out_dir, name)
 
 
-def _write_history(path, history) -> None:
+def _write_losses(path, rows) -> None:
+    """One ``index, ce, metric, joint, skipped`` line per (index, losses) row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in history:
-            fh.write(
-                f"{e.epoch}\t{e.ce_loss!r}\t{e.metric_loss!r}\t{e.joint_loss!r}\t{e.skipped_count}\n"
-            )
+        for i, s in rows:
+            fh.write(f"{i}\t{s.ce_loss!r}\t{s.metric_loss!r}\t{s.joint_loss!r}\t{s.skipped_count}\n")
 
 
-def _metric_line(name: str, value) -> str:
-    return f"{name} = {_fmt(value)}\n"
+def _checkpoint_and_corpus(ns: argparse.Namespace) -> tuple[TrainerState, FeatureCache]:
+    """The ``--checkpoint`` state and the ``--corpus`` featurized at its feature dim."""
+    state = load_checkpoint(ns.checkpoint)
+    ns.feature_dim = state.config.feature_dim
+    [data] = _featurized(ns, ns.corpus)
+    return state, data
+
+
+def _write_report(ns: argparse.Namespace, command: str, name: str, lines) -> int:
+    """Write ``key = value`` lines to ``name`` and the manifest, echo them on one line."""
+    with open(_outpath(ns, name), "w", encoding="utf-8", newline="\n") as fh:
+        for key, value in lines:
+            fh.write(f"{key} = {_fmt(value)}\n")
+    write_manifest(_outpath(ns, "manifest.txt"), command, ns)
+    print(f"{command}: " + " ".join(f"{k}={_fmt(v)}" for k, v in lines))
+    return 0
 
 
 def _parse_range(text: str) -> list[float]:
@@ -272,6 +287,10 @@ def _parse_classes(text: str) -> list[int] | None:
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
+    if ns.mode == "codegen":
+        for dest, default in _GEOMETRIC_FLAGS.items():
+            if getattr(ns, dest) != default:
+                raise ConfigError(f"{dest} = {_fmt(getattr(ns, dest))} has no effect in codegen mode")
     corpus, table = generate_synthetic(
         mode=ns.mode,
         n_classes=ns.classes,
@@ -314,11 +333,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
         [data] = _featurized(ns, ns.corpus)
         result = train(config, data, collect_steps=ns.trace)
     save_checkpoint(result.state, _outpath(ns, "checkpoint.bin"))
-    _write_history(_outpath(ns, "history.tsv"), result.history)
+    _write_losses(_outpath(ns, "history.tsv"), ((e.epoch, e) for e in result.history))
     if ns.trace and result.step_trace is not None:
-        with open(_outpath(ns, "steps.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-            for i, s in enumerate(result.step_trace):
-                fh.write(f"{i}\t{s.ce_loss!r}\t{s.metric_loss!r}\t{s.joint_loss!r}\t{s.skipped_count}\n")
+        _write_losses(_outpath(ns, "steps.tsv"), enumerate(result.step_trace))
     write_manifest(_outpath(ns, "manifest.txt"), "train", ns)
     last = result.history[-1] if result.history else None
     if last is not None:
@@ -332,39 +349,15 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    state = load_checkpoint(ns.checkpoint)
-    ns.feature_dim = state.config.feature_dim
-    [data] = _featurized(ns, ns.corpus)
+    state, data = _checkpoint_and_corpus(ns)
     report = evaluate(state, data)
-    path = _outpath(ns, "report.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in ("tp", "fp", "tn", "fn", "precision", "recall", "f1"):
-            fh.write(_metric_line(key, getattr(report, key)))
-    write_manifest(_outpath(ns, "manifest.txt"), "eval", ns)
-    print(
-        "eval: "
-        + " ".join(
-            f"{k}={_fmt(getattr(report, k))}" for k in ("tp", "fp", "tn", "fn", "precision", "recall", "f1")
-        )
-    )
-    return 0
+    return _write_report(ns, "eval", "report.txt", list(asdict(report).items()))
 
 
 def cmd_stats(ns: argparse.Namespace) -> int:
-    state = load_checkpoint(ns.checkpoint)
-    ns.feature_dim = state.config.feature_dim
-    [data] = _featurized(ns, ns.corpus)
+    state, data = _checkpoint_and_corpus(ns)
     eq, noneq = pair_distances(state, data)
-    stats = DistanceStats.from_distances(eq, noneq)
-    lines = [
-        ("n_eq", stats.n_eq),
-        ("mean_eq", stats.mean_eq),
-        ("std_eq", stats.std_eq),
-        ("n_noneq", stats.n_noneq),
-        ("mean_noneq", stats.mean_noneq),
-        ("std_noneq", stats.std_noneq),
-        ("ratio", stats.ratio),
-    ]
+    lines = list(asdict(DistanceStats.from_distances(eq, noneq)).items())
     if ns.baseline:
         base_state = load_checkpoint(ns.baseline)
         base_eq, base_noneq = pair_distances(base_state, data)
@@ -378,13 +371,7 @@ def cmd_stats(ns: argparse.Namespace) -> int:
             ("p_value", test.p_value),
             ("resamples", test.resamples),
         ]
-    path = _outpath(ns, "stats.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in lines:
-            fh.write(_metric_line(key, value))
-    write_manifest(_outpath(ns, "manifest.txt"), "stats", ns)
-    print("stats: " + " ".join(f"{k}={_fmt(v)}" for k, v in lines))
-    return 0
+    return _write_report(ns, "stats", "stats.txt", lines)
 
 
 def _pct(value) -> str:
@@ -397,11 +384,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     cells = len(lambda_values) * len(zeta_values)
     if cells > MAX_SWEEP_CELLS:
         raise ConfigError(f"sweep grid has {cells} cells, more than {MAX_SWEEP_CELLS}")
-    if ns.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {ns.workers}")
+    workers = sweep_workers(ns.workers, cells)
     config = _train_config(ns)
     train_data, test_data = _featurized(ns, ns.train_corpus, ns.test_corpus)
-    grid = sweep(config, train_data, test_data, lambda_values, zeta_values, workers=ns.workers)
+    grid = sweep(config, train_data, test_data, lambda_values, zeta_values, workers=workers)
     with open(_outpath(ns, "sweep.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# lambda\tzeta\tprecision\trecall\tf1\n")
         for cell in grid.cells:
@@ -452,9 +438,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_export(ns: argparse.Namespace) -> int:
-    state = load_checkpoint(ns.checkpoint)
-    ns.feature_dim = state.config.feature_dim
-    [data] = _featurized(ns, ns.corpus)
+    state, data = _checkpoint_and_corpus(ns)
     rows = export_embeddings(state, data, _parse_classes(ns.classes))
     with open(_outpath(ns, "embeddings.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
@@ -485,9 +469,9 @@ def build_parser(file_defaults: dict[str, str]) -> argparse.ArgumentParser:
     a.add("--classes", type=int, default=8, help="number of mutant classes")
     a.add("--per-class", type=int, default=40, help="mutants per class")
     a.add("--equiv-fraction", type=float, default=0.5)
-    a.add("--noise", type=float, default=1.0, help="geometric scatter magnitude")
+    a.add("--noise", type=float, default=_GEOMETRIC_FLAGS["noise"], help="geometric scatter magnitude")
     a.add("--seed", type=int, default=0)
-    a.add("--feature-dim", type=int, default=_TRAIN_DEFAULTS.feature_dim)
+    a.add("--feature-dim", type=int, default=_GEOMETRIC_FLAGS["feature_dim"])
     p.set_defaults(func=cmd_gen)
 
     p, a = subparser("preprocess", "ingest, dedup, and stratified-split a corpus")

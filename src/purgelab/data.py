@@ -211,31 +211,20 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     return train, test
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Hashed token n-gram features (orders :data:`NGRAM_ORDERS`); stable
-    across runs (seedless hash)."""
-
-    dim: int = 256
-
-    def __post_init__(self):
-        if self.dim < 16:
-            raise ConfigError(f"feature dim must be >= 16, got {self.dim}")
-
-
-def extract_features(spec: FeatureSpec, text: str) -> np.ndarray:
-    """Hash token n-grams into a sign-hashed, L2-normalized feature vector."""
+def extract_features(text: str, dim: int) -> np.ndarray:
+    """Hash token n-grams (orders :data:`NGRAM_ORDERS`) into a sign-hashed,
+    L2-normalized ``dim``-vector; stable across runs (seedless hash)."""
     if not text:
         raise DegenerateInputError("cannot extract features from empty text")
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise DegenerateInputError("text contains no tokens")
-    vec = np.zeros(spec.dim, dtype=np.float64)
+    vec = np.zeros(dim, dtype=np.float64)
     for order in NGRAM_ORDERS:
         for i in range(len(tokens) - order + 1):
             gram = f"{order}:" + "\x1f".join(tokens[i : i + order])
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
-            bucket = int.from_bytes(digest[:8], "little") % spec.dim
+            bucket = int.from_bytes(digest[:8], "little") % dim
             sign = 1.0 if digest[8] & 1 else -1.0
             vec[bucket] += sign
     norm = float(np.linalg.norm(vec))
@@ -247,15 +236,13 @@ def extract_features(spec: FeatureSpec, text: str) -> np.ndarray:
 class HashingFeatures:
     """Feature provider backed by :func:`extract_features`."""
 
-    def __init__(self, spec: FeatureSpec = FeatureSpec()):
-        self.spec = spec
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
+    def __init__(self, dim: int = 256):
+        if dim < 16:
+            raise ConfigError(f"feature dim must be >= 16, got {dim}")
+        self.dim = dim
 
     def vector(self, text: str) -> np.ndarray:
-        return extract_features(self.spec, text)
+        return extract_features(text, self.dim)
 
 
 class TableFeatures:

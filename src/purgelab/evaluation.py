@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -173,20 +174,23 @@ class SweepGrid:
         return min(scored, key=lambda c: (-c.report.f1, -c.report.precision, c.lam, c.zeta))
 
 
-def _run_cell(payload) -> tuple[int, float, float, dict | None, str | None]:
-    index, base_config, train_data, test_data, lam, zeta = payload
+def _run_cell(base_config: TrainConfig, train_data: FeatureCache, test_data: FeatureCache,
+              lam: float, zeta: float) -> SweepCell:
     try:
         config = with_loss(base_config, lam=lam, zeta=zeta)
         result = train(config, train_data)
         report = evaluate(result.state, test_data)
     except PurgelabError as exc:
-        return index, lam, zeta, None, f"{type(exc).__name__}: {exc}"
-    return index, lam, zeta, vars(report), None
+        return SweepCell(lam=lam, zeta=zeta, report=None, error=f"{type(exc).__name__}: {exc}")
+    return SweepCell(lam=lam, zeta=zeta, report=report)
 
 
 def sweep_workers(requested: int, cells: int) -> int:
-    """Worker processes for a sweep: at most one per cell and one per CPU."""
-    return max(1, min(requested, cells, os.cpu_count() or 1))
+    """Worker processes for a sweep: at most one per cell and one per CPU.
+    Fewer than one requested worker is a :class:`ConfigError`."""
+    if requested < 1:
+        raise ConfigError(f"workers must be >= 1, got {requested}")
+    return min(requested, cells, os.cpu_count() or 1)
 
 
 def sweep(
@@ -211,22 +215,15 @@ def sweep(
         raise ConfigError("sweep needs at least one value per axis")
     if len(train_data) == 0 or len(test_data) == 0:
         raise ConfigError("cannot sweep over an empty train or test corpus")
-    jobs = []
-    index = 0
-    for lam in lambda_values:
-        for zeta in zeta_values:
-            jobs.append((index, base_config, train_data, test_data, lam, zeta))
-            index += 1
-    workers = sweep_workers(workers, len(jobs))
+    lams = [lam for lam in lambda_values for _ in zeta_values]
+    zetas = zeta_values * len(lambda_values)
+    workers = sweep_workers(workers, len(lams))
+    run_cell = partial(_run_cell, base_config, train_data, test_data)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_cell, jobs))
+            cells = list(pool.map(run_cell, lams, zetas))
     else:
-        raw = [_run_cell(job) for job in jobs]
-    cells: list[SweepCell | None] = [None] * len(jobs)
-    for idx, lam, zeta, report_dict, error in raw:
-        report = EvalReport(**report_dict) if report_dict is not None else None
-        cells[idx] = SweepCell(lam=lam, zeta=zeta, report=report, error=error)
+        cells = list(map(run_cell, lams, zetas))
     return SweepGrid(lambda_values=lambda_values, zeta_values=zeta_values, cells=cells)
 
 

@@ -32,9 +32,9 @@ from .errors import (
     NumericError,
 )
 from .vecmath import (
-    EmaParams,
     cosine_distance_gradients,
     cosine_distances,
+    ema_rate,
     row_norms,
 )
 
@@ -72,8 +72,7 @@ class LossConfig:
     hinge_epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 1.0:
-            raise ConfigError(f"gamma must be finite and >= 1, got {self.gamma!r}")
+        ema_rate(self.gamma)  # raises ConfigError unless gamma is finite and >= 1
         if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
             raise ConfigError("alpha and beta must be finite and strictly positive")
         if not 0.0 <= self.lam < np.inf:
@@ -82,9 +81,6 @@ class LossConfig:
             raise ConfigError(f"hinge_epsilon must be in (0, 1e-3], got {self.hinge_epsilon!r}")
         if not np.isfinite(self.zeta):
             raise ConfigError("zeta must be finite")
-
-    def ema_params(self) -> EmaParams:
-        return EmaParams(self.gamma)
 
 
 @dataclass(eq=False)

@@ -160,7 +160,7 @@ class TrainResult:
 def init_state(config: TrainConfig) -> TrainerState:
     params = init_flat_params(config.seed, config)
     adam = AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
-    return TrainerState(config, params, VergeRegistry(config.loss.ema_params()), adam)
+    return TrainerState(config, params, VergeRegistry(config.loss.gamma), adam)
 
 
 def _metric_loss(state: TrainerState, batch: EmbeddedBatch) -> LossOutput | None:
@@ -333,8 +333,9 @@ def load_checkpoint(path) -> TrainerState:
     """Restore a :class:`TrainerState`; never returns a partial load.
 
     Checks, in order: the magic, the version, the sha256 trailer, the
-    metadata, the block length against the config's layout, and that every
-    parameter and moment is finite.
+    metadata, that the verge snapshot's gamma is the config's, the block
+    length against the config's layout, and that every parameter and moment
+    is finite.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -361,6 +362,10 @@ def load_checkpoint(path) -> TrainerState:
         registry = VergeRegistry.restore(meta["verges"].encode("utf-8"))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DeserializeError(f"malformed checkpoint metadata: {exc!r}") from None
+    if registry.gamma != loss.gamma:
+        raise DeserializeError(
+            f"verge snapshot gamma {registry.gamma!r} differs from the config's gamma {loss.gamma!r}"
+        )
     start += meta_len
     if end - start != 3 * 8 * n:
         raise DeserializeError(

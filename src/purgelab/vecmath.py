@@ -9,7 +9,6 @@ All arithmetic is 64-bit. Distances live in [0, 1] with 0 at collinearity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,36 +101,24 @@ def cosine_distance_gradient(a, b) -> tuple[np.ndarray, np.ndarray]:
     return grad_a[0], grad_b[0]
 
 
-@dataclass(frozen=True)
-class EmaParams:
-    """Smoothing factor for exponential moving averages.
-
-    The per-observation step is s = 2 / (gamma + 1); gamma >= 1 keeps s in
-    (0, 1] so every update is a convex combination.
-    """
-
-    gamma: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise ConfigError(f"gamma must be positive and finite, got {self.gamma!r}")
-        if self.gamma < 1.0:
-            raise ConfigError(f"gamma={self.gamma!r} gives step > 1; need gamma >= 1")
-
-    @property
-    def step(self) -> float:
-        return 2.0 / (self.gamma + 1.0)
+def ema_rate(gamma: float) -> float:
+    """The per-observation EMA step s = 2 / (gamma + 1) of smoothing factor
+    ``gamma``; gamma >= 1 keeps s in (0, 1] so every update is a convex
+    combination."""
+    if not math.isfinite(gamma) or gamma < 1.0:
+        raise ConfigError(f"gamma must be finite and >= 1, got {gamma!r}")
+    return 2.0 / (gamma + 1.0)
 
 
-def ema_step(current: float, x: float, params: EmaParams) -> float:
-    """One EMA update: current * (1 - s) + x * s."""
+def ema_step(current: float, x: float, gamma: float) -> float:
+    """One EMA update: current * (1 - s) + x * s, with s = ``ema_rate(gamma)``."""
     if not (np.isfinite(current) and np.isfinite(x)):
         raise NumericError(f"EMA inputs must be finite, got current={current!r}, x={x!r}")
-    s = params.step
+    s = ema_rate(gamma)
     return current * (1.0 - s) + x * s
 
 
-def ema_batch(current: float, xs: Sequence[float], params: EmaParams) -> float:
+def ema_batch(current: float, xs: Sequence[float], gamma: float) -> float:
     """Closed-form EMA over an ordered batch of observations.
 
     For h observations this computes
@@ -144,7 +131,7 @@ def ema_batch(current: float, xs: Sequence[float], params: EmaParams) -> float:
         raise EmptyBatchError("ema_batch needs at least one observation")
     if not math.isfinite(current) or not all(math.isfinite(x) for x in xs):
         raise NumericError("EMA inputs must be finite")
-    s = params.step
+    s = ema_rate(gamma)
     keep = 1.0 - s
     h = len(xs)
     weighted = 0.0

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DeserializeError, RangeError
 from .losses import EmbeddedBatch
-from .vecmath import EmaParams, ema_batch
+from .vecmath import ema_batch, ema_rate
 
 # Not called here: purgebench's tracer counts calls made through this module
 # attribute, so it stays importable from this module.
@@ -44,8 +44,9 @@ class VergeRegistry:
     then applied over the full tuple, so the first distance is weighted twice.
     """
 
-    def __init__(self, params: EmaParams):
-        self.params = params
+    def __init__(self, gamma: float):
+        ema_rate(gamma)  # raises ConfigError unless gamma is finite and >= 1
+        self.gamma = float(gamma)
         self.states: dict[int, VergeState] = {}
 
     def get(self, class_id: int) -> VergeState | None:
@@ -76,7 +77,7 @@ class VergeRegistry:
     def _fold(self, value: float | None, distances: list[float]) -> float | None:
         if not distances:
             return value
-        return ema_batch(distances[0] if value is None else value, distances, self.params)
+        return ema_batch(distances[0] if value is None else value, distances, self.gamma)
 
     def batch_update(self, batch: EmbeddedBatch) -> set[int]:
         """Update verges from one embedded minibatch.
@@ -103,7 +104,7 @@ class VergeRegistry:
         """Serialize to versioned line-delimited text; round-trips exactly."""
         lines = [
             f"verge-registry {SNAPSHOT_VERSION}",
-            f"gamma {float(self.params.gamma)!r}",
+            f"gamma {self.gamma!r}",
         ]
         for cid in sorted(self.states):
             state = self.states[cid]
@@ -129,7 +130,7 @@ class VergeRegistry:
             gamma = float(lines[1].split(" ", 1)[1])
         except (IndexError, ValueError) as exc:
             raise DeserializeError(f"malformed snapshot header: {exc}") from None
-        registry = cls(EmaParams(gamma))
+        registry = cls(gamma)
         for line in lines[2:]:
             if not line:
                 continue

@@ -37,7 +37,6 @@ from purgelab.losses import (
 )
 from purgelab.trainer import TrainConfig, train, with_loss
 from purgelab.vecmath import (
-    EmaParams,
     cosine_distance,
     ema_batch,
     ema_step,
@@ -101,7 +100,7 @@ def test_criterion_1_ema_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         gamma = float(rng.uniform(1.0, 50.0))
-        params = EmaParams(gamma)
+        params = gamma
         current = float(rng.uniform())
         xs = rng.uniform(size=int(rng.integers(1, 65))).tolist()
         folded = current
@@ -115,7 +114,7 @@ def test_criterion_1_ema_oracle_equivalence():
 
 
 def test_criterion_2_loss_fixtures():
-    registry = VergeRegistry(EmaParams(3.0))
+    registry = VergeRegistry(3.0)
     registry.update_class(7, pos_distances=(0.1,), neg_distances=(0.5,))
     cpl_out = cluster_purge_loss(
         batch_of(
@@ -164,7 +163,7 @@ def _audit_cpl(rng, count):
             alpha=float(rng.uniform(1.2, 3.0)),
             beta=float(rng.uniform(0.3, 0.9)),
         )
-        registry = VergeRegistry(EmaParams(float(rng.uniform(1.0, 20.0))))
+        registry = VergeRegistry(float(rng.uniform(1.0, 20.0)))
         dim = int(rng.integers(4, 17))
         rows = []
         ok = True
@@ -267,7 +266,7 @@ def _audit_composite(rng, count):
         labels = rng.integers(0, 2, size=m)
 
         # fixed verges chosen so every hinge argument clears the kink region
-        registry = VergeRegistry(EmaParams(12.0))
+        registry = VergeRegistry(12.0)
         start = encode_batch(enc, f_o).embeddings, encode_batch(enc, f_s).embeddings
         for i in range(m):
             d = cosine_distance(start[0][i], start[1][i])
@@ -341,14 +340,14 @@ def test_criterion_3_gradient_audit():
 
 def test_criterion_4_verge_semantics():
     rng = np.random.default_rng(400)
-    worked = VergeRegistry(EmaParams(3.0)).update_class(1, pos_distances=(0.3, 0.5))
+    worked = VergeRegistry(3.0).update_class(1, pos_distances=(0.3, 0.5))
     ok_worked = abs(worked.v_plus - 0.4) <= 1e-12
 
     ok_range = True
     ok_isolation = True
     ok_roundtrip = True
     for _ in range(300):
-        registry = VergeRegistry(EmaParams(float(rng.uniform(1.0, 30.0))))
+        registry = VergeRegistry(float(rng.uniform(1.0, 30.0)))
         frozen = {}
         for _ in range(int(rng.integers(1, 10))):
             cid = int(rng.integers(0, 4))

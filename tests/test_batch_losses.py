@@ -21,7 +21,6 @@ from purgelab.losses import (
     triplet_batch_loss,
 )
 from purgelab.trainer import TrainConfig, init_state, train_step
-from purgelab.vecmath import EmaParams
 from purgelab.verges import VergeRegistry
 
 # --- per-sample reference ------------------------------------------------------
@@ -178,7 +177,7 @@ def random_case(rng, m, dim=16):
     near = rng.random(m) < 0.5
     mutants[near] = origins[near] + 0.3 * mutants[near]
     mutants /= np.linalg.norm(mutants, axis=1, keepdims=True)
-    registry = VergeRegistry(EmaParams(float(rng.uniform(1.0, 20.0))))
+    registry = VergeRegistry(float(rng.uniform(1.0, 20.0)))
     for cid in range(n_classes):
         kind = int(rng.integers(0, 4))  # none, v_plus only, v_minus only, both
         pos = (float(rng.uniform(0.0, 0.6)),) if kind in (1, 3) else ()

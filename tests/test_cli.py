@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import re
@@ -6,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from purgelab.cli import run
+from purgelab.cli import build_parser, run
 from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
+from purgelab.errors import ConfigError
+from purgelab.trainer import TrainConfig
 
 SMALL_DIMS = [
     "--feature-dim", "24", "--hidden-dim", "12", "--embed-dim", "8", "--pair-hidden-dim", "6",
@@ -64,6 +67,65 @@ def test_history_lines_have_five_fields(tmp_path):
     assert all(len(line.split("\t")) == 5 for line in lines)
 
 
+# The training hyperparameter flags of train and sweep: (type, default).
+TRAINING_FLAGS = {
+    "--loss-kind": (str, "ce_plus_cpl"),
+    "--gamma": (float, 12.0),
+    "--alpha": (float, 2.0),
+    "--beta": (float, 0.5),
+    "--zeta": (float, -0.05),
+    "--lambda": (float, 1.15),
+    "--hinge-epsilon": (float, 1e-06),
+    "--epochs": (int, 30),
+    "--batch": (int, 4),
+    "--feature-dim": (int, 256),
+    "--hidden-dim": (int, 128),
+    "--embed-dim": (int, 64),
+    "--pair-hidden-dim": (int, 64),
+    "--step-size": (float, 0.001),
+    "--beta1": (float, 0.9),
+    "--beta2": (float, 0.999),
+    "--adam-epsilon": (float, 1e-08),
+    "--seed": (int, 0),
+}
+
+
+def _subcommand_actions(name):
+    parser = build_parser({})
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]._actions
+
+
+def test_train_and_sweep_flags_are_pinned():
+    options = {
+        name: {o for a in _subcommand_actions(name) for o in a.option_strings}
+        for name in ("train", "sweep")
+    }
+    assert options["train"] == {
+        "-h", "--help", "--config", "--out-dir", "--corpus", "--features", "--resume", "--trace",
+        "--loss-kind", "--gamma", "--alpha", "--beta", "--zeta", "--lambda", "--hinge-epsilon",
+        "--epochs", "--batch", "--feature-dim", "--hidden-dim", "--embed-dim", "--pair-hidden-dim",
+        "--step-size", "--beta1", "--beta2", "--adam-epsilon", "--seed",
+    }
+    assert options["sweep"] == {
+        "-h", "--help", "--config", "--out-dir", "--train-corpus", "--test-corpus", "--features",
+        "--lambda-range", "--zeta-range", "--workers",
+        "--loss-kind", "--gamma", "--alpha", "--beta", "--zeta", "--lambda", "--hinge-epsilon",
+        "--epochs", "--batch", "--feature-dim", "--hidden-dim", "--embed-dim", "--pair-hidden-dim",
+        "--step-size", "--beta1", "--beta2", "--adam-epsilon", "--seed",
+    }
+    for name in ("train", "sweep"):
+        flags = {
+            a.option_strings[0]: a for a in _subcommand_actions(name)
+            if a.option_strings[0] in TRAINING_FLAGS
+        }
+        assert {o: (a.type, a.default) for o, a in flags.items()} == TRAINING_FLAGS
+        assert all(type(a.default) is a.type for a in flags.values())
+        assert flags["--loss-kind"].choices == (
+            "ce_only", "ce_plus_cpl", "ce_plus_contrastive", "ce_plus_triplet"
+        )
+
+
 def test_invalid_zeta_format_exits_2_and_writes_nothing(tmp_path):
     out = tmp_path / "out"
     rc = run(["train", "--zeta", "not-a-number", "--out-dir", str(out)])
@@ -102,6 +164,24 @@ def test_preprocess_dedups_and_splits(tmp_path):
     test_side = ingest(tmp_path / "pp" / "test.tsv")
     assert len(train_side) + len(test_side) == 32  # duplicates removed
     assert abs(len(train_side) - 16) <= 2
+
+
+def test_trace_writes_one_row_per_step_matching_history(tmp_path):
+    # 32 records in batches of 5: 7 steps per epoch, the last one partial
+    corpus, features = gen_small(tmp_path / "data")
+    train_small(tmp_path / "run", corpus, features, extra=["--epochs", "3", "--batch", "5", "--trace"])
+    steps = [line.split("\t") for line in (tmp_path / "run" / "steps.tsv").read_text().splitlines()]
+    history = [line.split("\t") for line in (tmp_path / "run" / "history.tsv").read_text().splitlines()]
+    assert len(history) == 3 and len(steps) == 3 * 7
+    assert [int(row[0]) for row in steps] == list(range(21))
+    for epoch, row in enumerate(history):
+        rows = steps[7 * epoch : 7 * (epoch + 1)]
+        for column in (1, 2, 3):
+            total = 0.0
+            for step in rows:
+                total += float(step[column])
+            assert repr(total / 7) == row[column]
+        assert sum(int(step[4]) for step in rows) == int(row[4])
 
 
 def test_train_eval_deterministic_across_runs(tmp_path):
@@ -348,6 +428,9 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
     pytest.param("sweep", ["--workers", "-3"], id="sweep-workers-negative"),
     pytest.param("gen", ["--noise", "nan"], id="gen-noise-nan"),
     pytest.param("gen", ["--noise", "inf"], id="gen-noise-inf"),
+    # codegen corpora have no feature table and no geometric scatter
+    pytest.param("gen", ["--mode", "codegen", "--noise", "5"], id="gen-codegen-noise"),
+    pytest.param("gen", ["--mode", "codegen", "--feature-dim", "7"], id="gen-codegen-feature-dim"),
     # 1e10 records: rejected by the product alone, before anything is generated
     pytest.param("gen", ["--classes", "100000", "--per-class", "100000"], id="gen-too-many-records"),
 ])
@@ -393,6 +476,15 @@ def test_export_manifest_replays_with_config(tmp_path):
                 "--out-dir", str(first)]) == 0
     assert run(["export", "--config", str(first / "manifest.txt"), "--out-dir", str(again)]) == 0
     assert (again / "embeddings.tsv").read_bytes() == (first / "embeddings.tsv").read_bytes()
+
+
+def test_codegen_gen_manifest_replays_with_config(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["gen", "--mode", "codegen", "--classes", "2", "--per-class", "4",
+                "--out-dir", str(first)]) == 0
+    assert run(["gen", "--config", str(first / "manifest.txt"), "--out-dir", str(again)]) == 0
+    assert (again / "corpus.tsv").read_bytes() == (first / "corpus.tsv").read_bytes()
+    assert not (again / "features.tsv").exists()
 
 
 def sweep_args(tmp_path):
@@ -442,8 +534,15 @@ def test_sweep_workers_clamped_to_cells_and_cpus(monkeypatch):
     from purgelab import evaluation
 
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 8)
-    cases = {(1, 56): 1, (2, 56): 2, (64, 56): 8, (64, 3): 3, (0, 5): 1, (-4, 5): 1}
+    cases = {(1, 56): 1, (2, 56): 2, (64, 56): 8, (64, 3): 3}
     assert {k: evaluation.sweep_workers(*k) for k in cases} == cases
+    for requested in (0, -4):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            evaluation.sweep_workers(requested, 5)
+    corpus, table = generate_synthetic("geometric", n_classes=2, per_class=4, feature_dim=16)
+    data = FeatureCache.from_corpus(corpus, table)
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        evaluation.sweep(TrainConfig(feature_dim=16), data, data, [1.0], [0.0], workers=0)
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
     assert evaluation.sweep_workers(4, 10) == 1
 

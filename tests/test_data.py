@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from purgelab.data import (
     Corpus,
     FeatureCache,
-    FeatureSpec,
     HashingFeatures,
     MutantRecord,
     TableFeatures,
@@ -212,34 +211,33 @@ def test_split_stratification_within_one(seed):
 
 
 def test_extract_features_deterministic():
-    spec = FeatureSpec()
     text = "int mid = l + (h - l) / 2;"
-    assert np.array_equal(extract_features(spec, text), extract_features(spec, text))
+    assert np.array_equal(extract_features(text, 256), extract_features(text, 256))
 
 
 def test_extract_features_unit_norm():
-    spec = FeatureSpec(dim=64)
     for text in ("return x;", "a b c d e", "x += 1"):
-        assert abs(np.linalg.norm(extract_features(spec, text)) - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(extract_features(text, 64)) - 1.0) <= 1e-9
 
 
 def test_extract_features_sensitive_to_one_token():
-    spec = FeatureSpec()
-    a = extract_features(spec, "return mid ;")
-    b = extract_features(spec, "return mid + 1 ;")
+    a = extract_features("return mid ;", 256)
+    b = extract_features("return mid + 1 ;", 256)
     assert not np.array_equal(a, b)
 
 
 def test_extract_features_rejects_empty():
     with pytest.raises(DegenerateInputError):
-        extract_features(FeatureSpec(), "")
+        extract_features("", 256)
     with pytest.raises(DegenerateInputError):
-        extract_features(FeatureSpec(), "   \n  ")
+        extract_features("   \n  ", 256)
 
 
-def test_feature_spec_validation():
+def test_hashing_features_dim_validation():
+    assert HashingFeatures().dim == 256
+    assert HashingFeatures(16).dim == 16
     with pytest.raises(ConfigError):
-        FeatureSpec(dim=8)
+        HashingFeatures(8)
 
 
 def test_feature_table_roundtrip(tmp_path):
@@ -267,14 +265,14 @@ def test_table_features_unknown_key():
 
 def test_make_batches_sizes():
     corpus = small_corpus(n_eq=5, n_ne=5)
-    data = FeatureCache.from_corpus(corpus, HashingFeatures(FeatureSpec(dim=32)))
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(32))
     batches = make_batches(data, batch_size=4, seed=0, epoch_index=0)
     assert [len(b) for b in batches] == [4, 4, 2]
 
 
 def test_make_batches_epoch_deterministic():
     corpus = small_corpus(n_eq=6, n_ne=6)
-    data = FeatureCache.from_corpus(corpus, HashingFeatures(FeatureSpec(dim=32)))
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(32))
     a = make_batches(data, 4, seed=5, epoch_index=2)
     b = make_batches(data, 4, seed=5, epoch_index=2)
     c = make_batches(data, 4, seed=5, epoch_index=3)
@@ -291,12 +289,12 @@ def test_make_batches_empty_corpus():
 
 def test_make_batches_rejects_bad_size():
     with pytest.raises(ConfigError):
-        make_batches(FeatureCache.from_corpus(small_corpus(), HashingFeatures(FeatureSpec(dim=32))), 0, 0, 0)
+        make_batches(FeatureCache.from_corpus(small_corpus(), HashingFeatures(32)), 0, 0, 0)
 
 
 def test_feature_cache_matches_provider():
     corpus = small_corpus()
-    provider = HashingFeatures(FeatureSpec(dim=32))
+    provider = HashingFeatures(32)
     cache = FeatureCache.from_corpus(corpus, provider)
     assert len(cache) == len(corpus)
     for i, record in enumerate(corpus.records):
@@ -355,7 +353,7 @@ def test_generate_codegen_distinct_mutants():
 
 def test_generate_codegen_feeds_hashing_features():
     corpus, _ = generate_synthetic("codegen", n_classes=2, per_class=4, seed=0)
-    provider = HashingFeatures(FeatureSpec(dim=64))
+    provider = HashingFeatures(64)
     cache = FeatureCache.from_corpus(corpus, provider)
     assert cache.origin_features.shape == (8, 64)
 

@@ -17,7 +17,7 @@ from purgelab.losses import (
     joint_loss,
     triplet_batch_loss,
 )
-from purgelab.vecmath import EmaParams, cosine_distance, finite_difference_gradient
+from purgelab.vecmath import cosine_distance, finite_difference_gradient
 from purgelab.verges import VergeRegistry
 
 
@@ -47,7 +47,7 @@ def triplet(anchor, positive, negative, margin):
 
 def registry_with(class_id, v_plus=None, v_minus=None, gamma=3.0):
     # single-observation updates are EMA fixed points, so these land exactly
-    registry = VergeRegistry(EmaParams(gamma))
+    registry = VergeRegistry(gamma)
     registry.update_class(
         class_id,
         pos_distances=(v_plus,) if v_plus is not None else (),
@@ -113,7 +113,7 @@ def test_cpl_uninitialized_opposite_verge_skips_but_keeps_divisor():
 
 
 def test_cpl_unknown_class_skips_every_sample():
-    registry = VergeRegistry(EmaParams(3.0))
+    registry = VergeRegistry(3.0)
     out = cluster_purge_loss(
         batch_of([(9, ORIGIN, unit_at_distance(0.4), 1)]), registry, LossConfig()
     )
@@ -346,7 +346,7 @@ def cpl_case(rng, dim=5, m=4):
         alpha=float(rng.uniform(1.2, 3.0)),
         beta=float(rng.uniform(0.3, 0.9)),
     )
-    registry = VergeRegistry(EmaParams(float(rng.uniform(1.0, 20.0))))
+    registry = VergeRegistry(float(rng.uniform(1.0, 20.0)))
     rows = []
     guard = 0
     while len(rows) < m:

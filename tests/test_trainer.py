@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from purgelab.errors import (
     VersionError,
 )
 from purgelab.trainer import (
+    CHECKPOINT_MAGIC,
     TrainConfig,
     _adam_step,
     init_state,
@@ -275,6 +280,28 @@ def test_corrupted_checkpoint_never_partially_loads(tmp_path):
     (tmp_path / "flip.bin").write_bytes(bytes(flipped))
     with pytest.raises(DeserializeError):
         load_checkpoint(tmp_path / "flip.bin")
+
+
+def test_checkpoint_whose_verge_gamma_differs_from_its_config_is_rejected(tmp_path):
+    # A well-sealed file that stores gamma twice, 3.0 in the verge snapshot
+    # and 12.0 in the config, is ambiguous about the gamma it resumes with.
+    result = train(small_config(loss_kind="ce_plus_cpl", epochs=1), small_setup())
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(result.state, path)
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    version, meta_len = struct.unpack_from("<II", raw, start)
+    meta = json.loads(raw[start + 8 : start + 8 + meta_len])
+    assert meta["config"]["loss"]["gamma"] == 12.0
+    meta["verges"] = meta["verges"].replace("\ngamma 12.0\n", "\ngamma 3.0\n")
+    meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = (
+        raw[:start] + struct.pack("<II", version, len(meta_b)) + meta_b
+        + raw[start + 8 + meta_len : -32]
+    )
+    (tmp_path / "forged.bin").write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(DeserializeError, match="gamma"):
+        load_checkpoint(tmp_path / "forged.bin")
 
 
 @pytest.mark.parametrize("version", [1, 99])

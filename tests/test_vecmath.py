@@ -11,10 +11,10 @@ from purgelab.errors import (
     NumericError,
 )
 from purgelab.vecmath import (
-    EmaParams,
     cosine_distance,
     cosine_distance_gradient,
     ema_batch,
+    ema_rate,
     ema_step,
     finite_difference_gradient,
 )
@@ -83,56 +83,58 @@ def test_cosine_distance_gradient_matches_finite_differences():
         assert np.allclose(gb, fb, rtol=1e-5, atol=1e-8)
 
 
-def test_ema_params_step():
-    assert EmaParams(3.0).step == 0.5
-    assert EmaParams(1.0).step == 1.0
+def test_ema_rate():
+    assert ema_rate(3.0) == 0.5
+    assert ema_rate(1.0) == 1.0
 
 
-def test_ema_params_rejects_bad_gamma():
+def test_ema_rate_rejects_bad_gamma():
     with pytest.raises(ConfigError):
-        EmaParams(0.0)
+        ema_rate(0.0)
     with pytest.raises(ConfigError):
-        EmaParams(-2.0)
+        ema_rate(-2.0)
     with pytest.raises(ConfigError):
-        EmaParams(0.5)  # step would exceed 1
+        ema_rate(0.5)  # step would exceed 1
+    with pytest.raises(ConfigError):
+        ema_rate(float("nan"))
 
 
 def test_ema_step_direct_substitution():
-    assert ema_step(0.8, 0.2, EmaParams(3.0)) == pytest.approx(0.5, abs=1e-15)
+    assert ema_step(0.8, 0.2, 3.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_ema_step_fixed_point():
     for gamma in (1.0, 3.0, 12.0, 99.0):
-        assert ema_step(0.4, 0.4, EmaParams(gamma)) == pytest.approx(0.4, abs=1e-15)
+        assert ema_step(0.4, 0.4, gamma) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_ema_step_full_replacement():
-    assert ema_step(0.0, 1.0, EmaParams(1.0)) == 1.0
+    assert ema_step(0.0, 1.0, 1.0) == 1.0
 
 
 def test_ema_step_rejects_non_finite():
     with pytest.raises(NumericError):
-        ema_step(float("inf"), 0.0, EmaParams(3.0))
+        ema_step(float("inf"), 0.0, 3.0)
 
 
 def test_ema_batch_two_values():
     # oracle: two sequential steps, 0.8 -> 0.5 -> 0.55
-    assert ema_batch(0.8, (0.2, 0.6), EmaParams(3.0)) == pytest.approx(0.55, abs=1e-12)
+    assert ema_batch(0.8, (0.2, 0.6), 3.0) == pytest.approx(0.55, abs=1e-12)
 
 
 def test_ema_batch_single_value_reduces_to_step():
-    params = EmaParams(7.0)
-    assert ema_batch(0.3, (0.9,), params) == pytest.approx(ema_step(0.3, 0.9, params), abs=1e-15)
+    gamma = 7.0
+    assert ema_batch(0.3, (0.9,), gamma) == pytest.approx(ema_step(0.3, 0.9, gamma), abs=1e-15)
 
 
 def test_ema_batch_gamma_twelve():
     # oracle: sequential iteration with s = 2/13
-    assert ema_batch(0.5, (0.2, 0.4), EmaParams(12.0)) == pytest.approx(0.445562, abs=1e-6)
+    assert ema_batch(0.5, (0.2, 0.4), 12.0) == pytest.approx(0.445562, abs=1e-6)
 
 
 def test_ema_batch_empty():
     with pytest.raises(EmptyBatchError):
-        ema_batch(0.5, (), EmaParams(3.0))
+        ema_batch(0.5, (), 3.0)
 
 
 @given(
@@ -143,13 +145,12 @@ def test_ema_batch_empty():
 @settings(max_examples=100, deadline=None)
 def test_ema_batch_equals_sequential_fold(seed, h, gamma):
     rng = np.random.default_rng(seed)
-    params = EmaParams(gamma)
     current = float(rng.uniform())
     xs = rng.uniform(size=h).tolist()
     folded = current
     for x in xs:
-        folded = ema_step(folded, x, params)
-    assert abs(ema_batch(current, xs, params) - folded) <= 1e-12
+        folded = ema_step(folded, x, gamma)
+    assert abs(ema_batch(current, xs, gamma) - folded) <= 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 32), st.floats(1.0, 50.0))
@@ -158,15 +159,15 @@ def test_ema_batch_convex_containment(seed, h, gamma):
     rng = np.random.default_rng(seed)
     current = float(rng.uniform())
     xs = rng.uniform(size=h).tolist()
-    out = ema_batch(current, xs, EmaParams(gamma))
+    out = ema_batch(current, xs, gamma)
     lo = min([current] + xs)
     hi = max([current] + xs)
     assert lo - 1e-12 <= out <= hi + 1e-12
 
 
 def test_ema_batch_order_sensitive():
-    params = EmaParams(3.0)
-    assert ema_batch(0.5, (0.1, 0.9), params) != ema_batch(0.5, (0.9, 0.1), params)
+    gamma = 3.0
+    assert ema_batch(0.5, (0.1, 0.9), gamma) != ema_batch(0.5, (0.9, 0.1), gamma)
 
 
 def test_finite_difference_gradient_squared_norm():

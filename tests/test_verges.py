@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purgelab.errors import DeserializeError, EmptyBatchError, RangeError
+from purgelab.errors import ConfigError, DeserializeError, EmptyBatchError, RangeError
 from purgelab.losses import EmbeddedBatch
-from purgelab.vecmath import EmaParams, ema_step
+from purgelab.vecmath import ema_step
 from purgelab.verges import VergeRegistry, VergeState
 
 
 def make_registry(gamma=3.0, **kwargs):
-    return VergeRegistry(EmaParams(gamma), **kwargs)
+    return VergeRegistry(gamma, **kwargs)
 
 
 def unit_at_distance(d, dim=4):
@@ -89,10 +89,9 @@ def test_update_equals_preinit_plus_sequential_steps(seed, h, gamma):
     distances = rng.uniform(size=h).tolist()
     registry = make_registry(gamma=gamma)
     state = registry.update_class(0, pos_distances=distances)
-    params = EmaParams(gamma)
     expected = distances[0]
     for d in distances:
-        expected = ema_step(expected, d, params)
+        expected = ema_step(expected, d, gamma)
     assert abs(state.v_plus - expected) <= 1e-12
 
 
@@ -163,7 +162,7 @@ def test_snapshot_roundtrip_empty():
     registry = make_registry(gamma=7.0)
     restored = VergeRegistry.restore(registry.snapshot())
     assert restored.states == {}
-    assert restored.params.gamma == 7.0
+    assert restored.gamma == 7.0
 
 
 def test_snapshot_roundtrip_partial_state():
@@ -184,7 +183,7 @@ def test_snapshot_roundtrip_randomized(seed):
         neg = rng.uniform(size=rng.integers(0, 3)).tolist()
         registry.update_class(cid, pos, neg)
     restored = VergeRegistry.restore(registry.snapshot())
-    assert restored.params.gamma == registry.params.gamma
+    assert restored.gamma == registry.gamma
     assert set(restored.states) == set(registry.states)
     for cid, state in registry.states.items():
         assert restored.get(cid).v_plus == state.v_plus
@@ -199,3 +198,6 @@ def test_restore_rejects_malformed():
     good = make_registry().snapshot()
     with pytest.raises(DeserializeError):
         VergeRegistry.restore(good + b"5\tbroken\n")
+    for gamma in (b"0.5", b"nan"):
+        with pytest.raises(ConfigError):
+            VergeRegistry.restore(b"verge-registry 2\ngamma " + gamma + b"\n")
