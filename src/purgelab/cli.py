@@ -232,10 +232,10 @@ def _outpath(ns: argparse.Namespace, name: str) -> str:
 
 
 def _write_losses(path, rows) -> None:
-    """One ``index, ce, metric, joint, skipped`` line per (index, losses) row."""
+    """One ``index, ce, metric, joint, skipped`` line per loss row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, s in rows:
-            fh.write(f"{i}\t{s.ce_loss!r}\t{s.metric_loss!r}\t{s.joint_loss!r}\t{s.skipped_count}\n")
+        for r in rows:
+            fh.write(f"{r.index}\t{r.ce_loss!r}\t{r.metric_loss!r}\t{r.joint_loss!r}\t{r.skipped_count}\n")
 
 
 def _checkpoint_and_corpus(ns: argparse.Namespace) -> tuple[TrainerState, FeatureCache]:
@@ -333,14 +333,14 @@ def cmd_train(ns: argparse.Namespace) -> int:
         [data] = _featurized(ns, ns.corpus)
         result = train(config, data, collect_steps=ns.trace)
     save_checkpoint(result.state, _outpath(ns, "checkpoint.bin"))
-    _write_losses(_outpath(ns, "history.tsv"), ((e.epoch, e) for e in result.history))
+    _write_losses(_outpath(ns, "history.tsv"), result.history)
     if ns.trace and result.step_trace is not None:
-        _write_losses(_outpath(ns, "steps.tsv"), enumerate(result.step_trace))
+        _write_losses(_outpath(ns, "steps.tsv"), result.step_trace)
     write_manifest(_outpath(ns, "manifest.txt"), "train", ns)
     last = result.history[-1] if result.history else None
     if last is not None:
         print(
-            f"train: {ns.loss_kind} epoch {last.epoch} "
+            f"train: {ns.loss_kind} epoch {last.index} "
             f"ce {last.ce_loss:.6f} metric {last.metric_loss:.6f} joint {last.joint_loss:.6f}"
         )
     else:

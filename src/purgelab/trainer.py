@@ -134,27 +134,37 @@ class TrainerState:
 
 
 @dataclass
-class StepMetrics:
+class LossRow:
+    """The losses of one training step, or their means over one epoch (with the
+    skipped counts summed). ``index`` is the epoch, or the number of Adam steps
+    the state had taken before the step."""
+
+    index: int
     ce_loss: float
     metric_loss: float
     joint_loss: float
     skipped_count: int
 
-
-@dataclass
-class EpochStats:
-    epoch: int
-    ce_loss: float
-    metric_loss: float
-    joint_loss: float
-    skipped_count: int
+    @classmethod
+    def mean(cls, index: int, rows: list[LossRow]) -> LossRow:
+        """The epoch row of step rows ``rows``, added left to right in step order
+        (``sum()`` compensates from Python 3.12 on)."""
+        ce = metric = joint = 0.0
+        skipped = 0
+        for r in rows:
+            ce += r.ce_loss
+            metric += r.metric_loss
+            joint += r.joint_loss
+            skipped += r.skipped_count
+        n = len(rows)
+        return cls(index, ce / n, metric / n, joint / n, skipped)
 
 
 @dataclass
 class TrainResult:
     state: TrainerState
-    history: list[EpochStats]
-    step_trace: list[StepMetrics] | None = None
+    history: list[LossRow]
+    step_trace: list[LossRow] | None = None
 
 
 def init_state(config: TrainConfig) -> TrainerState:
@@ -176,7 +186,7 @@ def _metric_loss(state: TrainerState, batch: EmbeddedBatch) -> LossOutput | None
     return triplet_batch_loss(batch, cfg.zeta)
 
 
-def train_step(state: TrainerState, batch: FeatureCache) -> StepMetrics:
+def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
     """One forward/backward/update cycle; mutates the state in place.
 
     Any non-finite value surfacing in the forward pass or the loss marks
@@ -189,7 +199,7 @@ def train_step(state: TrainerState, batch: FeatureCache) -> StepMetrics:
         raise DivergenceError(f"numeric divergence: {exc}", epoch=state.epoch) from exc
 
 
-def _train_step_inner(state: TrainerState, batch: FeatureCache) -> StepMetrics:
+def _train_step_inner(state: TrainerState, batch: FeatureCache) -> LossRow:
     lcfg = state.config.loss
     cache_o = encode_batch(state.encoder, batch.origin_features)
     cache_s = encode_batch(state.encoder, batch.mutant_features)
@@ -215,10 +225,9 @@ def _train_step_inner(state: TrainerState, batch: FeatureCache) -> StepMetrics:
         d_mutants = d_mutants + lcfg.lam * metric_out.mutant_grads
     encoder_backward(state.encoder, cache_o, d_origins, grads[:4])
     encoder_backward(state.encoder, cache_s, d_mutants, grads[:4], accumulate=True)
+    row = LossRow(state.adam.t, ce.value, metric_value, joint, skipped)
     _adam_step(state)
-    return StepMetrics(
-        ce_loss=ce.value, metric_loss=metric_value, joint_loss=joint, skipped_count=skipped
-    )
+    return row
 
 
 def _adam_step(state: TrainerState) -> None:
@@ -264,37 +273,22 @@ def resume(state: TrainerState, data: FeatureCache, collect_steps: bool = False)
     if len(data) == 0:
         raise ConfigError("cannot train on an empty corpus")
     cfg = state.config
-    history: list[EpochStats] = []
-    trace: list[StepMetrics] | None = [] if collect_steps else None
+    history: list[LossRow] = []
+    trace: list[LossRow] | None = [] if collect_steps else None
     while state.epoch < cfg.epochs:
         epoch = state.epoch
-        batches = make_batches(data, cfg.batch_size, cfg.seed, epoch)
-        ce_sum = metric_sum = joint_sum = 0.0
-        skipped_sum = 0
-        for step_index, batch in enumerate(batches):
+        rows: list[LossRow] = []
+        for step_index, batch in enumerate(make_batches(data, cfg.batch_size, cfg.seed, epoch)):
             try:
-                metrics = train_step(state, batch)
+                rows.append(train_step(state, batch))
             except DivergenceError as exc:
                 exc.epoch = epoch
                 exc.step = step_index
                 exc.history = history
                 raise
-            ce_sum += metrics.ce_loss
-            metric_sum += metrics.metric_loss
-            joint_sum += metrics.joint_loss
-            skipped_sum += metrics.skipped_count
-            if trace is not None:
-                trace.append(metrics)
-        n = len(batches)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                ce_loss=ce_sum / n,
-                metric_loss=metric_sum / n,
-                joint_loss=joint_sum / n,
-                skipped_count=skipped_sum,
-            )
-        )
+        history.append(LossRow.mean(epoch, rows))
+        if trace is not None:
+            trace += rows
         state.epoch = epoch + 1
     return TrainResult(state=state, history=history, step_trace=trace)
 
