@@ -214,6 +214,7 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
 def extract_features(text: str, dim: int) -> np.ndarray:
     """Hash token n-grams (orders :data:`NGRAM_ORDERS`) into a sign-hashed,
     L2-normalized ``dim``-vector; stable across runs (seedless hash)."""
+    _check_dim(dim)
     if not text:
         raise DegenerateInputError("cannot extract features from empty text")
     tokens = _TOKEN_RE.findall(text)
@@ -233,12 +234,16 @@ def extract_features(text: str, dim: int) -> np.ndarray:
     return vec / norm
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 16:
+        raise ConfigError(f"feature dim must be >= 16, got {dim}")
+
+
 class HashingFeatures:
     """Feature provider backed by :func:`extract_features`."""
 
     def __init__(self, dim: int = 256):
-        if dim < 16:
-            raise ConfigError(f"feature dim must be >= 16, got {dim}")
+        _check_dim(dim)
         self.dim = dim
 
     def vector(self, text: str) -> np.ndarray:

@@ -240,6 +240,12 @@ def test_hashing_features_dim_validation():
         HashingFeatures(8)
 
 
+@pytest.mark.parametrize("dim", [0, -3, 8])
+def test_extract_features_rejects_small_dim(dim):
+    with pytest.raises(ConfigError):
+        extract_features("a b", dim)
+
+
 def test_feature_table_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     table = TableFeatures(
