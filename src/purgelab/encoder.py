@@ -122,14 +122,13 @@ def encoder_backward(
     cache: EncoderCache,
     upstream: np.ndarray,
     out: Sequence[np.ndarray],
-    accumulate: bool = False,
 ) -> None:
     """Backpropagate gradients w.r.t. embeddings into the parameters.
 
     The normalization Jacobian (I - e e^T) / ||z|| is applied first, so
     upstream gradients on the unit embeddings flow correctly into the raw
-    layer outputs. The w1, b1, w2, b2 gradients are written into the buffers
-    ``out``, or added to them with ``accumulate``.
+    layer outputs. The w1, b1, w2, b2 gradients, summed over the rows, are
+    written into the buffers ``out``.
     """
     if cache.params_version != params.version:
         raise StateError(
@@ -147,8 +146,8 @@ def encoder_backward(
     d_prenorm = (upstream - radial * e) / cache.norms  # (m, embed)
     d_hidden = d_prenorm @ params.w2  # (m, hidden)
     d_pre1 = d_hidden * (1.0 - cache.hidden**2)  # tanh'
-    _layer_grads(d_prenorm, cache.hidden, w2, b2, accumulate)
-    _layer_grads(d_pre1, cache.features, w1, b1, accumulate)
+    _layer_grads(d_prenorm, cache.hidden, w2, b2)
+    _layer_grads(d_pre1, cache.features, w1, b1)
 
 
 def _checked_out(params: Sequence[np.ndarray], out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
@@ -158,15 +157,11 @@ def _checked_out(params: Sequence[np.ndarray], out: Sequence[np.ndarray]) -> Seq
     return out
 
 
-def _layer_grads(d_pre, inputs, w_out, b_out, accumulate: bool) -> None:
+def _layer_grads(d_pre, inputs, w_out, b_out) -> None:
     """Weight and bias gradients of one dense layer from the gradient on its
-    pre-activation, written into (or added to) ``w_out`` and ``b_out``."""
-    if accumulate:
-        w_out += d_pre.T @ inputs
-        b_out += d_pre.sum(axis=0)
-    else:
-        np.matmul(d_pre.T, inputs, out=w_out)
-        d_pre.sum(axis=0, out=b_out)
+    pre-activation, written into ``w_out`` and ``b_out``."""
+    np.matmul(d_pre.T, inputs, out=w_out)
+    d_pre.sum(axis=0, out=b_out)
 
 
 @dataclass
@@ -234,12 +229,14 @@ def pair_backward(
             f"upstream must match logits shape {cache.logits.shape}, got {upstream.shape}"
         )
     w1, b1, w2, b2 = _checked_out((params.w1, params.b1, params.w2, params.b2), out)
-    _layer_grads(upstream, cache.hidden, w2, b2, accumulate=False)
+    _layer_grads(upstream, cache.hidden, w2, b2)
     d_hidden = upstream @ params.w2
     d_pre = d_hidden * (1.0 - cache.hidden**2)
-    _layer_grads(d_pre, cache.pair_features, w1, b1, accumulate=False)
+    _layer_grads(d_pre, cache.pair_features, w1, b1)
     d_pf = d_pre @ params.w1  # (m, 4*embed)
-    d_o_block, d_s_block, d_abs, d_prod = np.split(d_pf, 4, axis=1)
+    e = cache.origins.shape[1]
+    d_o_block, d_s_block = d_pf[:, :e], d_pf[:, e : 2 * e]
+    d_abs, d_prod = d_pf[:, 2 * e : 3 * e], d_pf[:, 3 * e :]
     diff_sign = np.sign(cache.origins - cache.mutants)
     origin_grads = d_o_block + diff_sign * d_abs + cache.mutants * d_prod
     mutant_grads = d_s_block - diff_sign * d_abs + cache.origins * d_prod

@@ -201,10 +201,11 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
 
 def _train_step_inner(state: TrainerState, batch: FeatureCache) -> LossRow:
     lcfg = state.config.loss
-    cache_o = encode_batch(state.encoder, batch.origin_features)
-    cache_s = encode_batch(state.encoder, batch.mutant_features)
-    origins = cache_o.embeddings
-    mutants = cache_s.embeddings
+    m = len(batch)
+    cache = encode_batch(
+        state.encoder, np.concatenate([batch.origin_features, batch.mutant_features])
+    )
+    origins, mutants = cache.embeddings[:m], cache.embeddings[m:]
     embedded = EmbeddedBatch.from_rows(batch.class_ids, batch.labels, origins, mutants)
 
     metric_out = _metric_loss(state, embedded)
@@ -219,12 +220,10 @@ def _train_step_inner(state: TrainerState, batch: FeatureCache) -> LossRow:
         raise DivergenceError(f"non-finite joint loss {joint!r}", epoch=state.epoch)
 
     grads = state.grad_segments
-    d_origins, d_mutants = pair_backward(state.head, pair_cache, ce.logit_grads, grads[4:])
+    d_embeddings = np.concatenate(pair_backward(state.head, pair_cache, ce.logit_grads, grads[4:]))
     if metric_out is not None:
-        d_origins = d_origins + lcfg.lam * metric_out.origin_grads
-        d_mutants = d_mutants + lcfg.lam * metric_out.mutant_grads
-    encoder_backward(state.encoder, cache_o, d_origins, grads[:4])
-    encoder_backward(state.encoder, cache_s, d_mutants, grads[:4], accumulate=True)
+        d_embeddings += lcfg.lam * np.concatenate([metric_out.origin_grads, metric_out.mutant_grads])
+    encoder_backward(state.encoder, cache, d_embeddings, grads[:4])
     row = LossRow(state.adam.t, ce.value, metric_value, joint, skipped)
     _adam_step(state)
     return row
@@ -232,14 +231,16 @@ def _train_step_inner(state: TrainerState, batch: FeatureCache) -> LossRow:
 
 def _adam_step(state: TrainerState) -> None:
     """One Adam update of the flat parameters from ``state.adam.grad``, in place
-    and allocation-free. Each element sees the textbook update's operations in
-    the textbook's order, so the results are bit-identical to it."""
+    and allocation-free. It takes Kingma and Ba's efficient form (Adam, ICLR
+    2015, section 2): the bias corrections fold into the step size and epsilon,
+    so θ -= α·√(1-β₂ᵗ)/(1-β₁ᵗ) · m / (√v + ε·√(1-β₂ᵗ)). That is the textbook
+    update up to rounding, with no scalar divide over the vector."""
     cfg = state.config
     adam = state.adam
     g, (a, b) = adam.grad, adam.scratch
     adam.t += 1
-    bias1 = 1.0 - cfg.beta1**adam.t
-    bias2 = 1.0 - cfg.beta2**adam.t
+    root_bias2 = math.sqrt(1.0 - cfg.beta2**adam.t)
+    step = cfg.step_size * root_bias2 / (1.0 - cfg.beta1**adam.t)
     np.multiply(adam.m, cfg.beta1, out=adam.m)
     np.multiply(g, 1.0 - cfg.beta1, out=a)
     np.add(adam.m, a, out=adam.m)
@@ -247,11 +248,9 @@ def _adam_step(state: TrainerState) -> None:
     np.multiply(g, 1.0 - cfg.beta2, out=a)
     np.multiply(a, g, out=a)
     np.add(adam.v, a, out=adam.v)
-    np.divide(adam.m, bias1, out=a)
-    np.multiply(a, cfg.step_size, out=a)
-    np.divide(adam.v, bias2, out=b)
-    np.sqrt(b, out=b)
-    np.add(b, cfg.adam_epsilon, out=b)
+    np.sqrt(adam.v, out=b)
+    np.add(b, cfg.adam_epsilon * root_bias2, out=b)
+    np.multiply(adam.m, step, out=a)
     np.divide(a, b, out=a)
     np.subtract(state.params, a, out=state.params)
     state.encoder.version += 1

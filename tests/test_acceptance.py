@@ -291,9 +291,9 @@ def _audit_composite(rng, count):
             ).value
             return joint_loss(metric, ce, cfg.lam)
 
-        co = encode_batch(enc, f_o)
-        cs = encode_batch(enc, f_s)
-        pc = classify_pairs(head, co.embeddings, cs.embeddings)
+        stacked = encode_batch(enc, np.concatenate([f_o, f_s]))
+        co, cs = stacked.embeddings[:m], stacked.embeddings[m:]
+        pc = classify_pairs(head, co, cs)
         d_logits = np.zeros((m, 2))
         for i in range(m):
             d_logits[i] = cross_entropy(pc.logits[i], int(labels[i])).logit_grads
@@ -301,13 +301,10 @@ def _audit_composite(rng, count):
         analytic = np.zeros_like(params)
         segments = split_flat(analytic, dims)
         head_o, head_s = pair_backward(head, pc, d_logits, segments[4:])
-        metric_out = cluster_purge_loss(
-            batch_from(co.embeddings, cs.embeddings), registry, cfg
-        )
+        metric_out = cluster_purge_loss(batch_from(co, cs), registry, cfg)
         d_origins = head_o + cfg.lam * metric_out.origin_grads
         d_mutants = head_s + cfg.lam * metric_out.mutant_grads
-        encoder_backward(enc, co, d_origins, segments[:4])
-        encoder_backward(enc, cs, d_mutants, segments[:4], accumulate=True)
+        encoder_backward(enc, stacked, np.concatenate([d_origins, d_mutants]), segments[:4])
         step = 1e-6
         for k in range(params.size):
             keep = params[k]

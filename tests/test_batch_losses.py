@@ -306,8 +306,7 @@ def _step_setup(monkeypatch, corrupt):
 
     def encode(params, features):
         cache = real(params, features)
-        if features is batch.mutant_features:
-            corrupt(cache.embeddings)
+        corrupt(cache.embeddings[len(batch) :])  # the stacked mutant rows
         return cache
 
     monkeypatch.setattr(trainer_module, "encode_batch", encode)

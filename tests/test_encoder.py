@@ -144,19 +144,22 @@ def test_zero_upstream_gives_zero_parameter_gradients():
 
 
 def test_backward_writes_into_and_adds_onto_gradient_buffers():
+    # One backward over both towers' rows stacked writes the sum of the two
+    # per-tower backwards into the buffers, whatever they held before.
     enc, head = small_params(0)
     rng = np.random.default_rng(8)
-    cache_o = encode_batch(enc, rng.normal(size=(3, 8)))
-    cache_s = encode_batch(enc, rng.normal(size=(3, 8)))
+    f_o, f_s = rng.normal(size=(2, 3, 8))
+    cache_o = encode_batch(enc, f_o)
+    cache_s = encode_batch(enc, f_s)
+    stacked = encode_batch(enc, np.concatenate([f_o, f_s]))
     up_o, up_s = rng.normal(size=(2, 3, 4))
     only_o, only_s = zeros_like_params(enc), zeros_like_params(enc)
     encoder_backward(enc, cache_o, up_o, only_o)
     encoder_backward(enc, cache_s, up_s, only_s)
     out = [np.full_like(p, np.nan) for p in only_o]
-    encoder_backward(enc, cache_o, up_o, out)
-    encoder_backward(enc, cache_s, up_s, out, accumulate=True)
+    encoder_backward(enc, stacked, np.concatenate([up_o, up_s]), out)
     for o, a, b in zip(out, only_o, only_s):
-        assert np.array_equal(o, a + b)
+        np.testing.assert_allclose(o, a + b, rtol=0.0, atol=1e-12)
     with pytest.raises(DimensionError):
         encoder_backward(enc, cache_o, up_o, out[::-1])
 
@@ -188,9 +191,8 @@ def test_whole_model_gradient_matches_finite_differences():
         pc = classify_pairs(head, co.embeddings, cs.embeddings)
         return sum(cross_entropy(pc.logits[i], int(labels[i])).value for i in range(m)) / m
 
-    co = encode_batch(enc, f_o)
-    cs = encode_batch(enc, f_s)
-    pc = classify_pairs(head, co.embeddings, cs.embeddings)
+    stacked = encode_batch(enc, np.concatenate([f_o, f_s]))
+    pc = classify_pairs(head, stacked.embeddings[:m], stacked.embeddings[m:])
     d_logits = np.zeros((m, 2))
     for i in range(m):
         d_logits[i] = cross_entropy(pc.logits[i], int(labels[i])).logit_grads
@@ -198,8 +200,7 @@ def test_whole_model_gradient_matches_finite_differences():
     grad = np.zeros_like(params)
     segments = split_flat(grad, SMALL)
     d_origins, d_mutants = pair_backward(head, pc, d_logits, segments[4:])
-    encoder_backward(enc, co, d_origins, segments[:4])
-    encoder_backward(enc, cs, d_mutants, segments[:4], accumulate=True)
+    encoder_backward(enc, stacked, np.concatenate([d_origins, d_mutants]), segments[:4])
     step = 1e-6
     worst = 0.0
     for k in range(params.size):

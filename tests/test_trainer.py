@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -174,12 +175,13 @@ def test_divergence_raises_with_location():
 
 
 def test_flat_adam_matches_textbook_per_array_update():
-    # Reference: the textbook update applied array by array. The in-place
-    # update of the flat vector must agree with it bit for bit, also on
-    # exact-zero gradients.
+    # References applied array by array. The in-place update of the flat
+    # vector must agree bit for bit with Kingma and Ba's efficient form, also
+    # on exact-zero gradients, and with the textbook form up to rounding.
     config = small_config(step_size=3e-3, beta1=0.8, beta2=0.99, adam_epsilon=1e-7)
     state = init_state(config)
     ref_params = [seg.copy() for seg in split_flat(state.params, config)]
+    eff_params = [p.copy() for p in ref_params]
     ref_m = [np.zeros_like(p) for p in ref_params]
     ref_v = [np.zeros_like(p) for p in ref_params]
     rng = np.random.default_rng(17)
@@ -192,15 +194,46 @@ def test_flat_adam_matches_textbook_per_array_update():
         _adam_step(state)
         bias1 = 1.0 - config.beta1**t
         bias2 = 1.0 - config.beta2**t
+        step = config.step_size * math.sqrt(bias2) / bias1
+        eps_hat = config.adam_epsilon * math.sqrt(bias2)
         for k, g in enumerate(grads):
             ref_m[k] = config.beta1 * ref_m[k] + (1.0 - config.beta1) * g
             ref_v[k] = config.beta2 * ref_v[k] + (1.0 - config.beta2) * g * g
+            eff_params[k] -= step * ref_m[k] / (np.sqrt(ref_v[k]) + eps_hat)
             m_hat = ref_m[k] / bias1
             v_hat = ref_v[k] / bias2
             ref_params[k] -= config.step_size * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-    for flat, ref in ((state.params, ref_params), (state.adam.m, ref_m), (state.adam.v, ref_v)):
+    for flat, ref in ((state.params, eff_params), (state.adam.m, ref_m), (state.adam.v, ref_v)):
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in ref]))
+    textbook = np.concatenate([a.ravel() for a in ref_params])
+    np.testing.assert_allclose(state.params, textbook, rtol=1e-12, atol=0.0)
     assert state.adam.t == state.encoder.version == state.head.version == 6
+
+
+def test_each_step_encodes_and_backpropagates_both_towers_in_one_call(monkeypatch):
+    import purgelab.trainer as trainer_module
+
+    calls = []
+    real_encode, real_backward = trainer_module.encode_batch, trainer_module.encoder_backward
+
+    def encode(params, features):
+        calls.append(("encode_batch", len(features)))
+        return real_encode(params, features)
+
+    def backward(params, cache, upstream, out):
+        calls.append(("encoder_backward", len(upstream)))
+        return real_backward(params, cache, upstream, out)
+
+    monkeypatch.setattr(trainer_module, "encode_batch", encode)
+    monkeypatch.setattr(trainer_module, "encoder_backward", backward)
+    state = init_state(small_config(batch_size=5))
+    batches = make_batches(small_setup(), 5, 0, 0)  # 32 records: the last batch holds 2
+    for batch in batches:
+        train_step(state, batch)
+    assert len(batches) == 7
+    assert calls == [
+        (name, 2 * len(batch)) for batch in batches for name in ("encode_batch", "encoder_backward")
+    ]
 
 
 def test_param_version_counts_steps_and_stales_caches(tmp_path):
