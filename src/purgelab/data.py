@@ -13,6 +13,7 @@ class share the same origin text.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -235,8 +236,8 @@ def extract_features(text: str, dim: int) -> np.ndarray:
 
 
 def _check_dim(dim: int) -> None:
-    if dim < 16:
-        raise ConfigError(f"feature dim must be >= 16, got {dim}")
+    if not isinstance(dim, numbers.Integral) or dim < 16:
+        raise ConfigError(f"feature dim must be an integer >= 16, got {dim!r}")
 
 
 class HashingFeatures:

@@ -240,8 +240,8 @@ def test_hashing_features_dim_validation():
         HashingFeatures(8)
 
 
-@pytest.mark.parametrize("dim", [0, -3, 8])
-def test_extract_features_rejects_small_dim(dim):
+@pytest.mark.parametrize("dim", [0, -3, 8, 16.5, "32"])
+def test_extract_features_rejects_bad_dim(dim):
     with pytest.raises(ConfigError):
         extract_features("a b", dim)
 
