@@ -1,12 +1,12 @@
 """Joint cross-entropy + metric-loss training loop.
 
-Per step, in order: encode origins and mutants, update verges from the
-current distances (cluster-purge runs only), compute the metric loss and
-cross-entropy, combine them with the metric weight, backpropagate (CE through
-the head into the embeddings, metric gradients directly into the embeddings,
-both through the encoder), and take one Adam step. Everything is
-deterministic under a fixed (config, corpus, seed); verges persist across
-epochs and live inside the checkpoint.
+Per step, in order: encode origins and mutants in one stacked pass, update
+verges from the current distances (cluster-purge runs only), compute the
+metric loss and cross-entropy, combine them with the metric weight,
+backpropagate (CE through the head into the embeddings, metric gradients
+directly into the embeddings, both through one stacked encoder pass), and
+take one Adam step. Everything is deterministic under a fixed (config,
+corpus, seed); verges persist across epochs and live inside the checkpoint.
 """
 
 from __future__ import annotations
