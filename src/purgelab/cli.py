@@ -69,7 +69,7 @@ def _fmt(value) -> str:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Read a flat ``key = value`` manifest into a string map."""
+    """Read a flat ``key = value`` manifest into a string map; a key may appear once."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(read_lines(path, ConfigError), start=1):
         line = line.strip()
@@ -77,13 +77,15 @@ def load_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats")
+        values[key] = value
     return values
 
 
 def write_manifest(path, command: str, args: argparse.Namespace) -> None:
-    skip = {"config", "func", "given"}
+    skip = {"command", "config", "func", "given"}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"command = {command}\n")
         for key in sorted(vars(args)):
@@ -209,20 +211,15 @@ def _resume_config(ns: argparse.Namespace, saved: TrainConfig) -> TrainConfig:
     return replace(saved, epochs=ns.epochs)
 
 
-def _provider(ns: argparse.Namespace):
+def _featurized(ns: argparse.Namespace, feature_dim: int, *paths: str) -> list[FeatureCache]:
+    """Each corpus file, ingested and featurized at ``feature_dim`` by the
+    ``--features`` table if one is given, else by hashing."""
     if getattr(ns, "features", None):
-        table = load_feature_table(ns.features)
-        if table.dim != ns.feature_dim:
-            raise ConfigError(
-                f"feature table dim {table.dim} does not match --feature-dim {ns.feature_dim}"
-            )
-        return table
-    return HashingFeatures(ns.feature_dim)
-
-
-def _featurized(ns: argparse.Namespace, *paths: str) -> list[FeatureCache]:
-    """Each corpus file, ingested and featurized by the provider the flags select."""
-    provider = _provider(ns)
+        provider = load_feature_table(ns.features)
+        if provider.dim != feature_dim:
+            raise ConfigError(f"feature table dim {provider.dim} is not the model's {feature_dim}")
+    else:
+        provider = HashingFeatures(feature_dim)
     return [FeatureCache.from_corpus(ingest(path), provider) for path in paths]
 
 
@@ -241,8 +238,7 @@ def _write_losses(path, rows) -> None:
 def _checkpoint_and_corpus(ns: argparse.Namespace) -> tuple[TrainerState, FeatureCache]:
     """The ``--checkpoint`` state and the ``--corpus`` featurized at its feature dim."""
     state = load_checkpoint(ns.checkpoint)
-    ns.feature_dim = state.config.feature_dim
-    [data] = _featurized(ns, ns.corpus)
+    [data] = _featurized(ns, state.config.feature_dim, ns.corpus)
     return state, data
 
 
@@ -326,11 +322,11 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if ns.resume:
         state = load_checkpoint(ns.resume)
         state.config = _resume_config(ns, state.config)
-        [data] = _featurized(ns, ns.corpus)
+        [data] = _featurized(ns, ns.feature_dim, ns.corpus)
         result = resume(state, data, collect_steps=ns.trace)
     else:
         config = _train_config(ns)
-        [data] = _featurized(ns, ns.corpus)
+        [data] = _featurized(ns, ns.feature_dim, ns.corpus)
         result = train(config, data, collect_steps=ns.trace)
     save_checkpoint(result.state, _outpath(ns, "checkpoint.bin"))
     _write_losses(_outpath(ns, "history.tsv"), result.history)
@@ -386,7 +382,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         raise ConfigError(f"sweep grid has {cells} cells, more than {MAX_SWEEP_CELLS}")
     workers = sweep_workers(ns.workers, cells)
     config = _train_config(ns)
-    train_data, test_data = _featurized(ns, ns.train_corpus, ns.test_corpus)
+    train_data, test_data = _featurized(ns, ns.feature_dim, ns.train_corpus, ns.test_corpus)
     grid = sweep(config, train_data, test_data, lambda_values, zeta_values, workers=workers)
     with open(_outpath(ns, "sweep.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# lambda\tzeta\tprecision\trecall\tf1\n")
@@ -532,12 +528,22 @@ def _peek_config(argv) -> dict[str, str]:
     return {}
 
 
+def _check_config_keys(parser, ns: argparse.Namespace, file_defaults: dict[str, str]) -> None:
+    """Usage error for a ``--config`` key that no flag of the command has, or another ``command``."""
+    if file_defaults.get("command", ns.command) != ns.command:
+        parser.error(f"--config holds command = {file_defaults['command']}, not {ns.command}")
+    unknown = sorted(set(file_defaults) - (set(vars(ns)) - {"func", "given"}))
+    if unknown:
+        parser.error(f"{ns.command}: --config keys name no flag: {', '.join(unknown)}")
+
+
 def run(argv) -> int:
     try:
         file_defaults = _peek_config(argv)
         parser = build_parser(file_defaults)
         try:
             ns = parser.parse_args(argv)
+            _check_config_keys(parser, ns, file_defaults)
         except SystemExit as exc:
             return int(exc.code or 0)
         return ns.func(ns)

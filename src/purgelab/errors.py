@@ -30,7 +30,7 @@ class NormalizationError(PurgelabError):
 
 
 class DeserializeError(PurgelabError):
-    """Malformed bytes in a snapshot, checkpoint, or table file."""
+    """Malformed bytes in a checkpoint or table file."""
 
 
 class VersionError(PurgelabError):

@@ -53,7 +53,7 @@ from .losses import (
 from .verges import VergeRegistry
 
 CHECKPOINT_MAGIC = b"purgelab-ckpt"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 LOSS_KINDS = ("ce_only", "ce_plus_cpl", "ce_plus_contrastive", "ce_plus_triplet")
 
@@ -264,7 +264,7 @@ def train(config: TrainConfig, data: FeatureCache, collect_steps: bool = False) 
 
 
 def resume(state: TrainerState, data: FeatureCache, collect_steps: bool = False) -> TrainResult:
-    """Continue a (possibly restored) state up to its configured epoch count.
+    """Continue a (possibly loaded) state up to its configured epoch count.
 
     Epoch shuffles are keyed by (seed, epoch index), so a resumed run walks
     the same batches an uninterrupted run would.
@@ -295,7 +295,7 @@ def resume(state: TrainerState, data: FeatureCache, collect_steps: bool = False)
 # --- checkpoint container -------------------------------------------------
 #
 # Layout: magic, u32 version, u32 meta length, meta JSON (config echo, epoch,
-# verge snapshot, Adam step count), then the flat parameter vector, Adam's m
+# verge rows, Adam step count), then the flat parameter vector, Adam's m
 # and Adam's v as one block of raw little-endian float64 (3 x n, where the
 # config's layout fixes n), then the sha256 of every byte before it. Fully
 # deterministic: no timestamps.
@@ -308,7 +308,7 @@ def save_checkpoint(state: TrainerState, path) -> None:
     meta = {
         "epoch": state.epoch,
         "adam_t": state.adam.t,
-        "verges": state.registry.snapshot().decode("utf-8"),
+        "verges": state.registry.rows(),
         "config": asdict(state.config),
     }
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -326,9 +326,9 @@ def load_checkpoint(path) -> TrainerState:
     """Restore a :class:`TrainerState`; never returns a partial load.
 
     Checks, in order: the magic, the version, the sha256 trailer, the
-    metadata, that the verge snapshot's gamma is the config's, the block
-    length against the config's layout, and that every parameter and moment
-    is finite.
+    metadata (the config, non-negative integer counters, the verge rows),
+    the block length against the config's layout, and that every parameter
+    and moment is finite.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -350,15 +350,12 @@ def load_checkpoint(path) -> TrainerState:
         loss = LossConfig(**cfg_dict.pop("loss"))
         config = TrainConfig(loss=loss, **cfg_dict)
         n = sum(math.prod(shape) for shape in param_shapes(config))
-        adam_t = int(meta["adam_t"])
-        epoch = int(meta["epoch"])
-        registry = VergeRegistry.restore(meta["verges"].encode("utf-8"))
+        adam_t, epoch = meta["adam_t"], meta["epoch"]
+        registry = VergeRegistry.from_rows(loss.gamma, meta["verges"])
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DeserializeError(f"malformed checkpoint metadata: {exc!r}") from None
-    if registry.gamma != loss.gamma:
-        raise DeserializeError(
-            f"verge snapshot gamma {registry.gamma!r} differs from the config's gamma {loss.gamma!r}"
-        )
+    if not all(type(c) is int and c >= 0 for c in (adam_t, epoch)):
+        raise DeserializeError(f"adam_t {adam_t!r} and epoch {epoch!r} must be non-negative ints")
     start += meta_len
     if end - start != 3 * 8 * n:
         raise DeserializeError(

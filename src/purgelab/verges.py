@@ -20,8 +20,6 @@ from .vecmath import ema_batch, ema_rate
 # attribute, so it stays importable from this module.
 from .vecmath import cosine_distance  # noqa: F401
 
-SNAPSHOT_VERSION = 2
-
 _RANGE_TOL = 1e-9
 
 
@@ -100,49 +98,28 @@ class VergeRegistry:
             self.update_class(cid, pos.get(cid, ()), neg.get(cid, ()))
         return set(order)
 
-    def snapshot(self) -> bytes:
-        """Serialize to versioned line-delimited text; round-trips exactly."""
-        lines = [
-            f"verge-registry {SNAPSHOT_VERSION}",
-            f"gamma {self.gamma!r}",
-        ]
-        for cid in sorted(self.states):
-            state = self.states[cid]
-            lines.append(f"{cid}\t{_fmt(state.v_plus)}\t{_fmt(state.v_minus)}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+    def rows(self) -> list[list]:
+        """One ``[class_id, v_plus, v_minus]`` per observed class, sorted by
+        class id; ``None`` marks a verge not yet formed."""
+        return [[cid, s.v_plus, s.v_minus] for cid, s in sorted(self.states.items())]
 
     @classmethod
-    def restore(cls, data: bytes) -> "VergeRegistry":
-        """Rebuild a registry from :meth:`snapshot` output."""
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DeserializeError(f"snapshot is not UTF-8: {exc}") from None
-        lines = text.splitlines()
-        if len(lines) < 2:
-            raise DeserializeError("snapshot truncated: header missing")
-        head = lines[0].split()
-        if len(head) != 2 or head[0] != "verge-registry":
-            raise DeserializeError(f"not a verge snapshot: {lines[0]!r}")
-        if head[1] != str(SNAPSHOT_VERSION):
-            raise DeserializeError(f"unsupported verge snapshot version {head[1]!r}")
-        try:
-            gamma = float(lines[1].split(" ", 1)[1])
-        except (IndexError, ValueError) as exc:
-            raise DeserializeError(f"malformed snapshot header: {exc}") from None
+    def from_rows(cls, gamma: float, rows) -> "VergeRegistry":
+        """Rebuild a registry from :meth:`rows` output as JSON decodes it. Raises
+        :class:`DeserializeError` unless every class id is a distinct non-negative
+        int and every verge ``None`` or a float in [0, 1] (within the distance
+        tolerance, since the EMA can round past 1.0)."""
         registry = cls(gamma)
-        for line in lines[2:]:
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DeserializeError(f"malformed snapshot line: {line!r}")
-            try:
-                cid = int(parts[0])
-                state = VergeState(v_plus=_parse(parts[1]), v_minus=_parse(parts[2]))
-            except ValueError as exc:
-                raise DeserializeError(f"malformed snapshot line: {line!r} ({exc})") from None
-            registry.states[cid] = state
+        for row in rows:
+            if type(row) is not list or len(row) != 3:
+                raise DeserializeError(f"verge row {row!r} is not [class_id, v_plus, v_minus]")
+            cid, *verges = row
+            if type(cid) is not int or cid < 0 or cid in registry.states:
+                raise DeserializeError(f"verge row {row!r} has a bad or repeated class id")
+            for v in verges:
+                if v is not None and not (type(v) is float and 0.0 <= v <= 1.0 + _RANGE_TOL):
+                    raise DeserializeError(f"verge row {row!r}: a verge is not a float in [0, 1]")
+            registry.states[cid] = VergeState(*verges)
         return registry
 
 
@@ -155,10 +132,3 @@ def _checked_distances(distances: Sequence[float], name: str) -> list[float]:
         out.append(min(1.0, max(0.0, d)))
     return out
 
-
-def _fmt(value: float | None) -> str:
-    return "-" if value is None else repr(float(value))
-
-
-def _parse(field: str) -> float | None:
-    return None if field == "-" else float(field)

@@ -6,6 +6,8 @@ corpus and training seeds are arbitrary frozen constants: every run is
 bit-deterministic, so the printed numbers are stable on one platform.
 """
 
+import json
+
 import numpy as np
 
 from purgelab.cli import _parse_range, run
@@ -363,7 +365,7 @@ def test_criterion_4_verge_semantics():
             for v in (state.v_plus, state.v_minus):
                 if v is not None and not 0.0 <= v <= 1.0:
                     ok_range = False
-        restored = VergeRegistry.restore(registry.snapshot())
+        restored = VergeRegistry.from_rows(registry.gamma, json.loads(json.dumps(registry.rows())))
         if set(restored.states) != set(registry.states):
             ok_roundtrip = False
         else:

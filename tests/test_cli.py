@@ -1,7 +1,10 @@
 import argparse
 import hashlib
+import json
+import math
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from purgelab.cli import build_parser, run
 from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
 from purgelab.errors import ConfigError
-from purgelab.trainer import TrainConfig
+from purgelab.trainer import CHECKPOINT_MAGIC, TrainConfig
 
 SMALL_DIMS = [
     "--feature-dim", "24", "--hidden-dim", "12", "--embed-dim", "8", "--pair-hidden-dim", "6",
@@ -40,7 +43,7 @@ def test_gen_writes_corpus_features_manifest(tmp_path):
     assert os.path.exists(corpus_path)
     assert os.path.exists(features_path)
     manifest = (tmp_path / "data" / "manifest.txt").read_text()
-    assert "command = gen" in manifest
+    assert [line for line in manifest.splitlines() if line.startswith("command ")] == ["command = gen"]
     assert "seed = 0" in manifest
     assert len(ingest(corpus_path)) == 32
 
@@ -369,6 +372,48 @@ def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
     assert outcomes == {0: 0, 1: len(cases)}
 
 
+def forge_meta(ckpt, updates, out):
+    """Write ``ckpt`` to ``out`` with its metadata updated by ``updates`` and a
+    recomputed sha256 trailer, so only the metadata checks can reject it."""
+    raw = Path(ckpt).read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    version, meta_len = struct.unpack_from("<II", raw, start)
+    meta = json.loads(raw[start + 8 : start + 8 + meta_len])
+    meta.update(updates)
+    meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = (
+        raw[:start] + struct.pack("<II", version, len(meta_b)) + meta_b
+        + raw[start + 8 + meta_len : -32]
+    )
+    out.write_bytes(body + hashlib.sha256(body).digest())
+    return str(out)
+
+
+@pytest.mark.parametrize("updates", [
+    {"verges": [[0, math.nan, 0.5]]},
+    {"verges": [[0, 5.0, None]]},
+    {"verges": [[0.5, 0.1, 0.2]]},
+    {"verges": [[True, 0.1, 0.2]]},
+    {"verges": [[-1, 0.1, 0.2]]},
+    {"verges": [[0, 0.1]]},
+    {"adam_t": -1},
+    {"adam_t": 2.7},
+    {"adam_t": True},
+    {"epoch": 1.9},
+], ids=lambda updates: json.dumps(updates))
+def test_forged_checkpoint_metadata_exits_1(tmp_path, capsys, updates):
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    forged = forge_meta(ckpt, updates, tmp_path / "forged.bin")
+    out = tmp_path / "out"
+    for argv in (["eval", "--checkpoint", forged], ["train", "--resume", forged, "--epochs", "3"]):
+        capsys.readouterr()
+        rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR DeserializeError: ")
+        assert not out.exists()
+
+
 def _corrupt_features(path, text):
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = lines[1].rsplit(" ", 1)[0] + f" {text}\n"
@@ -385,6 +430,8 @@ def _corrupt_features(path, text):
     pytest.param("corpus", lambda p: p.write_bytes(p.read_bytes() + b"0\t1\ta\xff\tb\n"), "ParseError",
                  id="corpus-not-utf8"),
     pytest.param("config", lambda p: p.write_bytes(b"corpus = \xff\n"), "ConfigError", id="config-not-utf8"),
+    pytest.param("config", lambda p: p.write_text("out_dir = a\nout_dir = a\n"), "ConfigError",
+                 id="config-repeated-key"),
     pytest.param("features", lambda p: p.write_text(p.read_text() + p.read_text().splitlines()[1] + "\n"),
                  "ParseError", id="feature-table-repeated-key"),
     pytest.param("corpus", lambda p: p.write_bytes(b""), "ConfigError", id="eval-empty-corpus"),
@@ -455,7 +502,11 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["gamma = abc", "epochs = 1.5", "trace = abc", "trace = 2"])
+@pytest.mark.parametrize("line", [
+    "gamma = abc", "epochs = 1.5", "trace = abc", "trace = 2",
+    # a key must name a flag of train, and command must name train itself
+    "command = eval", "bogus = 7", "classes = 99",
+])
 def test_bad_config_value_exits_2_like_the_flag(tmp_path, capsys, line):
     config = tmp_path / "config.txt"
     config.write_text(line + "\n")

@@ -1,7 +1,5 @@
-import hashlib
-import json
+import copy
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from purgelab.errors import (
     VersionError,
 )
 from purgelab.trainer import (
-    CHECKPOINT_MAGIC,
     TrainConfig,
     _adam_step,
     init_state,
@@ -57,7 +54,7 @@ def checkpoints_equal(a, b):
         return False
     if not (np.array_equal(a.adam.m, b.adam.m) and np.array_equal(a.adam.v, b.adam.v)):
         return False
-    return a.registry.snapshot() == b.registry.snapshot()
+    return (a.registry.gamma, a.registry.states) == (b.registry.gamma, b.registry.states)
 
 
 def test_config_validation():
@@ -149,14 +146,11 @@ def test_no_gradient_leaks_through_verges():
 
     state_a = init_state(config)
     train_step(state_a, batch)
-    snapshot_after = state_a.registry.snapshot()
-
-    from purgelab.verges import VergeRegistry
 
     # rerun the same step with the post-update verges injected as constants
     # and the update disabled: parameter updates must be identical
     state_b = init_state(config)
-    state_b.registry = VergeRegistry.restore(snapshot_after)
+    state_b.registry = copy.deepcopy(state_a.registry)
     state_b.registry.batch_update = lambda samples: set()  # type: ignore[method-assign]
     train_step(state_b, batch)
     assert np.array_equal(state_a.encoder.w1, state_b.encoder.w1)
@@ -315,29 +309,7 @@ def test_corrupted_checkpoint_never_partially_loads(tmp_path):
         load_checkpoint(tmp_path / "flip.bin")
 
 
-def test_checkpoint_whose_verge_gamma_differs_from_its_config_is_rejected(tmp_path):
-    # A well-sealed file that stores gamma twice, 3.0 in the verge snapshot
-    # and 12.0 in the config, is ambiguous about the gamma it resumes with.
-    result = train(small_config(loss_kind="ce_plus_cpl", epochs=1), small_setup())
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(result.state, path)
-    raw = path.read_bytes()
-    start = len(CHECKPOINT_MAGIC)
-    version, meta_len = struct.unpack_from("<II", raw, start)
-    meta = json.loads(raw[start + 8 : start + 8 + meta_len])
-    assert meta["config"]["loss"]["gamma"] == 12.0
-    meta["verges"] = meta["verges"].replace("\ngamma 12.0\n", "\ngamma 3.0\n")
-    meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body = (
-        raw[:start] + struct.pack("<II", version, len(meta_b)) + meta_b
-        + raw[start + 8 + meta_len : -32]
-    )
-    (tmp_path / "forged.bin").write_bytes(body + hashlib.sha256(body).digest())
-    with pytest.raises(DeserializeError, match="gamma"):
-        load_checkpoint(tmp_path / "forged.bin")
-
-
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_version_mismatch(tmp_path, version):
     data = small_setup()
     result = train(small_config(epochs=1), data)

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,9 +161,15 @@ def test_batch_update_order_stable():
     assert a.get(2).v_minus == b.get(2).v_minus
 
 
+def roundtrip(registry):
+    """The registry as a checkpoint stores it, JSON rows, read back."""
+    return VergeRegistry.from_rows(registry.gamma, json.loads(json.dumps(registry.rows())))
+
+
 def test_snapshot_roundtrip_empty():
     registry = make_registry(gamma=7.0)
-    restored = VergeRegistry.restore(registry.snapshot())
+    assert registry.rows() == []
+    restored = roundtrip(registry)
     assert restored.states == {}
     assert restored.gamma == 7.0
 
@@ -168,9 +177,18 @@ def test_snapshot_roundtrip_empty():
 def test_snapshot_roundtrip_partial_state():
     registry = make_registry(gamma=12.0)
     registry.update_class(5, pos_distances=(0.4,))
-    restored = VergeRegistry.restore(registry.snapshot())
+    assert json.dumps(registry.rows()) == "[[5, 0.4, null]]"
+    restored = roundtrip(registry)
     assert restored.get(5).v_plus == 0.4
     assert restored.get(5).v_minus is None
+
+
+def test_rows_roundtrip_keeps_a_verge_rounded_past_one():
+    # the EMA of five distances 1.0 at gamma 5 rounds to 1 + 1 ulp
+    registry = make_registry(gamma=5.0)
+    registry.update_class(0, pos_distances=(1.0,) * 5)
+    assert registry.get(0).v_plus > 1.0
+    assert roundtrip(registry).states == registry.states
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -178,26 +196,38 @@ def test_snapshot_roundtrip_partial_state():
 def test_snapshot_roundtrip_randomized(seed):
     rng = np.random.default_rng(seed)
     registry = make_registry(gamma=float(rng.uniform(1.0, 40.0)))
-    for cid in range(rng.integers(0, 6)):
+    for cid in rng.permutation(int(rng.integers(0, 6))).tolist():
         pos = rng.uniform(size=rng.integers(0, 3)).tolist()
         neg = rng.uniform(size=rng.integers(0, 3)).tolist()
         registry.update_class(cid, pos, neg)
-    restored = VergeRegistry.restore(registry.snapshot())
+    assert [row[0] for row in registry.rows()] == sorted(registry.states)
+    restored = roundtrip(registry)
     assert restored.gamma == registry.gamma
-    assert set(restored.states) == set(registry.states)
-    for cid, state in registry.states.items():
-        assert restored.get(cid).v_plus == state.v_plus
-        assert restored.get(cid).v_minus == state.v_minus
+    assert restored.states == registry.states
+
+
+MALFORMED_ROWS = [
+    [0, math.nan, 0.5],
+    [0, 5.0, None],
+    [0, -0.1, None],
+    [0, 1, None],  # a verge is a float, never a JSON int
+    [0, True, None],
+    [0, "0.5", None],
+    [0.5, 0.1, 0.2],
+    [True, 0.1, 0.2],
+    [-1, 0.1, 0.2],
+    [0, 0.1],
+    [0, 0.1, 0.2, 0.3],
+    "0\t0.1\t0.2",
+]
 
 
 def test_restore_rejects_malformed():
-    with pytest.raises(DeserializeError):
-        VergeRegistry.restore(b"not a snapshot\n")
-    with pytest.raises(DeserializeError):
-        VergeRegistry.restore(b"verge-registry 99\ngamma 3.0\n")
-    good = make_registry().snapshot()
-    with pytest.raises(DeserializeError):
-        VergeRegistry.restore(good + b"5\tbroken\n")
-    for gamma in (b"0.5", b"nan"):
+    for row in MALFORMED_ROWS:
+        with pytest.raises(DeserializeError):
+            VergeRegistry.from_rows(3.0, [[1, 0.1, 0.2], row])
+    with pytest.raises(DeserializeError, match="repeated"):
+        VergeRegistry.from_rows(3.0, [[0, 0.1, 0.2], [0, 0.3, 0.4]])
+    for gamma in (0.5, math.nan):
         with pytest.raises(ConfigError):
-            VergeRegistry.restore(b"verge-registry 2\ngamma " + gamma + b"\n")
+            VergeRegistry.from_rows(gamma, [])
