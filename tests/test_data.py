@@ -1,9 +1,14 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purgelab import data as data_module
 from purgelab.data import (
+    NGRAM_ORDERS,
     Corpus,
     FeatureCache,
     HashingFeatures,
@@ -244,6 +249,82 @@ def test_hashing_features_dim_validation():
 def test_extract_features_rejects_bad_dim(dim):
     with pytest.raises(ConfigError):
         extract_features("a b", dim)
+
+
+# sha256 of the origin and mutant feature rows of a fixed codegen corpus,
+# computed with the per-gram hashing loop; any change to the hashed bits fails.
+FEATURE_DIGESTS = {
+    16: (
+        "c28f9d8c381415bd07a9fb49ee78afe15db3a9404f87a4baa2ca012b6820d7b1",
+        "85c717918b4766b5651ab16a6bf845afbeb74e6ef852c3b7f1d7a434190f959f",
+    ),
+    256: (
+        "716c7c28b9aef26a937379fe48e2111ea24687a3f23e92ad65e0a2303c734c57",
+        "ace8c169aa7d2a37278f11d44abf7ac4ba7ac6119b09a600143bd16e0599dfad",
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(FEATURE_DIGESTS))
+def test_hashed_feature_bits_are_pinned(dim):
+    corpus = generate_synthetic("codegen", n_classes=8, per_class=16, seed=5)[0]
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(dim))
+    digests = tuple(
+        hashlib.sha256(rows.tobytes()).hexdigest()
+        for rows in (data.origin_features, data.mutant_features)
+    )
+    assert digests == FEATURE_DIGESTS[dim]
+
+
+def reference_features(text: str, dim: int, orders=NGRAM_ORDERS) -> np.ndarray:
+    """One blake2b per gram occurrence, accumulated one signed unit at a time."""
+    tokens = re.findall(r"\w+|[^\w\s]", text)
+    if not tokens:
+        raise DegenerateInputError("text contains no tokens")
+    vec = np.zeros(dim, dtype=np.float64)
+    for order in orders:
+        for i in range(len(tokens) - order + 1):
+            gram = f"{order}:" + "\x1f".join(tokens[i : i + order])
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
+            bucket = int.from_bytes(digest[:8], "little") % dim
+            vec[bucket] += 1.0 if digest[8] & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise DegenerateInputError("feature hashing cancelled to a zero vector")
+    return vec / norm
+
+
+# A small alphabet makes repeated grams and memo hits likely; the non-ASCII
+# tokens exercise the UTF-8 encoding of each gram.
+_TOKENS = st.sampled_from(["a", "b", "x", "mid", "(", ")", ";", "+=", "é", "Ω", "变量", "ß2"])
+_TEXTS = st.lists(_TOKENS, min_size=1, max_size=12).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_TEXTS, min_size=1, max_size=4), dim=st.sampled_from([16, 17, 64, 256]))
+def test_hashing_features_match_per_gram_reference(texts, dim):
+    provider = HashingFeatures(dim)  # shared, so later texts hit the memo
+    for text in texts + texts:
+        assert provider.vector(text).tobytes() == reference_features(text, dim).tobytes()
+        assert extract_features(text, dim).tobytes() == reference_features(text, dim).tobytes()
+
+
+@pytest.mark.parametrize("text", ["x", "变量", "a a a a", "( ( ( ("])
+def test_hashing_features_single_token_and_repeated_grams(text):
+    assert HashingFeatures(16).vector(text).tobytes() == reference_features(text, 16).tobytes()
+
+
+def test_hashing_features_cancelled_grams_raise(monkeypatch):
+    # With orders (1, 2) a text of n tokens has 2n - 1 grams, an odd count
+    # that cannot cancel, so unigrams alone are used: at dim 16, "x" and "z"
+    # hash to one bucket with opposite signs.
+    monkeypatch.setattr(data_module, "NGRAM_ORDERS", (1,))
+    with pytest.raises(DegenerateInputError):
+        reference_features("x z", 16, orders=(1,))
+    with pytest.raises(DegenerateInputError):
+        HashingFeatures(16).vector("x z")
+    with pytest.raises(DegenerateInputError):
+        extract_features("z x z x", 16)
 
 
 def test_feature_table_roundtrip(tmp_path):
