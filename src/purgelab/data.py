@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateInputError,
-    EmptyCorpusError,
     ParseError,
     PurgelabError,
     SchemaError,
@@ -96,24 +95,19 @@ def _escape(text: str) -> str:
     )
 
 
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
+_UNESCAPED = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def _unescape_match(match: re.Match) -> str:
+    nxt = match.group(1)
+    if nxt not in _UNESCAPED:
+        raise ValueError(f"bad escape \\{nxt}" if nxt else "dangling backslash")
+    return _UNESCAPED[nxt]
+
+
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            mapped = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt)
-            if mapped is None:
-                raise ValueError(f"bad escape \\{nxt}")
-            out.append(mapped)
-            i += 2
-        elif ch == "\\":
-            raise ValueError("dangling backslash")
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(_unescape_match, text) if "\\" in text else text
 
 
 def read_lines(path, error: type[PurgelabError] = ParseError):
@@ -215,24 +209,7 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
 def extract_features(text: str, dim: int) -> np.ndarray:
     """Hash token n-grams (orders :data:`NGRAM_ORDERS`) into a sign-hashed,
     L2-normalized ``dim``-vector; stable across runs (seedless hash)."""
-    _check_dim(dim)
-    if not text:
-        raise DegenerateInputError("cannot extract features from empty text")
-    tokens = _TOKEN_RE.findall(text)
-    if not tokens:
-        raise DegenerateInputError("text contains no tokens")
-    vec = np.zeros(dim, dtype=np.float64)
-    for order in NGRAM_ORDERS:
-        for i in range(len(tokens) - order + 1):
-            gram = f"{order}:" + "\x1f".join(tokens[i : i + order])
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
-            bucket = int.from_bytes(digest[:8], "little") % dim
-            sign = 1.0 if digest[8] & 1 else -1.0
-            vec[bucket] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise DegenerateInputError("feature hashing cancelled to a zero vector")
-    return vec / norm
+    return HashingFeatures(dim).vector(text)
 
 
 def _check_dim(dim: int) -> None:
@@ -241,14 +218,43 @@ def _check_dim(dim: int) -> None:
 
 
 class HashingFeatures:
-    """Feature provider backed by :func:`extract_features`."""
+    """Feature provider that hashes token n-grams; see :func:`extract_features`.
+
+    A memo maps each distinct gram this instance has seen (a token, or a tuple
+    of tokens for the higher orders) to its signed slot: ``bucket`` for a +
+    sign, ``bucket + dim`` for a - sign. A gram is hashed once, and a memo
+    hit builds no string."""
 
     def __init__(self, dim: int = 256):
         _check_dim(dim)
         self.dim = dim
+        self._slots: dict[str | tuple[str, ...], int] = {}
+
+    def _slot(self, gram: str | tuple[str, ...]) -> int:
+        tokens = (gram,) if isinstance(gram, str) else gram
+        key = f"{len(tokens)}:" + "\x1f".join(tokens)
+        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=9).digest()
+        bucket = int.from_bytes(digest[:8], "little") % self.dim
+        slot = self._slots[gram] = bucket if digest[8] & 1 else bucket + self.dim
+        return slot
 
     def vector(self, text: str) -> np.ndarray:
-        return extract_features(text, self.dim)
+        tokens = _TOKEN_RE.findall(text)
+        if not tokens:
+            raise DegenerateInputError("text contains no tokens")
+        memo = self._slots
+        slots = [
+            memo[gram] if gram in memo else self._slot(gram)
+            for order in NGRAM_ORDERS
+            for gram in (tokens if order == 1 else zip(*(tokens[k:] for k in range(order))))
+        ]
+        # Exact integer counts, so this has the bits of adding +-1.0 per gram.
+        counts = np.bincount(slots, minlength=2 * self.dim)
+        vec = np.subtract(counts[: self.dim], counts[self.dim :], dtype=np.float64)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            raise DegenerateInputError("feature hashing cancelled to a zero vector")
+        return vec / norm
 
 
 class TableFeatures:
@@ -292,6 +298,7 @@ def load_feature_table(path) -> TableFeatures:
             continue
         try:
             key, comps = line.split("\t")
+            key = _unescape(key)
             vec = np.array([float(x) for x in comps.split(" ")], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
@@ -299,7 +306,6 @@ def load_feature_table(path) -> TableFeatures:
             raise ParseError(f"line {lineno}: expected {dim} components")
         if not np.isfinite(vec).all():
             raise ParseError(f"line {lineno}: components must be finite")
-        key = _unescape(key)
         if key in table:
             raise ParseError(f"line {lineno}: repeated key {key!r}")
         table[key] = vec
@@ -353,7 +359,7 @@ def make_batches(data: FeatureCache, batch_size: int, seed: int, epoch_index: in
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(data) == 0:
-        raise EmptyCorpusError("cannot batch an empty corpus")
+        raise ConfigError("cannot batch an empty corpus")
     if epoch_index < 0:
         raise ConfigError(f"epoch_index must be >= 0, got {epoch_index}")
     order = np.random.default_rng([seed, epoch_index]).permutation(len(data))

@@ -53,10 +53,6 @@ class StratifyError(PurgelabError):
     """A label with no records where stratification needs both."""
 
 
-class EmptyCorpusError(PurgelabError):
-    """An operation that needs a nonempty corpus received an empty one."""
-
-
 class DegenerateInputError(PurgelabError):
     """Text input that yields no usable features."""
 

@@ -14,6 +14,8 @@ from purgelab.data import (
     HashingFeatures,
     MutantRecord,
     TableFeatures,
+    _escape,
+    _unescape,
     dedup,
     extract_features,
     generate_synthetic,
@@ -27,7 +29,6 @@ from purgelab.data import (
 from purgelab.errors import (
     ConfigError,
     DegenerateInputError,
-    EmptyCorpusError,
     ParseError,
     SchemaError,
     StratifyError,
@@ -102,6 +103,28 @@ def test_corpus_roundtrip_with_escapes(tmp_path):
     write_corpus(corpus, path)
     back = ingest(path)
     assert back.records == corpus.records
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("bad\\xescape", r"line 2: bad escape \\x"), ("trailing\\", "line 2: dangling backslash")],
+)
+def test_ingest_rejects_bad_escapes_with_line(tmp_path, field, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"0\t1\to\tm\n0\t0\to\t{field}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=message):
+        ingest(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(
+        st.one_of(st.sampled_from(["\\", "\\n", "\\t", "\\r", "\n", "\t", "\r", "n"]), st.text()),
+        max_size=8,
+    ).map("".join)
+)
+def test_unescape_inverts_escape(text):
+    assert _unescape(_escape(text)) == text
 
 
 # --- dedup -------------------------------------------------------------------
@@ -341,6 +364,24 @@ def test_feature_table_roundtrip(tmp_path):
         assert np.array_equal(back.table[key], table.table[key])
 
 
+def test_feature_table_key_with_escapes_roundtrips(tmp_path):
+    key = "tab\there\nnew\\line\\n\rend\\"
+    table = TableFeatures(dim=2, table={key: np.array([0.5, -1.0])})
+    path = tmp_path / "features.tsv"
+    write_feature_table(table, path)
+    back = load_feature_table(path)
+    assert list(back.table) == [key]
+    assert np.array_equal(back.table[key], table.table[key])
+
+
+@pytest.mark.parametrize("key, message", [("k\\x", r"bad escape \\x"), ("k\\", "dangling backslash")])
+def test_feature_table_bad_key_escape_is_parse_error(tmp_path, key, message):
+    path = tmp_path / "features.tsv"
+    path.write_text(f"feature-table 1 2\nok\t1.0 2.0\n{key}\t1.0 2.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 3: {message}"):
+        load_feature_table(path)
+
+
 def test_table_features_unknown_key():
     table = TableFeatures(dim=4, table={})
     with pytest.raises(DegenerateInputError):
@@ -370,7 +411,7 @@ def test_make_batches_epoch_deterministic():
 
 
 def test_make_batches_empty_corpus():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(ConfigError, match="empty corpus"):
         make_batches(FeatureCache.from_corpus(Corpus(), HashingFeatures()), 4, 0, 0)
 
 
