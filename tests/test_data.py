@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from purgelab import data as data_module
@@ -325,16 +325,12 @@ _TEXTS = st.lists(_TOKENS, min_size=1, max_size=12).map(" ".join)
 
 @settings(max_examples=200, deadline=None)
 @given(texts=st.lists(_TEXTS, min_size=1, max_size=4), dim=st.sampled_from([16, 17, 64, 256]))
+@example(texts=["x", "变量", "a a a a", "( ( ( ("], dim=16)  # single tokens, repeated grams
 def test_hashing_features_match_per_gram_reference(texts, dim):
     provider = HashingFeatures(dim)  # shared, so later texts hit the memo
     for text in texts + texts:
         assert provider.vector(text).tobytes() == reference_features(text, dim).tobytes()
         assert extract_features(text, dim).tobytes() == reference_features(text, dim).tobytes()
-
-
-@pytest.mark.parametrize("text", ["x", "变量", "a a a a", "( ( ( ("])
-def test_hashing_features_single_token_and_repeated_grams(text):
-    assert HashingFeatures(16).vector(text).tobytes() == reference_features(text, 16).tobytes()
 
 
 def test_hashing_features_cancelled_grams_raise(monkeypatch):
