@@ -384,6 +384,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     config = _train_config(ns)
     train_data, test_data = _featurized(ns, ns.feature_dim, ns.train_corpus, ns.test_corpus)
     grid = sweep(config, train_data, test_data, lambda_values, zeta_values, workers=workers)
+    best = grid.best()
     with open(_outpath(ns, "sweep.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# lambda\tzeta\tprecision\trecall\tf1\n")
         for cell in grid.cells:
@@ -408,7 +409,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 else:
                     row += f" P{_pct(r.precision)} R{_pct(r.recall)} F{_pct(r.f1)} |"
             fh.write(row + "\n")
-        best = grid.best()
         if best is not None:
             fh.write(
                 f"\nbest: lambda={best.lam!r} zeta={best.zeta!r} "
@@ -421,7 +421,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             for cell in errors:
                 fh.write(f"{cell.lam!r}\t{cell.zeta!r}\t{cell.error}\n")
     write_manifest(_outpath(ns, "manifest.txt"), "sweep", ns)
-    best = grid.best()
     print(
         f"sweep: {len(grid.cells)} cells"
         + (

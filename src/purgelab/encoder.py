@@ -86,7 +86,6 @@ def init_flat_params(seed: int, config: TrainConfig) -> np.ndarray:
 class EncoderCache:
     features: np.ndarray  # (m, feature)
     hidden: np.ndarray  # (m, hidden), post-tanh
-    prenorm: np.ndarray  # (m, embed), before normalization
     norms: np.ndarray  # (m, 1)
     embeddings: np.ndarray  # (m, embed), unit rows
     params_version: int
@@ -110,7 +109,6 @@ def encode_batch(params: EncoderParams, features: np.ndarray) -> EncoderCache:
     return EncoderCache(
         features=features,
         hidden=hidden,
-        prenorm=prenorm,
         norms=norms,
         embeddings=embeddings,
         params_version=params.version,
@@ -166,9 +164,7 @@ def _layer_grads(d_pre, inputs, w_out, b_out) -> None:
 
 @dataclass
 class PairCache:
-    origins: np.ndarray  # (m, embed)
-    mutants: np.ndarray  # (m, embed)
-    pair_features: np.ndarray  # (m, 4*embed)
+    pair_features: np.ndarray  # (m, 4*embed), origins and mutants first
     hidden: np.ndarray  # (m, pair_hidden), post-tanh
     logits: np.ndarray  # (m, 2)
     params_version: int
@@ -197,8 +193,6 @@ def classify_pairs(
     hidden = np.tanh(pf @ params.w1.T + params.b1)
     logits = hidden @ params.w2.T + params.b2
     return PairCache(
-        origins=origins,
-        mutants=mutants,
         pair_features=pf,
         hidden=hidden,
         logits=logits,
@@ -234,10 +228,11 @@ def pair_backward(
     d_pre = d_hidden * (1.0 - cache.hidden**2)
     _layer_grads(d_pre, cache.pair_features, w1, b1)
     d_pf = d_pre @ params.w1  # (m, 4*embed)
-    e = cache.origins.shape[1]
+    e = d_pf.shape[1] // 4
+    origins, mutants = cache.pair_features[:, :e], cache.pair_features[:, e : 2 * e]
     d_o_block, d_s_block = d_pf[:, :e], d_pf[:, e : 2 * e]
     d_abs, d_prod = d_pf[:, 2 * e : 3 * e], d_pf[:, 3 * e :]
-    diff_sign = np.sign(cache.origins - cache.mutants)
-    origin_grads = d_o_block + diff_sign * d_abs + cache.mutants * d_prod
-    mutant_grads = d_s_block - diff_sign * d_abs + cache.origins * d_prod
+    diff_sign = np.sign(origins - mutants)
+    origin_grads = d_o_block + diff_sign * d_abs + mutants * d_prod
+    mutant_grads = d_s_block - diff_sign * d_abs + origins * d_prod
     return origin_grads, mutant_grads

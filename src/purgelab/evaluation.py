@@ -18,8 +18,8 @@ import numpy as np
 from .data import FeatureCache
 from .encoder import classify_pairs, encode_batch
 from .errors import ConfigError, PurgelabError, StratifyError, UnknownClassError
+from .losses import EmbeddedBatch
 from .trainer import TrainConfig, TrainerState, train, with_loss
-from .vecmath import cosine_distances, row_norms
 
 # Not called here: purgebench's tracer counts calls made through this module
 # attribute, so it stays importable from this module.
@@ -101,8 +101,9 @@ class DistanceStats:
 
 def pair_distances(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndarray]:
     """Raw origin-mutant distances, split by label: (equivalent, non-equivalent)."""
-    origins, mutants = _embed(state, data)
-    distances = cosine_distances(origins, mutants, row_norms(origins), row_norms(mutants))
+    if len(data) == 0:
+        raise ConfigError("cannot compute distances on an empty corpus")
+    distances = EmbeddedBatch(data.class_ids, data.labels, *_embed(state, data)).distances
     return distances[data.labels == 1], distances[data.labels == 0]
 
 

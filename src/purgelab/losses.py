@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DegenerateVectorError,
     DimensionError,
     EmptyBatchError,
     NormalizationError,
@@ -90,7 +91,7 @@ class EmbeddedBatch:
     Row i pairs the embedding of class ``class_ids[i]``'s original program with
     the embedding of one of its mutants; ``labels[i]`` is 1 when that mutant is
     equivalent. The row norms and the origin-mutant distances are computed
-    once, on construction, and every row must be finite. Use
+    once, on construction, and every row must be finite and nonzero. Use
     :meth:`from_rows` for rows that must also be unit-norm.
     """
 
@@ -128,6 +129,8 @@ class EmbeddedBatch:
         self.mutant_norms = row_norms(self.mutants)
         if not (np.isfinite(self.origin_norms).all() and np.isfinite(self.mutant_norms).all()):
             raise NumericError("embeddings contain non-finite components")
+        if not (self.origin_norms.all() and self.mutant_norms.all()):
+            raise DegenerateVectorError("cosine distance is undefined for a zero vector")
         self.distances = cosine_distances(
             self.origins, self.mutants, self.origin_norms, self.mutant_norms
         )

@@ -57,6 +57,10 @@ CHECKPOINT_VERSION = 3
 
 LOSS_KINDS = ("ce_only", "ce_plus_cpl", "ce_plus_contrastive", "ce_plus_triplet")
 
+# The integer fields of TrainConfig and the least value each may take.
+_INT_MINIMUMS = {"epochs": 1, "batch_size": 1, "seed": 0, "feature_dim": 1, "hidden_dim": 1,
+                 "embed_dim": 1, "pair_hidden_dim": 1}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -75,20 +79,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = ("feature_dim", "hidden_dim", "embed_dim", "pair_hidden_dim")
-        for name in ("epochs", "batch_size", "seed", *dims):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            if name in dims and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in _INT_MINIMUMS.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.step_size < math.inf:
             raise ConfigError(f"step_size must be finite and positive, got {self.step_size!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -85,18 +85,14 @@ class VergeRegistry:
         returns the set of touched class ids. Classes not in the batch are
         untouched.
         """
-        order: list[int] = []
-        pos: dict[int, list[float]] = {}
-        neg: dict[int, list[float]] = {}
+        groups: dict[int, tuple[list[float], list[float]]] = {}
         rows = zip(batch.class_ids.tolist(), batch.labels.tolist(), batch.distances.tolist())
         for cid, label, d in rows:
-            if cid not in pos and cid not in neg:
-                order.append(cid)
-            bucket = pos if label == 1 else neg
-            bucket.setdefault(cid, []).append(d)
-        for cid in order:
-            self.update_class(cid, pos.get(cid, ()), neg.get(cid, ()))
-        return set(order)
+            pos, neg = groups.setdefault(cid, ([], []))
+            (pos if label == 1 else neg).append(d)
+        for cid, (pos, neg) in groups.items():
+            self.update_class(cid, pos, neg)
+        return set(groups)
 
     def rows(self) -> list[list]:
         """One ``[class_id, v_plus, v_minus]`` per observed class, sorted by
@@ -127,7 +123,7 @@ def _checked_distances(distances: Sequence[float], name: str) -> list[float]:
     out = []
     for d in distances:
         d = float(d)
-        if d < -_RANGE_TOL or d > 1.0 + _RANGE_TOL:
+        if not -_RANGE_TOL <= d <= 1.0 + _RANGE_TOL:
             raise RangeError(f"{name} value {d!r} outside [0, 1]")
         out.append(min(1.0, max(0.0, d)))
     return out

@@ -464,6 +464,7 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
 
 @pytest.mark.parametrize("command, flags", [
     pytest.param("export", [], id="export-empty-corpus"),
+    pytest.param("stats", [], id="stats-empty-corpus"),
     pytest.param("train", ["--step-size", "inf"], id="step-size-inf"),
     pytest.param("train", ["--adam-epsilon", "inf"], id="adam-epsilon-inf"),
     pytest.param("train", ["--alpha", "nan"], id="alpha-nan"),
@@ -490,6 +491,7 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     empty.write_bytes(b"")
     inputs = {
         "export": ["--checkpoint", ckpt, "--corpus", str(empty), "--features", features],
+        "stats": ["--checkpoint", ckpt, "--corpus", str(empty), "--features", features],
         "train": ["--corpus", missing],
         "sweep": ["--train-corpus", missing, "--test-corpus", missing],
         "gen": [],

@@ -3,6 +3,7 @@ import pytest
 
 from purgelab.errors import (
     ConfigError,
+    DegenerateVectorError,
     DimensionError,
     EmptyBatchError,
     NormalizationError,
@@ -124,6 +125,15 @@ def test_cpl_unknown_class_skips_every_sample():
 def test_cpl_empty_batch():
     with pytest.raises(EmptyBatchError):
         EmbeddedBatch([], [], np.zeros((0, 4)), np.zeros((0, 4)))
+
+
+@pytest.mark.parametrize("side", ["origins", "mutants"])
+def test_embedded_batch_rejects_zero_row(side):
+    # a zero row has no cosine distance; it must not become nan
+    rows = {"origins": np.tile(ORIGIN, (2, 1)), "mutants": np.tile(ORIGIN, (2, 1))}
+    rows[side][1] = 0.0
+    with pytest.raises(DegenerateVectorError, match="zero vector"):
+        EmbeddedBatch([0, 0], [1, 0], rows["origins"], rows["mutants"])
 
 
 def test_cpl_rejects_non_unit_embeddings():

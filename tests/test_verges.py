@@ -73,6 +73,8 @@ def test_distance_out_of_range():
         registry.update_class(1, pos_distances=(1.5,))
     with pytest.raises(RangeError):
         registry.update_class(1, neg_distances=(-0.2,))
+    with pytest.raises(RangeError):
+        registry.update_class(1, pos_distances=(float("nan"),))
 
 
 def test_range_tolerance_clamps_tiny_drift():
