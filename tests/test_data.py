@@ -1,5 +1,6 @@
 import hashlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,19 +319,37 @@ def reference_features(text: str, dim: int, orders=NGRAM_ORDERS) -> np.ndarray:
 
 
 # A small alphabet makes repeated grams and memo hits likely; the non-ASCII
-# tokens exercise the UTF-8 encoding of each gram.
+# tokens exercise the UTF-8 encoding of each gram. Tokens are separated by
+# spaces or by line breaks ("\n", "\r\n", blank and whitespace-only lines),
+# so texts have one-token lines and grams that span one or more line breaks.
 _TOKENS = st.sampled_from(["a", "b", "x", "mid", "(", ")", ";", "+=", "é", "Ω", "变量", "ß2"])
-_TEXTS = st.lists(_TOKENS, min_size=1, max_size=12).map(" ".join)
+_SEPARATORS = st.sampled_from([" ", " ", "\n", "\r\n", "\n\n", " \n\t\r\n"])
+_TEXTS = st.tuples(
+    st.sampled_from(["", "\n", " \r\n"]),
+    st.lists(st.tuples(_TOKENS, _SEPARATORS), min_size=1, max_size=12),
+).map(lambda t: t[0] + "".join(token + sep for token, sep in t[1]))
+
+
+def _features_or_error(featurize, text: str):
+    try:
+        return featurize(text).tobytes()
+    except DegenerateInputError as exc:
+        return str(exc)
 
 
 @settings(max_examples=200, deadline=None)
 @given(texts=st.lists(_TEXTS, min_size=1, max_size=4), dim=st.sampled_from([16, 17, 64, 256]))
 @example(texts=["x", "变量", "a a a a", "( ( ( ("], dim=16)  # single tokens, repeated grams
+# trigrams that span two line breaks around one-token lines; blank lines
+@example(texts=["a\nb\nc", "a\n\nb\r\n \nc\n", "x y\nz\nmid ; (", "\n\na b\n"], dim=16)
 def test_hashing_features_match_per_gram_reference(texts, dim):
-    provider = HashingFeatures(dim)  # shared, so later texts hit the memo
-    for text in texts + texts:
-        assert provider.vector(text).tobytes() == reference_features(text, dim).tobytes()
-        assert extract_features(text, dim).tobytes() == reference_features(text, dim).tobytes()
+    for orders in [(1,), (1, 2), (1, 2, 3)]:
+        with mock.patch.object(data_module, "NGRAM_ORDERS", orders):
+            provider = HashingFeatures(dim)  # shared, so later texts hit the memo
+            for text in texts + texts:
+                expected = _features_or_error(lambda t: reference_features(t, dim, orders=orders), text)
+                assert _features_or_error(provider.vector, text) == expected
+                assert _features_or_error(lambda t: extract_features(t, dim), text) == expected
 
 
 def test_hashing_features_cancelled_grams_raise(monkeypatch):

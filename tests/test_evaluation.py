@@ -162,6 +162,47 @@ def test_permutation_seed_stability_within_monte_carlo_tolerance():
     assert abs(p1 - p2) < 5.0 / np.sqrt(4000)
 
 
+def permutation_loop_reference(a, b, resamples, seed):
+    """One ``rng.permutation`` of the pool and two ``mean`` calls per resample."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    observed = abs(float(a.mean()) - float(b.mean()))
+    pool = np.concatenate([a, b])
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(resamples):
+        perm = rng.permutation(pool)
+        if abs(float(perm[: a.size].mean()) - float(perm[a.size :].mean())) >= observed:
+            hits += 1
+    return (hits + 1) / (resamples + 1), observed
+
+
+def _pools():
+    rng = np.random.default_rng(11)
+    yield rng.uniform(size=3), rng.uniform(size=5) + 0.2
+    yield rng.uniform(size=40), rng.uniform(size=25) + 0.05
+    # a pool of 4,700 rows, so fewer than 64 of them fit in a 1 MB block
+    yield rng.uniform(size=3000), rng.uniform(size=1700) + 0.01
+    # small integers: sums are exact and many resamples tie the observed diff
+    yield rng.integers(0, 3, size=17).astype(float), rng.integers(0, 3, size=23).astype(float)
+
+
+@pytest.mark.parametrize("resamples", [1, 63, 64, 65, 2000])
+def test_permutation_matches_loop_reference(resamples):
+    for seed, (a, b) in enumerate(_pools()):
+        result = permutation_pvalue(a, b, resamples=resamples, seed=seed)
+        assert (result.p_value, result.observed_diff) == permutation_loop_reference(a, b, resamples, seed)
+        assert result.resamples == resamples
+
+
+def test_permutation_pool_larger_than_a_block_row():
+    # 140,000 rows take more than 1 MB each, so a block holds a single row
+    rng = np.random.default_rng(12)
+    a, b = rng.uniform(size=90_000), rng.uniform(size=50_000)
+    result = permutation_pvalue(a, b, resamples=3, seed=4)
+    assert (result.p_value, result.observed_diff) == permutation_loop_reference(a, b, 3, 4)
+
+
 def test_permutation_validation():
     with pytest.raises(StratifyError):
         permutation_pvalue([], [1.0], resamples=10, seed=0)
