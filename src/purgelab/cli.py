@@ -56,6 +56,8 @@ _LOSS_DEFAULTS = LossConfig()
 
 # gen flags that only geometric mode reads, with their defaults.
 _GEOMETRIC_FLAGS = {"noise": 1.0, "feature_dim": _TRAIN_DEFAULTS.feature_dim}
+# stats flags that only the permutation test against --baseline reads.
+_PERMUTATION_FLAGS = {"resamples": 10_000, "stats_seed": 0}
 
 
 def _fmt(value) -> str:
@@ -235,6 +237,20 @@ def _write_losses(path, rows) -> None:
             fh.write(f"{r.index}\t{r.ce_loss!r}\t{r.metric_loss!r}\t{r.joint_loss!r}\t{r.skipped_count}\n")
 
 
+def _reject_unused(ns: argparse.Namespace, defaults: dict, why: str) -> None:
+    """ConfigError for a flag of ``defaults`` away from its default, which
+    has no effect ``why``. A replayed manifest echoes the defaults, so it runs."""
+    for dest, default in defaults.items():
+        if getattr(ns, dest) != default:
+            raise ConfigError(f"{dest} = {_fmt(getattr(ns, dest))} has no effect {why}")
+
+
+def _check_minimums(ns: argparse.Namespace, minimums: dict[str, int]) -> None:
+    for dest, least in minimums.items():
+        if getattr(ns, dest) < least:
+            raise ConfigError(f"{dest} must be >= {least}, got {getattr(ns, dest)}")
+
+
 def _checkpoint_and_corpus(ns: argparse.Namespace) -> tuple[TrainerState, FeatureCache]:
     """The ``--checkpoint`` state and the ``--corpus`` featurized at its feature dim."""
     state = load_checkpoint(ns.checkpoint)
@@ -283,10 +299,9 @@ def _parse_classes(text: str) -> list[int] | None:
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
+    _check_minimums(ns, {"seed": 0})
     if ns.mode == "codegen":
-        for dest, default in _GEOMETRIC_FLAGS.items():
-            if getattr(ns, dest) != default:
-                raise ConfigError(f"{dest} = {_fmt(getattr(ns, dest))} has no effect in codegen mode")
+        _reject_unused(ns, _GEOMETRIC_FLAGS, "in codegen mode")
     corpus, table = generate_synthetic(
         mode=ns.mode,
         n_classes=ns.classes,
@@ -305,6 +320,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(ns: argparse.Namespace) -> int:
+    _check_minimums(ns, {"seed": 0})
     corpus = ingest(ns.input)
     deduped = dedup(corpus)
     train_side, test_side = split(deduped, ns.fraction, ns.seed)
@@ -351,11 +367,21 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_stats(ns: argparse.Namespace) -> int:
-    state, data = _checkpoint_and_corpus(ns)
+    if ns.baseline:
+        _check_minimums(ns, {"resamples": 1, "stats_seed": 0})
+    else:
+        _reject_unused(ns, _PERMUTATION_FLAGS, "without --baseline")
+    state = load_checkpoint(ns.checkpoint)
+    base_state = load_checkpoint(ns.baseline) if ns.baseline else None
+    if base_state is not None and base_state.config.feature_dim != state.config.feature_dim:
+        raise ConfigError(
+            f"baseline feature_dim {base_state.config.feature_dim} is not "
+            f"the checkpoint's {state.config.feature_dim}"
+        )
+    [data] = _featurized(ns, state.config.feature_dim, ns.corpus)
     eq, noneq = pair_distances(state, data)
     lines = list(asdict(DistanceStats.from_distances(eq, noneq)).items())
-    if ns.baseline:
-        base_state = load_checkpoint(ns.baseline)
+    if base_state is not None:
         base_eq, base_noneq = pair_distances(base_state, data)
         base_stats = DistanceStats.from_distances(base_eq, base_noneq)
         test = permutation_pvalue(noneq, base_noneq, resamples=ns.resamples, seed=ns.stats_seed)
@@ -504,8 +530,8 @@ def build_parser(file_defaults: dict[str, str]) -> argparse.ArgumentParser:
     a.add("--baseline", type=str, default=None, help="baseline checkpoint to compare against")
     a.add("--corpus", type=str, default="corpus.tsv")
     a.add("--features", type=str, default=None)
-    a.add("--resamples", type=int, default=10_000)
-    a.add("--stats-seed", type=int, default=0, help="permutation test seed")
+    a.add("--resamples", type=int, default=_PERMUTATION_FLAGS["resamples"])
+    a.add("--stats-seed", type=int, default=_PERMUTATION_FLAGS["stats_seed"], help="permutation test seed")
     p.set_defaults(func=cmd_stats)
 
     p, a = subparser("export", "export embeddings for external plotting")

@@ -123,6 +123,9 @@ def read_lines(path, error: type[PurgelabError] = ParseError):
 def ingest(path) -> Corpus:
     """Parse a corpus file and validate the per-class origin invariant."""
     records: list[MutantRecord] = []
+    # The records of a class repeat its origin field, so each distinct field
+    # is unescaped once, and the records share its text.
+    origins: dict[str, str] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\r\n")
         if not line:
@@ -133,9 +136,12 @@ def ingest(path) -> Corpus:
         try:
             class_id = int(parts[0])
             label = int(parts[1])
+            origin = origins.get(parts[2])
+            if origin is None:
+                origin = origins[parts[2]] = _unescape(parts[2])
             record = MutantRecord(
                 class_id=class_id,
-                origin_text=_unescape(parts[2]),
+                origin_text=origin,
                 mutant_text=_unescape(parts[3]),
                 label=label,
             )
@@ -220,15 +226,31 @@ def _check_dim(dim: int) -> None:
 class HashingFeatures:
     """Feature provider that hashes token n-grams; see :func:`extract_features`.
 
-    A memo maps each distinct gram this instance has seen (a token, or a tuple
-    of tokens for the higher orders) to its signed slot: ``bucket`` for a +
-    sign, ``bucket + dim`` for a - sign. A gram is hashed once, and a memo
-    hit builds no string."""
+    Three memos live as long as the instance, and the n-gram orders are
+    :data:`NGRAM_ORDERS` as it was when the instance was made.
+
+    - The gram memo maps each distinct gram (a token, or a tuple of tokens
+      for the higher orders) to its signed slot: ``bucket`` for a + sign,
+      ``bucket + dim`` for a - sign. A gram is hashed once, and a memo hit
+      builds no string.
+    - The line memo maps each distinct line (text split on ``"\\n"``) to the
+      slots of the grams inside it and to its first and last
+      ``max(orders) - 1`` tokens. A token never holds whitespace, so a text's
+      tokens are its lines' tokens in order, and the grams of a text are its
+      lines' grams plus the grams that span a line break.
+    - The break memo maps the tokens on the two sides of a line break (the
+      last ``max(orders) - 1`` tokens before it, the first ones after it) to
+      the slots of the grams that span it.
+    """
 
     def __init__(self, dim: int = 256):
         _check_dim(dim)
         self.dim = dim
+        self._orders = NGRAM_ORDERS
+        self._edge = max(self._orders) - 1
         self._slots: dict[str | tuple[str, ...], int] = {}
+        self._lines: dict[str, tuple[list[int], tuple[str, ...], tuple[str, ...]]] = {}
+        self._breaks: dict[tuple[tuple[str, ...], tuple[str, ...]], list[int]] = {}
 
     def _slot(self, gram: str | tuple[str, ...]) -> int:
         tokens = (gram,) if isinstance(gram, str) else gram
@@ -238,16 +260,58 @@ class HashingFeatures:
         slot = self._slots[gram] = bucket if digest[8] & 1 else bucket + self.dim
         return slot
 
-    def vector(self, text: str) -> np.ndarray:
-        tokens = _TOKEN_RE.findall(text)
-        if not tokens:
-            raise DegenerateInputError("text contains no tokens")
+    def _gram_slots(self, tokens: list[str] | tuple[str, ...], orders: tuple[int, ...]) -> list[int]:
+        """The slots of the grams of ``tokens`` at each of ``orders``."""
         memo = self._slots
-        slots = [
+        return [
             memo[gram] if gram in memo else self._slot(gram)
-            for order in NGRAM_ORDERS
+            for order in orders
             for gram in (tokens if order == 1 else zip(*(tokens[k:] for k in range(order))))
         ]
+
+    def _line(self, line: str) -> tuple[list[int], tuple[str, ...], tuple[str, ...]]:
+        """Memoize and return a line's (gram slots, head tokens, tail tokens)."""
+        tokens = _TOKEN_RE.findall(line)
+        edge = self._edge
+        entry = self._lines[line] = (
+            self._gram_slots(tokens, self._orders),
+            tuple(tokens[:edge]),
+            tuple(tokens[max(len(tokens) - edge, 0) :]),
+        )
+        return entry
+
+    def _spanning(self, before: tuple[str, ...], head: tuple[str, ...]) -> list[int]:
+        """Memoize and return the slots of the grams that span a line break:
+        ``before`` is the last tokens ahead of it, ``head`` the first after it.
+
+        At order k the sides give at most k - 1 tokens each, so every k-gram
+        of their last and first k - 1 tokens starts before the break and ends
+        after it."""
+        slots = []
+        for order in self._orders:
+            if order > 1:
+                slots += self._gram_slots(before[1 - order :] + head[: order - 1], (order,))
+        self._breaks[before, head] = slots
+        return slots
+
+    def vector(self, text: str) -> np.ndarray:
+        lines, breaks = self._lines, self._breaks
+        slots: list[int] = []
+        before: tuple[str, ...] = ()  # the last max(orders) - 1 tokens so far
+        for line in text.split("\n"):
+            entry = lines.get(line)
+            if entry is None:
+                entry = self._line(line)
+            line_slots, head, tail = entry
+            slots += line_slots
+            if tail:  # the line has tokens, and an order above 1 is in use
+                if before:
+                    spanning = breaks.get((before, head))
+                    slots += self._spanning(before, head) if spanning is None else spanning
+                before = (before + tail)[-self._edge :]
+        # A token leaves a unigram slot (orders (1,)) or a token in ``before``.
+        if not slots and not before:
+            raise DegenerateInputError("text contains no tokens")
         # Exact integer counts, so this has the bits of adding +-1.0 per gram.
         counts = np.bincount(slots, minlength=2 * self.dim)
         vec = np.subtract(counts[: self.dim], counts[self.dim :], dtype=np.float64)

@@ -30,8 +30,10 @@ def gen_small(out_dir, seed=0):
 
 
 def train_small(out_dir, corpus, features, extra=()):
+    """Train on ``corpus``, with hashed features when ``features`` is None."""
+    table = [] if features is None else ["--features", features]
     rc = run(
-        ["train", "--corpus", corpus, "--features", features, "--out-dir", str(out_dir),
+        ["train", "--corpus", corpus, *table, "--out-dir", str(out_dir),
          "--epochs", "2", *SMALL_DIMS, *extra]
     )
     assert rc == 0
@@ -502,6 +504,56 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     assert rc == 1
     assert capsys.readouterr().err.startswith("ERROR ConfigError: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, error", [
+    pytest.param("gen", ["--seed", "-1"], "seed must be >= 0, got -1", id="gen-negative-seed"),
+    pytest.param("preprocess", ["--seed", "-1"], "seed must be >= 0, got -1", id="preprocess-negative-seed"),
+    pytest.param("stats", ["--baseline", "{base}", "--stats-seed", "-1"], "stats_seed must be >= 0, got -1",
+                 id="stats-negative-seed"),
+    pytest.param("stats", ["--baseline", "{base}", "--resamples", "0"], "resamples must be >= 1, got 0",
+                 id="stats-zero-resamples"),
+    pytest.param("stats", ["--baseline", "{base16}"], "baseline feature_dim 16 is not the checkpoint's 24",
+                 id="stats-baseline-feature-dim"),
+    pytest.param("stats", ["--resamples", "50"], "resamples = 50 has no effect without --baseline",
+                 id="stats-resamples-without-baseline"),
+    pytest.param("stats", ["--stats-seed", "3"], "stats_seed = 3 has no effect without --baseline",
+                 id="stats-seed-without-baseline"),
+])
+def test_bad_flag_exits_1_before_reading_input(tmp_path, capsys, command, flags, error):
+    # Every input but the checkpoints is missing, so a check made after
+    # reading one would surface as FileNotFoundError instead.
+    data = tmp_path / "data"
+    assert run(["gen", "--mode", "codegen", "--classes", "2", "--per-class", "4",
+                "--out-dir", str(data)]) == 0
+    corpus = str(data / "corpus.tsv")
+    ckpt = train_small(tmp_path / "run", corpus, features=None)
+    base16 = train_small(tmp_path / "run16", corpus, features=None,
+                         extra=["--feature-dim", "16", "--epochs", "1"])
+    missing = str(tmp_path / "missing.tsv")
+    inputs = {
+        "gen": [],
+        "preprocess": ["--input", missing],
+        "stats": ["--checkpoint", ckpt, "--corpus", missing],
+    }[command]
+    flags = [flag.format(base=ckpt, base16=base16) for flag in flags]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run([command, *inputs, *flags, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"ERROR ConfigError: {error}\n"
+    assert not out.exists()
+
+
+def test_stats_manifest_without_baseline_replays_with_config(tmp_path):
+    # the manifest echoes the default --resamples and --stats-seed
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["stats", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
+                "--out-dir", str(first)]) == 0
+    assert run(["stats", "--config", str(first / "manifest.txt"), "--out-dir", str(again)]) == 0
+    assert (again / "stats.txt").read_bytes() == (first / "stats.txt").read_bytes()
 
 
 @pytest.mark.parametrize("line", [

@@ -181,7 +181,7 @@ def _pools():
     rng = np.random.default_rng(11)
     yield rng.uniform(size=3), rng.uniform(size=5) + 0.2
     yield rng.uniform(size=40), rng.uniform(size=25) + 0.05
-    # a pool of 4,700 rows, so fewer than 64 of them fit in a 1 MB block
+    # a pool of 4,700 values, so fewer than 64 resamples fit in a 1 MB block
     yield rng.uniform(size=3000), rng.uniform(size=1700) + 0.01
     # small integers: sums are exact and many resamples tie the observed diff
     yield rng.integers(0, 3, size=17).astype(float), rng.integers(0, 3, size=23).astype(float)
@@ -196,7 +196,7 @@ def test_permutation_matches_loop_reference(resamples):
 
 
 def test_permutation_pool_larger_than_a_block_row():
-    # 140,000 rows take more than 1 MB each, so a block holds a single row
+    # a pool of 140,000 values takes more than 1 MB, so a block holds one resample
     rng = np.random.default_rng(12)
     a, b = rng.uniform(size=90_000), rng.uniform(size=50_000)
     result = permutation_pvalue(a, b, resamples=3, seed=4)
@@ -208,6 +208,8 @@ def test_permutation_validation():
         permutation_pvalue([], [1.0], resamples=10, seed=0)
     with pytest.raises(ConfigError):
         permutation_pvalue([1.0], [1.0], resamples=0, seed=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        permutation_pvalue([1.0], [1.0], resamples=10, seed=-1)
 
 
 # --- sweep ---------------------------------------------------------------------
