@@ -118,11 +118,6 @@ class PermutationResult:
     resamples: int
 
 
-# A block of resamples holds at most this many rows and bytes.
-PERMUTATION_BLOCK_ROWS = 64
-PERMUTATION_BLOCK_BYTES = 1 << 20
-
-
 def permutation_pvalue(a, b, resamples: int = 10_000, seed: int = 0) -> PermutationResult:
     """Two-sample permutation test on the absolute difference of means.
 
@@ -147,7 +142,7 @@ def permutation_pvalue(a, b, resamples: int = 10_000, seed: int = 0) -> Permutat
     pool = np.concatenate([a, b])
     n_a, n_b = a.size, b.size
     rng = np.random.default_rng(seed)
-    rows = max(1, min(PERMUTATION_BLOCK_ROWS, resamples, PERMUTATION_BLOCK_BYTES // pool.nbytes))
+    rows = max(1, min(64, resamples, (1 << 20) // pool.nbytes))  # at most 64 rows and 1 MB
     block = np.empty((rows, pool.size))
     hits = 0
     for done in range(0, resamples, rows):

@@ -483,10 +483,12 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
     pytest.param("gen", ["--mode", "codegen", "--feature-dim", "7"], id="gen-codegen-feature-dim"),
     # 1e10 records: rejected by the product alone, before anything is generated
     pytest.param("gen", ["--classes", "100000", "--per-class", "100000"], id="gen-too-many-records"),
+    pytest.param("gen", ["--seed", "-1"], id="gen-negative-seed"),
+    pytest.param("preprocess", ["--seed", "-1"], id="preprocess-negative-seed"),
 ])
 def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
-    # train and sweep get missing corpora, so a check made after featurizing
-    # would surface as FileNotFoundError instead
+    # train, sweep and preprocess get missing corpora, so a check made after
+    # reading one would surface as FileNotFoundError instead
     corpus, features = gen_small(tmp_path / "data")
     ckpt = train_small(tmp_path / "run", corpus, features)
     empty, missing = tmp_path / "empty.tsv", str(tmp_path / "missing.tsv")
@@ -497,6 +499,7 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
         "train": ["--corpus", missing],
         "sweep": ["--train-corpus", missing, "--test-corpus", missing],
         "gen": [],
+        "preprocess": ["--input", missing],
     }[command]
     out = tmp_path / "out"
     capsys.readouterr()
@@ -506,23 +509,21 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flags, error", [
-    pytest.param("gen", ["--seed", "-1"], "seed must be >= 0, got -1", id="gen-negative-seed"),
-    pytest.param("preprocess", ["--seed", "-1"], "seed must be >= 0, got -1", id="preprocess-negative-seed"),
-    pytest.param("stats", ["--baseline", "{base}", "--stats-seed", "-1"], "stats_seed must be >= 0, got -1",
-                 id="stats-negative-seed"),
-    pytest.param("stats", ["--baseline", "{base}", "--resamples", "0"], "resamples must be >= 1, got 0",
-                 id="stats-zero-resamples"),
-    pytest.param("stats", ["--baseline", "{base16}"], "baseline feature_dim 16 is not the checkpoint's 24",
-                 id="stats-baseline-feature-dim"),
-    pytest.param("stats", ["--resamples", "50"], "resamples = 50 has no effect without --baseline",
-                 id="stats-resamples-without-baseline"),
-    pytest.param("stats", ["--stats-seed", "3"], "stats_seed = 3 has no effect without --baseline",
-                 id="stats-seed-without-baseline"),
+@pytest.mark.parametrize("flags, error", [
+    pytest.param(["--baseline", "{base}", "--stats-seed", "-1"], "stats_seed must be >= 0, got -1",
+                 id="negative-seed"),
+    pytest.param(["--baseline", "{base}", "--resamples", "0"], "resamples must be >= 1, got 0",
+                 id="zero-resamples"),
+    pytest.param(["--baseline", "{base16}"], "baseline feature_dim 16 is not the checkpoint's 24",
+                 id="baseline-feature-dim"),
+    pytest.param(["--resamples", "50"], "resamples = 50 has no effect without --baseline",
+                 id="resamples-without-baseline"),
+    pytest.param(["--stats-seed", "3"], "stats_seed = 3 has no effect without --baseline",
+                 id="seed-without-baseline"),
 ])
-def test_bad_flag_exits_1_before_reading_input(tmp_path, capsys, command, flags, error):
-    # Every input but the checkpoints is missing, so a check made after
-    # reading one would surface as FileNotFoundError instead.
+def test_stats_checks_flags_before_reading_the_corpus(tmp_path, capsys, flags, error):
+    # The corpus is missing, so a check made after reading it would surface
+    # as FileNotFoundError instead.
     data = tmp_path / "data"
     assert run(["gen", "--mode", "codegen", "--classes", "2", "--per-class", "4",
                 "--out-dir", str(data)]) == 0
@@ -530,16 +531,11 @@ def test_bad_flag_exits_1_before_reading_input(tmp_path, capsys, command, flags,
     ckpt = train_small(tmp_path / "run", corpus, features=None)
     base16 = train_small(tmp_path / "run16", corpus, features=None,
                          extra=["--feature-dim", "16", "--epochs", "1"])
-    missing = str(tmp_path / "missing.tsv")
-    inputs = {
-        "gen": [],
-        "preprocess": ["--input", missing],
-        "stats": ["--checkpoint", ckpt, "--corpus", missing],
-    }[command]
     flags = [flag.format(base=ckpt, base16=base16) for flag in flags]
     out = tmp_path / "out"
     capsys.readouterr()
-    rc = run([command, *inputs, *flags, "--out-dir", str(out)])
+    rc = run(["stats", "--checkpoint", ckpt, "--corpus", str(tmp_path / "missing.tsv"), *flags,
+              "--out-dir", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"ERROR ConfigError: {error}\n"
     assert not out.exists()
