@@ -18,6 +18,7 @@ from dataclasses import asdict, fields, replace
 from .data import (
     FeatureCache,
     HashingFeatures,
+    check_fraction,
     dedup,
     generate_synthetic,
     ingest,
@@ -321,6 +322,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
 def cmd_preprocess(ns: argparse.Namespace) -> int:
     _check_minimums(ns, {"seed": 0})
+    check_fraction(ns.fraction)
     corpus = ingest(ns.input)
     deduped = dedup(corpus)
     train_side, test_side = split(deduped, ns.fraction, ns.seed)
@@ -459,8 +461,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_export(ns: argparse.Namespace) -> int:
+    classes = _parse_classes(ns.classes)
     state, data = _checkpoint_and_corpus(ns)
-    rows = export_embeddings(state, data, _parse_classes(ns.classes))
+    rows = export_embeddings(state, data, classes)
     with open(_outpath(ns, "embeddings.tsv"), "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
             class_id, label, role, *components = row

@@ -71,9 +71,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
-
 
 def validate_corpus(corpus: Corpus) -> None:
     """Check that all records of one class share an origin text."""
@@ -181,6 +178,11 @@ def dedup(corpus: Corpus) -> Corpus:
     return Corpus(records=kept)
 
 
+def check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"fraction must be in (0, 1), got {fraction!r}")
+
+
 def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     """Label-stratified split into (train, test), reproducible from seed.
 
@@ -188,8 +190,7 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     label; together the sides partition the corpus. Record order within each
     side follows the original corpus order.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"fraction must be in (0, 1), got {fraction!r}")
+    check_fraction(fraction)
     by_label: dict[int, list[int]] = {0: [], 1: []}
     for idx, record in enumerate(corpus.records):
         by_label[record.label].append(idx)
@@ -218,39 +219,31 @@ def extract_features(text: str, dim: int) -> np.ndarray:
     return HashingFeatures(dim).vector(text)
 
 
-def _check_dim(dim: int) -> None:
-    if not isinstance(dim, numbers.Integral) or dim < 16:
-        raise ConfigError(f"feature dim must be an integer >= 16, got {dim!r}")
-
-
 class HashingFeatures:
     """Feature provider that hashes token n-grams; see :func:`extract_features`.
 
-    Three memos live as long as the instance, and the n-gram orders are
+    Two memos live as long as the instance, and the n-gram orders are
     :data:`NGRAM_ORDERS` as it was when the instance was made.
 
     - The gram memo maps each distinct gram (a token, or a tuple of tokens
       for the higher orders) to its signed slot: ``bucket`` for a + sign,
       ``bucket + dim`` for a - sign. A gram is hashed once, and a memo hit
       builds no string.
-    - The line memo maps each distinct line (text split on ``"\\n"``) to the
-      slots of the grams inside it and to its first and last
-      ``max(orders) - 1`` tokens. A token never holds whitespace, so a text's
-      tokens are its lines' tokens in order, and the grams of a text are its
-      lines' grams plus the grams that span a line break.
-    - The break memo maps the tokens on the two sides of a line break (the
-      last ``max(orders) - 1`` tokens before it, the first ones after it) to
-      the slots of the grams that span it.
+    - The line memo maps a line (text split on ``"\\n"``) and the last
+      ``max(orders) - 1`` tokens ahead of it to the slots of the grams that
+      end in the line, and to the last tokens ahead of the next line. A token
+      never holds whitespace, so each gram of a text ends in exactly one of
+      its lines, and the gram's earlier tokens are among those ahead of it.
     """
 
     def __init__(self, dim: int = 256):
-        _check_dim(dim)
+        if not isinstance(dim, numbers.Integral) or dim < 16:
+            raise ConfigError(f"feature dim must be an integer >= 16, got {dim!r}")
         self.dim = dim
         self._orders = NGRAM_ORDERS
         self._edge = max(self._orders) - 1
         self._slots: dict[str | tuple[str, ...], int] = {}
-        self._lines: dict[str, tuple[list[int], tuple[str, ...], tuple[str, ...]]] = {}
-        self._breaks: dict[tuple[tuple[str, ...], tuple[str, ...]], list[int]] = {}
+        self._lines: dict[tuple[tuple[str, ...], str], tuple[list[int], tuple[str, ...]]] = {}
 
     def _slot(self, gram: str | tuple[str, ...]) -> int:
         tokens = (gram,) if isinstance(gram, str) else gram
@@ -260,55 +253,29 @@ class HashingFeatures:
         slot = self._slots[gram] = bucket if digest[8] & 1 else bucket + self.dim
         return slot
 
-    def _gram_slots(self, tokens: list[str] | tuple[str, ...], orders: tuple[int, ...]) -> list[int]:
-        """The slots of the grams of ``tokens`` at each of ``orders``."""
+    def _line(self, before: tuple[str, ...], line: str) -> tuple[list[int], tuple[str, ...]]:
+        """Memoize and return the slots of the grams that end in ``line``, with
+        ``before`` the tokens ahead of it, and the tokens ahead of the next line."""
+        tokens = [*before, *_TOKEN_RE.findall(line)]
         memo = self._slots
-        return [
-            memo[gram] if gram in memo else self._slot(gram)
-            for order in orders
-            for gram in (tokens if order == 1 else zip(*(tokens[k:] for k in range(order))))
-        ]
-
-    def _line(self, line: str) -> tuple[list[int], tuple[str, ...], tuple[str, ...]]:
-        """Memoize and return a line's (gram slots, head tokens, tail tokens)."""
-        tokens = _TOKEN_RE.findall(line)
-        edge = self._edge
-        entry = self._lines[line] = (
-            self._gram_slots(tokens, self._orders),
-            tuple(tokens[:edge]),
-            tuple(tokens[max(len(tokens) - edge, 0) :]),
-        )
+        slots: list[int] = []
+        for order in self._orders:
+            # The k-grams that start in the first len(before) - k + 1 tokens
+            # end in ``before``.
+            ending = tokens[max(len(before) - order + 1, 0) :]
+            grams = ending if order == 1 else zip(*(ending[k:] for k in range(order)))
+            slots += [memo[gram] if gram in memo else self._slot(gram) for gram in grams]
+        entry = self._lines[before, line] = (slots, tuple(tokens[max(len(tokens) - self._edge, 0) :]))
         return entry
 
-    def _spanning(self, before: tuple[str, ...], head: tuple[str, ...]) -> list[int]:
-        """Memoize and return the slots of the grams that span a line break:
-        ``before`` is the last tokens ahead of it, ``head`` the first after it.
-
-        At order k the sides give at most k - 1 tokens each, so every k-gram
-        of their last and first k - 1 tokens starts before the break and ends
-        after it."""
-        slots = []
-        for order in self._orders:
-            if order > 1:
-                slots += self._gram_slots(before[1 - order :] + head[: order - 1], (order,))
-        self._breaks[before, head] = slots
-        return slots
-
     def vector(self, text: str) -> np.ndarray:
-        lines, breaks = self._lines, self._breaks
+        lines = self._lines
         slots: list[int] = []
         before: tuple[str, ...] = ()  # the last max(orders) - 1 tokens so far
         for line in text.split("\n"):
-            entry = lines.get(line)
-            if entry is None:
-                entry = self._line(line)
-            line_slots, head, tail = entry
+            entry = lines.get((before, line))
+            line_slots, before = self._line(before, line) if entry is None else entry
             slots += line_slots
-            if tail:  # the line has tokens, and an order above 1 is in use
-                if before:
-                    spanning = breaks.get((before, head))
-                    slots += self._spanning(before, head) if spanning is None else spanning
-                before = (before + tail)[-self._edge :]
         # A token leaves a unigram slot (orders (1,)) or a token in ``before``.
         if not slots and not before:
             raise DegenerateInputError("text contains no tokens")

@@ -193,7 +193,7 @@ def test_train_eval_deterministic_across_runs(tmp_path):
     corpus, features = gen_small(tmp_path / "data")
     ckpt_a = train_small(tmp_path / "run_a", corpus, features)
     ckpt_b = train_small(tmp_path / "run_b", corpus, features)
-    assert open(ckpt_a, "rb").read() == open(ckpt_b, "rb").read()
+    assert Path(ckpt_a).read_bytes() == Path(ckpt_b).read_bytes()
     hist_a = (tmp_path / "run_a" / "history.tsv").read_text()
     hist_b = (tmp_path / "run_b" / "history.tsv").read_text()
     assert hist_a == hist_b
@@ -335,9 +335,9 @@ def test_export_rows(tmp_path):
 
 def test_commands_do_not_mutate_inputs(tmp_path):
     corpus, features = gen_small(tmp_path / "data")
-    before = open(corpus, "rb").read(), open(features, "rb").read()
+    before = Path(corpus).read_bytes(), Path(features).read_bytes()
     train_small(tmp_path / "run", corpus, features)
-    after = open(corpus, "rb").read(), open(features, "rb").read()
+    after = Path(corpus).read_bytes(), Path(features).read_bytes()
     assert before == after
 
 
@@ -353,7 +353,7 @@ def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
         extra=["--feature-dim", "16", "--hidden-dim", "8", "--embed-dim", "4",
                "--pair-hidden-dim", "4", "--epochs", "1"],
     )
-    raw = open(ckpt, "rb").read()
+    raw = Path(ckpt).read_bytes()
     rng = np.random.default_rng(2024)
     cases = [raw[:n] for n in [0, 13, 17, len(raw) - 1, *rng.integers(0, len(raw), 40)]]
     for bit in rng.integers(0, 8 * len(raw), 200):
@@ -485,6 +485,11 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
     pytest.param("gen", ["--classes", "100000", "--per-class", "100000"], id="gen-too-many-records"),
     pytest.param("gen", ["--seed", "-1"], id="gen-negative-seed"),
     pytest.param("preprocess", ["--seed", "-1"], id="preprocess-negative-seed"),
+    pytest.param("preprocess", ["--fraction", "2"], id="preprocess-fraction-2"),
+    # a missing checkpoint and corpus, so a parse made after loading them
+    # would surface as FileNotFoundError instead
+    pytest.param("export", ["--checkpoint", "{missing}", "--corpus", "{missing}", "--classes", "abc"],
+                 id="export-bad-classes"),
 ])
 def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     # train, sweep and preprocess get missing corpora, so a check made after
@@ -501,6 +506,7 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
         "gen": [],
         "preprocess": ["--input", missing],
     }[command]
+    flags = [flag.format(missing=missing) for flag in flags]
     out = tmp_path / "out"
     capsys.readouterr()
     rc = run([command, *inputs, *flags, "--out-dir", str(out)])

@@ -469,7 +469,7 @@ def test_generate_geometric_zero_noise_equivalents_sit_on_origin():
 def test_generate_geometric_label_counts():
     corpus, _ = generate_synthetic("geometric", n_classes=3, per_class=10, equiv_fraction=0.3, seed=0)
     per_class_eq = 3
-    labels = corpus.labels()
+    labels = np.array([r.label for r in corpus.records])
     assert labels.sum() == 3 * per_class_eq
     assert len(corpus) == 30
 

@@ -121,7 +121,7 @@ def test_pair_distances_split_by_label():
     corpus, data = small_setup()
     state = init_state(small_config())
     eq, noneq = pair_distances(state, data)
-    labels = corpus.labels()
+    labels = np.array([r.label for r in corpus.records])
     assert eq.size == int(labels.sum())
     assert noneq.size == int((1 - labels).sum())
 
