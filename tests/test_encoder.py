@@ -128,6 +128,26 @@ def test_backward_rejects_stale_cache():
         pair_backward(head, pcache, np.zeros((2, 2)), zeros_like_params(head))
 
 
+def test_backward_checks_upstream_shape_after_staleness():
+    enc, head = small_params(0)
+    rng = np.random.default_rng(5)
+    cache = encode_batch(enc, rng.normal(size=(2, 8)))
+    pcache = classify_pairs(head, cache.embeddings, cache.embeddings)
+    for bad in (np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)):
+        with pytest.raises(DimensionError, match="upstream must match"):
+            encoder_backward(enc, cache, bad, zeros_like_params(enc))
+    for bad in (np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(2)):
+        with pytest.raises(DimensionError, match="upstream must match"):
+            pair_backward(head, pcache, bad, zeros_like_params(head))
+    # A stale cache is reported before the upstream's shape is looked at.
+    enc.version += 1
+    head.version += 1
+    with pytest.raises(StateError):
+        encoder_backward(enc, cache, np.zeros((3, 4)), zeros_like_params(enc))
+    with pytest.raises(StateError):
+        pair_backward(head, pcache, np.zeros((3, 3)), zeros_like_params(head))
+
+
 def test_zero_upstream_gives_zero_parameter_gradients():
     enc, head = small_params(0)
     rng = np.random.default_rng(6)
