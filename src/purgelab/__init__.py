@@ -12,7 +12,6 @@ from .data import (
     MutantRecord,
     TableFeatures,
     dedup,
-    extract_features,
     generate_synthetic,
     ingest,
     make_batches,
@@ -81,7 +80,6 @@ __all__ = [
     "ema_step",
     "evaluate",
     "export_embeddings",
-    "extract_features",
     "finite_difference_gradient",
     "generate_synthetic",
     "ingest",

@@ -547,31 +547,25 @@ def build_parser(file_defaults: dict[str, str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _peek_config(argv) -> dict[str, str]:
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            return load_config_file(argv[i + 1])
-        if arg.startswith("--config="):
-            return load_config_file(arg.split("=", 1)[1])
-    return {}
-
-
 def _check_config_keys(parser, ns: argparse.Namespace, file_defaults: dict[str, str]) -> None:
-    """Usage error for a ``--config`` key that no flag of the command has, or another ``command``."""
+    """Usage error for a ``--config`` key that no flag of the command has, for a
+    ``config`` key (config files do not nest), or for another ``command``."""
     if file_defaults.get("command", ns.command) != ns.command:
         parser.error(f"--config holds command = {file_defaults['command']}, not {ns.command}")
-    unknown = sorted(set(file_defaults) - (set(vars(ns)) - {"func", "given"}))
+    unknown = sorted(set(file_defaults) - (set(vars(ns)) - {"func", "given", "config"}))
     if unknown:
         parser.error(f"{ns.command}: --config keys name no flag: {', '.join(unknown)}")
 
 
 def run(argv) -> int:
     try:
-        file_defaults = _peek_config(argv)
-        parser = build_parser(file_defaults)
         try:
-            ns = parser.parse_args(argv)
-            _check_config_keys(parser, ns, file_defaults)
+            ns = build_parser({}).parse_args(argv)
+            if ns.config is not None:
+                file_defaults = load_config_file(ns.config)
+                parser = build_parser(file_defaults)
+                ns = parser.parse_args(argv)
+                _check_config_keys(parser, ns, file_defaults)
         except SystemExit as exc:
             return int(exc.code or 0)
         return ns.func(ns)

@@ -213,14 +213,9 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     return train, test
 
 
-def extract_features(text: str, dim: int) -> np.ndarray:
-    """Hash token n-grams (orders :data:`NGRAM_ORDERS`) into a sign-hashed,
-    L2-normalized ``dim``-vector; stable across runs (seedless hash)."""
-    return HashingFeatures(dim).vector(text)
-
-
 class HashingFeatures:
-    """Feature provider that hashes token n-grams; see :func:`extract_features`.
+    """Feature provider that hashes token n-grams (orders :data:`NGRAM_ORDERS`)
+    into sign-hashed, L2-normalized ``dim``-vectors, stable across runs.
 
     Two memos live as long as the instance, and the n-gram orders are
     :data:`NGRAM_ORDERS` as it was when the instance was made.

@@ -5,7 +5,8 @@ The encoder maps hashed text features through
 feature_dim -> hidden_dim -> embed_dim with a tanh between the layers and
 L2-normalizes the output, so every embedding is unit-norm by construction.
 The pair head consumes the symmetric block [o, s, |o - s|, o * s] built from
-two embeddings and emits two logits (equivalent / non-equivalent).
+two embeddings and emits two logits (equivalent / non-equivalent). Both are
+:class:`DenseParams` and share one forward and one backward body.
 
 Forward passes cache what the backward pass needs; each cache records the
 parameter version it was computed under, and the backward functions refuse a
@@ -27,20 +28,13 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class EncoderParams:
-    w1: np.ndarray  # (hidden, feature)
+class DenseParams:
+    """Two dense layers with a tanh between them: the encoder, or the pair head."""
+
+    w1: np.ndarray  # (hidden, inputs)
     b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (embed, hidden)
-    b2: np.ndarray  # (embed,)
-    version: int = 0
-
-
-@dataclass
-class PairClassifierParams:
-    w1: np.ndarray  # (pair_hidden, 4*embed)
-    b1: np.ndarray  # (pair_hidden,)
-    w2: np.ndarray  # (2, pair_hidden)
-    b2: np.ndarray  # (2,)
+    w2: np.ndarray  # (outputs, hidden)
+    b2: np.ndarray  # (outputs,)
     version: int = 0
 
 
@@ -66,10 +60,10 @@ def split_flat(flat: np.ndarray, config: TrainConfig) -> list[np.ndarray]:
 
 def param_views(
     flat: np.ndarray, config: TrainConfig, version: int = 0
-) -> tuple[EncoderParams, PairClassifierParams]:
+) -> tuple[DenseParams, DenseParams]:
     """Encoder and head whose arrays are views into the flat vector ``flat``."""
     views = split_flat(flat, config)
-    return EncoderParams(*views[:4], version), PairClassifierParams(*views[4:], version)
+    return DenseParams(*views[:4], version), DenseParams(*views[4:], version)
 
 
 def init_flat_params(seed: int, config: TrainConfig) -> np.ndarray:
@@ -82,41 +76,81 @@ def init_flat_params(seed: int, config: TrainConfig) -> np.ndarray:
     return flat
 
 
+def _forward(params: DenseParams, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The post-tanh hidden rows and the output rows of ``params`` on ``inputs``."""
+    hidden = np.tanh(inputs @ params.w1.T + params.b1)
+    return hidden, hidden @ params.w2.T + params.b2
+
+
+def _upstream(
+    params: DenseParams, cache: EncoderCache | PairCache, upstream: np.ndarray, outputs: np.ndarray
+) -> np.ndarray:
+    """``upstream`` as float64, once ``cache`` is known to be fresh and
+    ``upstream`` to have the shape of its ``outputs``."""
+    if cache.params_version != params.version:
+        raise StateError(
+            f"stale forward cache: params version {params.version}, "
+            f"cache version {cache.params_version}"
+        )
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != outputs.shape:
+        raise DimensionError(
+            f"upstream must match output shape {outputs.shape}, got {upstream.shape}"
+        )
+    return upstream
+
+
+def _backward(
+    params: DenseParams,
+    cache: EncoderCache | PairCache,
+    d_out: np.ndarray,
+    out: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Backpropagate the gradient ``d_out`` on the outputs through both layers.
+
+    The w1, b1, w2, b2 gradients, summed over the rows, are written into the
+    buffers ``out``; the gradient on the first layer's pre-activation is
+    returned.
+    """
+    arrays = (params.w1, params.b1, params.w2, params.b2)
+    if [o.shape for o in out] != [a.shape for a in arrays]:
+        raise DimensionError("gradient buffers must match the parameter shapes")
+    w1, b1, w2, b2 = out
+    np.matmul(d_out.T, cache.hidden, out=w2)
+    d_out.sum(axis=0, out=b2)
+    d_pre = (d_out @ params.w2) * (1.0 - cache.hidden**2)  # tanh'
+    np.matmul(d_pre.T, cache.inputs, out=w1)
+    d_pre.sum(axis=0, out=b1)
+    return d_pre
+
+
 @dataclass
 class EncoderCache:
-    features: np.ndarray  # (m, feature)
+    inputs: np.ndarray  # (m, feature)
     hidden: np.ndarray  # (m, hidden), post-tanh
     norms: np.ndarray  # (m, 1)
     embeddings: np.ndarray  # (m, embed), unit rows
     params_version: int
 
 
-def encode_batch(params: EncoderParams, features: np.ndarray) -> EncoderCache:
+def encode_batch(params: DenseParams, features: np.ndarray) -> EncoderCache:
     """Forward pass over a batch of feature rows; embeddings are unit-norm."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.w1.shape[1]:
         raise DimensionError(
             f"features must be (m, {params.w1.shape[1]}), got {features.shape}"
         )
-    hidden = np.tanh(features @ params.w1.T + params.b1)  # (m, hidden)
-    prenorm = hidden @ params.w2.T + params.b2  # (m, embed)
+    hidden, prenorm = _forward(params, features)
     norms = np.linalg.norm(prenorm, axis=1, keepdims=True)  # (m, 1)
     if np.any(norms == 0.0):
         raise DegenerateVectorError("encoder produced a zero vector before normalization")
     if not np.isfinite(norms).all():
         raise NumericError("encoder pre-normalization norm is not finite")
-    embeddings = prenorm / norms
-    return EncoderCache(
-        features=features,
-        hidden=hidden,
-        norms=norms,
-        embeddings=embeddings,
-        params_version=params.version,
-    )
+    return EncoderCache(features, hidden, norms, prenorm / norms, params.version)
 
 
 def encoder_backward(
-    params: EncoderParams,
+    params: DenseParams,
     cache: EncoderCache,
     upstream: np.ndarray,
     out: Sequence[np.ndarray],
@@ -128,43 +162,15 @@ def encoder_backward(
     layer outputs. The w1, b1, w2, b2 gradients, summed over the rows, are
     written into the buffers ``out``.
     """
-    if cache.params_version != params.version:
-        raise StateError(
-            f"stale forward cache: params version {params.version}, "
-            f"cache version {cache.params_version}"
-        )
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != cache.embeddings.shape:
-        raise DimensionError(
-            f"upstream must match embeddings shape {cache.embeddings.shape}, got {upstream.shape}"
-        )
-    w1, b1, w2, b2 = _checked_out((params.w1, params.b1, params.w2, params.b2), out)
+    upstream = _upstream(params, cache, upstream, cache.embeddings)
     e = cache.embeddings
     radial = np.sum(upstream * e, axis=1, keepdims=True)
-    d_prenorm = (upstream - radial * e) / cache.norms  # (m, embed)
-    d_hidden = d_prenorm @ params.w2  # (m, hidden)
-    d_pre1 = d_hidden * (1.0 - cache.hidden**2)  # tanh'
-    _layer_grads(d_prenorm, cache.hidden, w2, b2)
-    _layer_grads(d_pre1, cache.features, w1, b1)
-
-
-def _checked_out(params: Sequence[np.ndarray], out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-    """The gradient buffers ``out``, checked against the parameter shapes."""
-    if [o.shape for o in out] != [p.shape for p in params]:
-        raise DimensionError("gradient buffers must match the parameter shapes")
-    return out
-
-
-def _layer_grads(d_pre, inputs, w_out, b_out) -> None:
-    """Weight and bias gradients of one dense layer from the gradient on its
-    pre-activation, written into ``w_out`` and ``b_out``."""
-    np.matmul(d_pre.T, inputs, out=w_out)
-    d_pre.sum(axis=0, out=b_out)
+    _backward(params, cache, (upstream - radial * e) / cache.norms, out)
 
 
 @dataclass
 class PairCache:
-    pair_features: np.ndarray  # (m, 4*embed), origins and mutants first
+    inputs: np.ndarray  # (m, 4*embed), pair_features of origins and mutants
     hidden: np.ndarray  # (m, pair_hidden), post-tanh
     logits: np.ndarray  # (m, 2)
     params_version: int
@@ -177,9 +183,7 @@ def pair_features(origins: np.ndarray, mutants: np.ndarray) -> np.ndarray:
     )
 
 
-def classify_pairs(
-    params: PairClassifierParams, origins: np.ndarray, mutants: np.ndarray
-) -> PairCache:
+def classify_pairs(params: DenseParams, origins: np.ndarray, mutants: np.ndarray) -> PairCache:
     """Forward pass of the pair head over matched rows of embeddings."""
     origins = np.asarray(origins, dtype=np.float64)
     mutants = np.asarray(mutants, dtype=np.float64)
@@ -190,18 +194,11 @@ def classify_pairs(
             f"embed dim {origins.shape[1]} does not match head input {params.w1.shape[1]}"
         )
     pf = pair_features(origins, mutants)
-    hidden = np.tanh(pf @ params.w1.T + params.b1)
-    logits = hidden @ params.w2.T + params.b2
-    return PairCache(
-        pair_features=pf,
-        hidden=hidden,
-        logits=logits,
-        params_version=params.version,
-    )
+    return PairCache(pf, *_forward(params, pf), params.version)
 
 
 def pair_backward(
-    params: PairClassifierParams,
+    params: DenseParams,
     cache: PairCache,
     upstream: np.ndarray,
     out: Sequence[np.ndarray],
@@ -212,24 +209,10 @@ def pair_backward(
     gradients on the origin and mutant rows are returned, in that order.
     |o - s| uses the sign subgradient, with sign(0) = 0 on tied components.
     """
-    if cache.params_version != params.version:
-        raise StateError(
-            f"stale forward cache: params version {params.version}, "
-            f"cache version {cache.params_version}"
-        )
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != cache.logits.shape:
-        raise DimensionError(
-            f"upstream must match logits shape {cache.logits.shape}, got {upstream.shape}"
-        )
-    w1, b1, w2, b2 = _checked_out((params.w1, params.b1, params.w2, params.b2), out)
-    _layer_grads(upstream, cache.hidden, w2, b2)
-    d_hidden = upstream @ params.w2
-    d_pre = d_hidden * (1.0 - cache.hidden**2)
-    _layer_grads(d_pre, cache.pair_features, w1, b1)
-    d_pf = d_pre @ params.w1  # (m, 4*embed)
+    upstream = _upstream(params, cache, upstream, cache.logits)
+    d_pf = _backward(params, cache, upstream, out) @ params.w1  # (m, 4*embed)
     e = d_pf.shape[1] // 4
-    origins, mutants = cache.pair_features[:, :e], cache.pair_features[:, e : 2 * e]
+    origins, mutants = cache.inputs[:, :e], cache.inputs[:, e : 2 * e]
     d_o_block, d_s_block = d_pf[:, :e], d_pf[:, e : 2 * e]
     d_abs, d_prod = d_pf[:, 2 * e : 3 * e], d_pf[:, 3 * e :]
     diff_sign = np.sign(origins - mutants)

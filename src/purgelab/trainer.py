@@ -22,8 +22,7 @@ import numpy as np
 
 from .data import FeatureCache, make_batches
 from .encoder import (
-    EncoderParams,
-    PairClassifierParams,
+    DenseParams,
     classify_pairs,
     encode_batch,
     encoder_backward,
@@ -122,8 +121,8 @@ class TrainerState:
     registry: VergeRegistry
     adam: AdamState
     epoch: int = 0
-    encoder: EncoderParams = field(init=False)
-    head: PairClassifierParams = field(init=False)
+    encoder: DenseParams = field(init=False)
+    head: DenseParams = field(init=False)
     grad_segments: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):

@@ -562,6 +562,8 @@ def test_stats_manifest_without_baseline_replays_with_config(tmp_path):
     "gamma = abc", "epochs = 1.5", "trace = abc", "trace = 2",
     # a key must name a flag of train, and command must name train itself
     "command = eval", "bogus = 7", "classes = 99",
+    # a config file cannot name another config file
+    "config = other.txt",
 ])
 def test_bad_config_value_exits_2_like_the_flag(tmp_path, capsys, line):
     config = tmp_path / "config.txt"
@@ -586,12 +588,26 @@ def test_export_manifest_replays_with_config(tmp_path):
 
 
 def test_codegen_gen_manifest_replays_with_config(tmp_path):
-    first, again = tmp_path / "first", tmp_path / "again"
+    first, other = tmp_path / "first", tmp_path / "other"
     assert run(["gen", "--mode", "codegen", "--classes", "2", "--per-class", "4",
                 "--out-dir", str(first)]) == 0
-    assert run(["gen", "--config", str(first / "manifest.txt"), "--out-dir", str(again)]) == 0
-    assert (again / "corpus.tsv").read_bytes() == (first / "corpus.tsv").read_bytes()
-    assert not (again / "features.tsv").exists()
+    assert run(["gen", "--per-class", "8", "--out-dir", str(other)]) == 0
+    manifest, other_manifest = str(first / "manifest.txt"), str(other / "manifest.txt")
+    # argparse takes --conf for --config and keeps the last of a repeated flag
+    for i, config in enumerate([["--config", manifest], ["--conf", manifest],
+                                ["--config", other_manifest, "--config", manifest]]):
+        again = tmp_path / f"again{i}"
+        assert run(["gen", *config, "--out-dir", str(again)]) == 0
+        assert (again / "corpus.tsv").read_bytes() == (first / "corpus.tsv").read_bytes()
+        assert not (again / "features.tsv").exists()
+
+
+def test_config_without_value_exits_2(tmp_path, capsys):
+    rc = run(["eval", "--config", "--checkpoint", str(tmp_path / "x.bin"),
+              "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def sweep_args(tmp_path):

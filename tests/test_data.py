@@ -18,7 +18,6 @@ from purgelab.data import (
     _escape,
     _unescape,
     dedup,
-    extract_features,
     generate_synthetic,
     ingest,
     load_feature_table,
@@ -241,25 +240,25 @@ def test_split_stratification_within_one(seed):
 
 def test_extract_features_deterministic():
     text = "int mid = l + (h - l) / 2;"
-    assert np.array_equal(extract_features(text, 256), extract_features(text, 256))
+    assert np.array_equal(HashingFeatures(256).vector(text), HashingFeatures(256).vector(text))
 
 
 def test_extract_features_unit_norm():
     for text in ("return x;", "a b c d e", "x += 1"):
-        assert abs(np.linalg.norm(extract_features(text, 64)) - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(HashingFeatures(64).vector(text)) - 1.0) <= 1e-9
 
 
 def test_extract_features_sensitive_to_one_token():
-    a = extract_features("return mid ;", 256)
-    b = extract_features("return mid + 1 ;", 256)
+    a = HashingFeatures(256).vector("return mid ;")
+    b = HashingFeatures(256).vector("return mid + 1 ;")
     assert not np.array_equal(a, b)
 
 
 def test_extract_features_rejects_empty():
     with pytest.raises(DegenerateInputError):
-        extract_features("", 256)
+        HashingFeatures(256).vector("")
     with pytest.raises(DegenerateInputError):
-        extract_features("   \n  ", 256)
+        HashingFeatures(256).vector("   \n  ")
 
 
 def test_hashing_features_dim_validation():
@@ -272,7 +271,7 @@ def test_hashing_features_dim_validation():
 @pytest.mark.parametrize("dim", [0, -3, 8, 16.5, "32"])
 def test_extract_features_rejects_bad_dim(dim):
     with pytest.raises(ConfigError):
-        extract_features("a b", dim)
+        HashingFeatures(dim).vector("a b")
 
 
 # sha256 of the origin and mutant feature rows of a fixed codegen corpus,
@@ -349,7 +348,7 @@ def test_hashing_features_match_per_gram_reference(texts, dim):
             for text in texts + texts:
                 expected = _features_or_error(lambda t: reference_features(t, dim, orders=orders), text)
                 assert _features_or_error(provider.vector, text) == expected
-                assert _features_or_error(lambda t: extract_features(t, dim), text) == expected
+                assert _features_or_error(HashingFeatures(dim).vector, text) == expected
 
 
 def test_hashing_features_cancelled_grams_raise(monkeypatch):
@@ -362,7 +361,7 @@ def test_hashing_features_cancelled_grams_raise(monkeypatch):
     with pytest.raises(DegenerateInputError):
         HashingFeatures(16).vector("x z")
     with pytest.raises(DegenerateInputError):
-        extract_features("z x z x", 16)
+        HashingFeatures(16).vector("z x z x")
 
 
 def test_feature_table_roundtrip(tmp_path):
