@@ -715,3 +715,33 @@ def test_small_train_eval_outputs_are_pinned(tmp_path):
         for name in PINNED_DIGESTS
     }
     assert digests == PINNED_DIGESTS
+
+
+# sha256 of the read-only outputs of two default-width models, trained on 32
+# records, on a 640-record hashed codegen corpus: more than two 256-row
+# evaluation blocks, the last one partial.
+PINNED_MULTIBLOCK_DIGESTS = {
+    "report.txt": "1724e367ebe7dc88520d1211bd639fb9b4a5da94dabfb77bd0391b1315b50838",
+    "stats.txt": "cb02837c9f919f05a6753d08bdd056527b83ae6a1ccca49afaa4f0b5cbc8a40a",
+    "embeddings.tsv": "0cc12687ccc1f85e08d24c09cddab14cade9eeb34354d2b10fa9ba561bafe0ef",
+}
+
+
+def test_multiblock_eval_stats_export_outputs_are_pinned(tmp_path):
+    for name, classes, per_class, seed in (("small", 4, 8, 1), ("large", 8, 80, 2)):
+        assert run(["gen", "--mode", "codegen", "--classes", str(classes), "--per-class",
+                    str(per_class), "--seed", str(seed), "--out-dir", str(tmp_path / name)]) == 0
+    small, large = (str(tmp_path / name / "corpus.tsv") for name in ("small", "large"))
+    default_dims = ["--feature-dim", "256", "--hidden-dim", "128", "--embed-dim", "64", "--pair-hidden-dim", "64"]
+    ckpt, base = (train_small(tmp_path / kind, small, None, extra=["--loss-kind", kind, "--epochs", "10", *default_dims])
+                  for kind in ("ce_plus_cpl", "ce_only"))
+    out = tmp_path / "out"
+    common = ["--checkpoint", ckpt, "--corpus", large, "--out-dir", str(out)]
+    assert run(["eval", *common]) == 0
+    assert "fp = 4\n" in (out / "report.txt").read_text()  # not one predicted label for all
+    assert run(["stats", *common, "--baseline", base, "--resamples", "200"]) == 0
+    assert run(["export", *common]) == 0
+    assert len((out / "embeddings.tsv").read_text().splitlines()) == 8 + 640
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PINNED_MULTIBLOCK_DIGESTS}
+    assert digests == PINNED_MULTIBLOCK_DIGESTS
