@@ -4,7 +4,8 @@ Every flag has a default and every run writes a flat key=value manifest next
 to its outputs; rerunning a command with ``--config <manifest>`` restores all
 flags (explicit flags still win), reproducing the outputs bit for bit. Exit
 codes: 0 on success, 2 on usage errors (nothing written), 1 on domain errors
-with a machine-parsable ``ERROR <name>: <message>`` line on stderr.
+with a machine-parsable ``ERROR <name>: <message>`` line on stderr, and 130
+on Ctrl-C, with the line ``ERROR KeyboardInterrupt: interrupted``.
 """
 
 from __future__ import annotations
@@ -464,13 +465,14 @@ def cmd_export(ns: argparse.Namespace) -> int:
     classes = _parse_classes(ns.classes)
     state, data = _checkpoint_and_corpus(ns)
     rows = export_embeddings(state, data, classes)
+    count = 0
     with open(_outpath(ns, "embeddings.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            class_id, label, role, *components = row
+        for class_id, label, role, *components in rows:
             comp_text = "\t".join(repr(c) for c in components)
             fh.write(f"{class_id}\t{label}\t{role}\t{comp_text}\n")
+            count += 1
     write_manifest(_outpath(ns, "manifest.txt"), "export", ns)
-    print(f"export: {len(rows)} rows -> {ns.out_dir}")
+    print(f"export: {count} rows -> {ns.out_dir}")
     return 0
 
 
@@ -569,12 +571,12 @@ def run(argv) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return ns.func(ns)
-    except PurgelabError as exc:
+    except (PurgelabError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except KeyboardInterrupt:
+        print("ERROR KeyboardInterrupt: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

@@ -339,44 +339,56 @@ def load_feature_table(path) -> TableFeatures:
 
 
 class FeatureCache:
-    """A featurized corpus: per-record class ids, labels and origin and mutant
-    feature rows, in corpus order. Built once per corpus by :meth:`from_corpus`;
-    a minibatch is a row subset, made by :meth:`take`."""
+    """A featurized corpus: per-record class ids, labels and mutant feature
+    rows in corpus order, and one origin feature row per class. All records of
+    a class share its origin text, so ``origins`` holds each class's vector
+    once, in order of first appearance, and record i's origin row is
+    ``origins[origin_rows[i]]``. Built once per corpus by :meth:`from_corpus`;
+    a minibatch is a record subset, made by :meth:`take`, that shares the
+    origins."""
 
-    def __init__(self, class_ids, labels, origin_features, mutant_features):
+    def __init__(self, class_ids, labels, origins, origin_rows, mutant_features):
         self.class_ids = np.asarray(class_ids, dtype=np.int64)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.origin_features = np.asarray(origin_features, dtype=np.float64)
+        self.origins = np.asarray(origins, dtype=np.float64)
+        self.origin_rows = np.asarray(origin_rows, dtype=np.int64)
         self.mutant_features = np.asarray(mutant_features, dtype=np.float64)
 
     def __len__(self) -> int:
         return int(self.class_ids.shape[0])
 
+    @property
+    def origin_features(self) -> np.ndarray:
+        """The origin feature row of each record, gathered from ``origins``."""
+        return self.origins[self.origin_rows]
+
     @classmethod
     def from_corpus(cls, corpus: Corpus, provider) -> "FeatureCache":
         n = len(corpus)
         dim = provider.dim
-        origin_features = np.zeros((n, dim), dtype=np.float64)
         mutant_features = np.zeros((n, dim), dtype=np.float64)
-        origin_memo: dict[int, np.ndarray] = {}
+        origin_rows = np.zeros(n, dtype=np.int64)
+        row_of: dict[int, int] = {}  # class id -> its row of ``origins``
+        origins: list[np.ndarray] = []
         for i, record in enumerate(corpus.records):
-            cached = origin_memo.get(record.class_id)
-            if cached is None:
-                cached = provider.vector(record.origin_text)
-                origin_memo[record.class_id] = cached
-            origin_features[i] = cached
+            row = row_of.get(record.class_id)
+            if row is None:
+                row = row_of[record.class_id] = len(origins)
+                origins.append(provider.vector(record.origin_text))
+            origin_rows[i] = row
             mutant_features[i] = provider.vector(record.mutant_text)
         return cls(
             class_ids=[r.class_id for r in corpus.records],
             labels=[r.label for r in corpus.records],
-            origin_features=origin_features,
+            origins=np.array(origins, dtype=np.float64).reshape(len(origins), dim),
+            origin_rows=origin_rows,
             mutant_features=mutant_features,
         )
 
     def take(self, rows) -> "FeatureCache":
-        """The given rows, in the given order."""
+        """The given records, in the given order."""
         return FeatureCache(
-            self.class_ids[rows], self.labels[rows], self.origin_features[rows], self.mutant_features[rows]
+            self.class_ids[rows], self.labels[rows], self.origins, self.origin_rows[rows], self.mutant_features[rows]
         )
 
 

@@ -12,6 +12,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -46,21 +47,56 @@ class EvalReport:
         return cls(tp=tp, fp=fp, tn=tn, fn=fn, precision=precision, recall=recall, f1=f1)
 
 
-def _embed(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndarray]:
-    """The (origin, mutant) embeddings of every pair."""
-    return (
-        encode_batch(state.encoder, data.origin_features).embeddings,
-        encode_batch(state.encoder, data.mutant_features).embeddings,
-    )
+# Rows per encoder and pair-head call on a corpus of n pairs: eval, stats and
+# export hold one block's intermediates, not the corpus's. BLAS can take
+# other kernels, with other rounding, for a product of few rows, so no call
+# has fewer than min(n, EVAL_BLOCK) rows. With OpenBLAS 0.3.31 on x86-64 each
+# embedding then has the bits of one call on the whole corpus; pair-head
+# logits can move by about 1e-15, and no prediction has moved.
+EVAL_BLOCK = 256
+
+
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of ``range(n)``, EVAL_BLOCK rows each, the last one
+    taking a shorter remainder too."""
+    ends = [*range(EVAL_BLOCK, n - EVAL_BLOCK + 1, EVAL_BLOCK), n]
+    return [slice(start, end) for start, end in zip([0, *ends], ends)]
+
+
+def _encode(params, features: np.ndarray) -> np.ndarray:
+    """The unit embeddings of the rows of ``features``, encoded block by block."""
+    embeddings = np.empty((features.shape[0], params.w2.shape[0]))
+    for rows in _blocks(features.shape[0]):
+        embeddings[rows] = encode_batch(params, features[rows]).embeddings
+    return embeddings
+
+
+def _origin_embeddings(state: TrainerState, data: FeatureCache) -> np.ndarray:
+    """The embeddings of ``data.origins``, one row per class. The origins are
+    encoded cycled to at least min(n, EVAL_BLOCK) rows, as large as a block of
+    pairs, for the bits of a call on the whole corpus."""
+    k = data.origins.shape[0]
+    cycled = np.arange(max(k, min(len(data), EVAL_BLOCK))) % k
+    return _encode(state.encoder, data.origins[cycled])[:k]
+
+
+def _embedded_blocks(state: TrainerState, data: FeatureCache):
+    """Yield (rows, origin embeddings, mutant embeddings) for each block of
+    pairs, in corpus order. Each class origin is encoded once."""
+    origins = _origin_embeddings(state, data)
+    for rows in _blocks(len(data)):
+        mutants = encode_batch(state.encoder, data.mutant_features[rows]).embeddings
+        yield rows, origins[data.origin_rows[rows]], mutants
 
 
 def evaluate(state: TrainerState, data: FeatureCache) -> EvalReport:
     """Classify every pair and aggregate binary metrics on the equivalent class."""
     if len(data) == 0:
         raise ConfigError("cannot evaluate on an empty corpus")
-    origins, mutants = _embed(state, data)
-    logits = classify_pairs(state.head, origins, mutants).logits
-    predictions = (logits[:, 1] > logits[:, 0]).astype(np.int64)  # tie -> 0
+    predictions = np.empty(len(data), dtype=np.int64)
+    for rows, origins, mutants in _embedded_blocks(state, data):
+        logits = classify_pairs(state.head, origins, mutants).logits
+        predictions[rows] = logits[:, 1] > logits[:, 0]  # tie -> 0
     labels = data.labels
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))
@@ -103,7 +139,9 @@ def pair_distances(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray,
     """Raw origin-mutant distances, split by label: (equivalent, non-equivalent)."""
     if len(data) == 0:
         raise ConfigError("cannot compute distances on an empty corpus")
-    distances = EmbeddedBatch(data.class_ids, data.labels, *_embed(state, data)).distances
+    distances = np.empty(len(data))
+    for rows, origins, mutants in _embedded_blocks(state, data):
+        distances[rows] = EmbeddedBatch(data.class_ids[rows], data.labels[rows], origins, mutants).distances
     return distances[data.labels == 1], distances[data.labels == 0]
 
 
@@ -239,16 +277,17 @@ def sweep(
     return SweepGrid(lambda_values=lambda_values, zeta_values=zeta_values, cells=cells)
 
 
-def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None) -> list[tuple]:
+def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None) -> Iterator[tuple]:
     """Embedding rows (class_id, label, role, *components) for external tools.
 
     One ``origin`` row per selected class (label -1: origins carry no
     equivalence label) followed by one ``mutant`` row per record, in
-    deterministic class-then-corpus order.
+    deterministic class-then-corpus order. The corpus and the filter are
+    checked, and every pair embedded, before this returns; the rows are
+    then made one at a time as they are iterated.
     """
     if len(data) == 0:
         raise ConfigError("cannot export an empty corpus")
-    origins, mutants = _embed(state, data)
     present = {int(c) for c in data.class_ids}
     if class_filter is not None:
         wanted = {int(c) for c in class_filter}
@@ -257,11 +296,14 @@ def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None
             raise UnknownClassError(f"classes not in corpus: {sorted(unknown)}")
     else:
         wanted = present
-    rows: list[tuple] = []
-    for cid in sorted(wanted):
-        mask = np.flatnonzero(data.class_ids == cid)
-        first = int(mask[0])
-        rows.append((cid, -1, "origin", *origins[first].tolist()))
-        for i in mask:
-            rows.append((cid, int(data.labels[i]), "mutant", *mutants[int(i)].tolist()))
-    return rows
+    origins = _origin_embeddings(state, data)
+    mutants = _encode(state.encoder, data.mutant_features)
+
+    def rows():
+        for cid in sorted(wanted):
+            members = np.flatnonzero(data.class_ids == cid)
+            yield (cid, -1, "origin", *origins[data.origin_rows[members[0]]].tolist())
+            for i in members:
+                yield (cid, int(data.labels[i]), "mutant", *mutants[i].tolist())
+
+    return rows()

@@ -298,7 +298,8 @@ def _step_setup(monkeypatch, corrupt):
     rng = np.random.default_rng(3)
     batch = FeatureCache(
         class_ids=np.array([0, 0, 1]),
-        origin_features=rng.normal(size=(3, 12)),
+        origins=rng.normal(size=(3, 12)),
+        origin_rows=np.arange(3),
         mutant_features=rng.normal(size=(3, 12)),
         labels=np.array([1, 0, 1]),
     )

@@ -333,6 +333,32 @@ def test_export_rows(tmp_path):
     assert all(line.split("\t")[0] in ("1", "2") for line in lines)
 
 
+def test_export_unknown_class_keeps_an_existing_file(tmp_path, capsys):
+    # export writes rows as they are made, so the class check must come before
+    # the output file is opened
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    args = ["export", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
+            "--out-dir", str(tmp_path / "exp")]
+    assert run(args) == 0
+    good = (tmp_path / "exp" / "embeddings.tsv").read_bytes()
+    capsys.readouterr()
+    assert run([*args, "--classes", "1,99"]) == 1
+    assert capsys.readouterr().err.startswith("ERROR UnknownClassError: ")
+    assert (tmp_path / "exp" / "embeddings.tsv").read_bytes() == good
+
+
+def test_ctrl_c_exits_130_with_an_error_line(monkeypatch, capsys):
+    import purgelab.cli as cli
+
+    def interrupted(ns):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_gen", interrupted)
+    assert run(["gen"]) == 130
+    assert capsys.readouterr().err == "ERROR KeyboardInterrupt: interrupted\n"
+
+
 def test_commands_do_not_mutate_inputs(tmp_path):
     corpus, features = gen_small(tmp_path / "data")
     before = Path(corpus).read_bytes(), Path(features).read_bytes()

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from purgelab.data import FeatureCache, generate_synthetic, split
+from purgelab.data import FeatureCache, HashingFeatures, generate_synthetic, split
 from purgelab.errors import ConfigError, StratifyError, UnknownClassError
 from purgelab.evaluation import (
     EvalReport,
@@ -91,6 +93,27 @@ def test_evaluate_untrained_ties_break_toward_nonequivalent():
     report = evaluate(state, data)
     assert report.tp == 0 and report.fp == 0
     assert report.precision is None
+
+
+def test_feature_cache_and_evaluate_memory_do_not_scale_with_copies():
+    # 2048 records of 64 classes at default widths: one (2048, 256) float64
+    # matrix is 4 MB. The cache holds one origin row per class, and an
+    # evaluate that passes the whole corpus through the encoder and the pair
+    # head at once peaks above 8 MB.
+    corpus = generate_synthetic("codegen", n_classes=64, per_class=32, seed=0)[0]
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(256))
+    assert data.origins.shape == (64, 256)
+    assert data.origin_rows.shape == (2048,)
+    assert np.array_equal(data.origin_features[40], data.origins[1])  # class 1's first record
+    state = init_state(TrainConfig())
+    tracemalloc.start()
+    try:
+        live, _ = tracemalloc.get_traced_memory()
+        evaluate(state, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - live < 5 * 2**20
 
 
 # --- distance stats -----------------------------------------------------------
@@ -294,7 +317,7 @@ def test_sweep_validation():
 def test_export_row_count_and_order():
     corpus, data = small_setup()
     state = init_state(small_config())
-    rows = export_embeddings(state, data)
+    rows = list(export_embeddings(state, data))
     n_classes = len({r.class_id for r in corpus.records})
     assert len(rows) == n_classes + len(corpus)
     roles = [row[2] for row in rows]
@@ -306,7 +329,7 @@ def test_export_row_count_and_order():
 def test_export_class_filter():
     corpus, data = small_setup()
     state = init_state(small_config())
-    rows = export_embeddings(state, data, class_filter=[2])
+    rows = list(export_embeddings(state, data, class_filter=[2]))
     assert all(row[0] == 2 for row in rows)
     mutants = [row for row in rows if row[2] == "mutant"]
     assert len(mutants) == sum(1 for r in corpus.records if r.class_id == 2)

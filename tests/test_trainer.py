@@ -105,7 +105,8 @@ def test_single_step_reproduces_hand_derived_joint():
     batch = FeatureCache(
         class_ids=np.array([0, 0]),
         labels=np.array([1, 0]),
-        origin_features=np.stack([f, f]),
+        origins=f[np.newaxis],
+        origin_rows=[0, 0],
         mutant_features=np.stack([-f, f]),
     )
     metrics = train_step(state, batch)
