@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 
 from .data import (
     FeatureCache,
@@ -28,6 +29,7 @@ from .data import (
     split,
     write_corpus,
     write_feature_table,
+    write_file,
 )
 from .errors import ConfigError, PurgelabError
 from .evaluation import (
@@ -81,21 +83,13 @@ def load_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if "\0" in line:  # no flag value holds one, and a path with one cannot be opened
+            raise ConfigError(f"{path}:{lineno}: NUL byte")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise ConfigError(f"{path}:{lineno}: key {key!r} repeats")
         values[key] = value
     return values
-
-
-def write_manifest(path, command: str, args: argparse.Namespace) -> None:
-    skip = {"command", "config", "func", "given"}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"command = {command}\n")
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
-            fh.write(f"{key} = {_fmt(getattr(args, key))}\n")
 
 
 class _StoreGiven(argparse.Action):
@@ -227,16 +221,28 @@ def _featurized(ns: argparse.Namespace, feature_dim: int, *paths: str) -> list[F
     return [FeatureCache.from_corpus(ingest(path), provider) for path in paths]
 
 
-def _outpath(ns: argparse.Namespace, name: str) -> str:
+def _finish(ns: argparse.Namespace, outputs: dict, summary) -> int:
+    """Make ``--out-dir``; write each of ``outputs`` (file name -> writer of a
+    path) into it and remove each mapped to None, an optional output this run
+    did not write; write the manifest last, so it marks a finished command;
+    print ``summary()``, which may report what the writes counted."""
     os.makedirs(ns.out_dir, exist_ok=True)
-    return os.path.join(ns.out_dir, name)
+    for name, write in outputs.items():
+        path = os.path.join(ns.out_dir, name)
+        if write is not None:
+            write(path)
+        elif os.path.lexists(path):
+            os.remove(path)
+    skip = {"command", "config", "func", "given"}
+    manifest = [f"{key} = {_fmt(getattr(ns, key))}\n" for key in sorted(vars(ns)) if key not in skip]
+    write_file([f"command = {ns.command}\n", *manifest], os.path.join(ns.out_dir, "manifest.txt"))
+    print(summary())
+    return 0
 
 
-def _write_losses(path, rows) -> None:
+def _loss_lines(rows):
     """One ``index, ce, metric, joint, skipped`` line per loss row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in rows:
-            fh.write(f"{r.index}\t{r.ce_loss!r}\t{r.metric_loss!r}\t{r.joint_loss!r}\t{r.skipped_count}\n")
+    return (f"{r.index}\t{r.ce_loss!r}\t{r.metric_loss!r}\t{r.joint_loss!r}\t{r.skipped_count}\n" for r in rows)
 
 
 def _reject_unused(ns: argparse.Namespace, defaults: dict, why: str) -> None:
@@ -260,14 +266,11 @@ def _checkpoint_and_corpus(ns: argparse.Namespace) -> tuple[TrainerState, Featur
     return state, data
 
 
-def _write_report(ns: argparse.Namespace, command: str, name: str, lines) -> int:
-    """Write ``key = value`` lines to ``name`` and the manifest, echo them on one line."""
-    with open(_outpath(ns, name), "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in lines:
-            fh.write(f"{key} = {_fmt(value)}\n")
-    write_manifest(_outpath(ns, "manifest.txt"), command, ns)
-    print(f"{command}: " + " ".join(f"{k}={_fmt(v)}" for k, v in lines))
-    return 0
+def _report(ns: argparse.Namespace, name: str, lines) -> int:
+    """Write ``key = value`` lines to ``name``, echoed on one line."""
+    text = [f"{key} = {_fmt(value)}\n" for key, value in lines]
+    summary = f"{ns.command}: " + " ".join(f"{k}={_fmt(v)}" for k, v in lines)
+    return _finish(ns, {name: partial(write_file, text)}, lambda: summary)
 
 
 def _parse_range(text: str) -> list[float]:
@@ -313,12 +316,11 @@ def cmd_gen(ns: argparse.Namespace) -> int:
         seed=ns.seed,
         feature_dim=ns.feature_dim,
     )
-    write_corpus(corpus, _outpath(ns, "corpus.tsv"))
-    if table is not None:
-        write_feature_table(table, _outpath(ns, "features.tsv"))
-    write_manifest(_outpath(ns, "manifest.txt"), "gen", ns)
-    print(f"gen: {len(corpus)} records, {ns.classes} classes -> {ns.out_dir}")
-    return 0
+    outputs = {
+        "corpus.tsv": partial(write_corpus, corpus),
+        "features.tsv": None if table is None else partial(write_feature_table, table),
+    }
+    return _finish(ns, outputs, lambda: f"gen: {len(corpus)} records, {ns.classes} classes -> {ns.out_dir}")
 
 
 def cmd_preprocess(ns: argparse.Namespace) -> int:
@@ -327,14 +329,11 @@ def cmd_preprocess(ns: argparse.Namespace) -> int:
     corpus = ingest(ns.input)
     deduped = dedup(corpus)
     train_side, test_side = split(deduped, ns.fraction, ns.seed)
-    write_corpus(train_side, _outpath(ns, "train.tsv"))
-    write_corpus(test_side, _outpath(ns, "test.tsv"))
-    write_manifest(_outpath(ns, "manifest.txt"), "preprocess", ns)
-    print(
+    outputs = {"train.tsv": partial(write_corpus, train_side), "test.tsv": partial(write_corpus, test_side)}
+    return _finish(ns, outputs, lambda: (
         f"preprocess: {len(corpus)} in, {len(deduped)} after dedup, "
         f"{len(train_side)}/{len(test_side)} train/test -> {ns.out_dir}"
-    )
-    return 0
+    ))
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
@@ -347,26 +346,24 @@ def cmd_train(ns: argparse.Namespace) -> int:
         config = _train_config(ns)
         [data] = _featurized(ns, ns.feature_dim, ns.corpus)
         result = train(config, data, collect_steps=ns.trace)
-    save_checkpoint(result.state, _outpath(ns, "checkpoint.bin"))
-    _write_losses(_outpath(ns, "history.tsv"), result.history)
-    if ns.trace and result.step_trace is not None:
-        _write_losses(_outpath(ns, "steps.tsv"), result.step_trace)
-    write_manifest(_outpath(ns, "manifest.txt"), "train", ns)
-    last = result.history[-1] if result.history else None
-    if last is not None:
-        print(
-            f"train: {ns.loss_kind} epoch {last.index} "
-            f"ce {last.ce_loss:.6f} metric {last.metric_loss:.6f} joint {last.joint_loss:.6f}"
-        )
-    else:
-        print("train: nothing to do (checkpoint already at target epochs)")
-    return 0
+    trace = result.step_trace
+    outputs = {
+        "checkpoint.bin": partial(save_checkpoint, result.state),
+        "history.tsv": partial(write_file, _loss_lines(result.history)),
+        "steps.tsv": None if trace is None else partial(write_file, _loss_lines(trace)),
+    }
+    summary = "train: nothing to do (checkpoint already at target epochs)"
+    if result.history:
+        last = result.history[-1]
+        summary = (f"train: {ns.loss_kind} epoch {last.index} "
+                   f"ce {last.ce_loss:.6f} metric {last.metric_loss:.6f} joint {last.joint_loss:.6f}")
+    return _finish(ns, outputs, lambda: summary)
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
     state, data = _checkpoint_and_corpus(ns)
     report = evaluate(state, data)
-    return _write_report(ns, "eval", "report.txt", list(asdict(report).items()))
+    return _report(ns, "report.txt", list(asdict(report).items()))
 
 
 def cmd_stats(ns: argparse.Namespace) -> int:
@@ -396,11 +393,33 @@ def cmd_stats(ns: argparse.Namespace) -> int:
             ("p_value", test.p_value),
             ("resamples", test.resamples),
         ]
-    return _write_report(ns, "stats", "stats.txt", lines)
+    return _report(ns, "stats.txt", lines)
 
 
 def _pct(value) -> str:
     return "  --  " if value is None else f"{100.0 * value:6.2f}"
+
+
+def _sweep_matrix(grid, best):
+    header = "lambda\\zeta |" + "".join(f" {z:^22.2f} |" for z in grid.zeta_values)
+    yield header + "\n"
+    yield "-" * len(header) + "\n"
+    for i, lam in enumerate(grid.lambda_values):
+        row = f"{lam:^11.2f} |"
+        for j in range(len(grid.zeta_values)):
+            cell = grid.cell(i, j)
+            r = cell.report
+            if r is None:
+                row += f" {cell.error.split(':', 1)[0]:^22} |"
+            else:
+                row += f" P{_pct(r.precision)} R{_pct(r.recall)} F{_pct(r.f1)} |"
+        yield row + "\n"
+    if best is not None:
+        yield (
+            f"\nbest: lambda={best.lam!r} zeta={best.zeta!r} "
+            f"P={_fmt(best.report.precision)} R={_fmt(best.report.recall)} "
+            f"F1={_fmt(best.report.f1)}\n"
+        )
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
@@ -414,51 +433,20 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     train_data, test_data = _featurized(ns, ns.feature_dim, ns.train_corpus, ns.test_corpus)
     grid = sweep(config, train_data, test_data, lambda_values, zeta_values, workers=workers)
     best = grid.best()
-    with open(_outpath(ns, "sweep.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# lambda\tzeta\tprecision\trecall\tf1\n")
-        for cell in grid.cells:
-            r = cell.report
-            fh.write(
-                f"{cell.lam!r}\t{cell.zeta!r}\t"
-                f"{_fmt(r.precision if r else None)}\t"
-                f"{_fmt(r.recall if r else None)}\t"
-                f"{_fmt(r.f1 if r else None)}\n"
-            )
-    with open(_outpath(ns, "sweep_matrix.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        header = "lambda\\zeta |" + "".join(f" {z:^22.2f} |" for z in zeta_values)
-        fh.write(header + "\n")
-        fh.write("-" * len(header) + "\n")
-        for i, lam in enumerate(lambda_values):
-            row = f"{lam:^11.2f} |"
-            for j in range(len(zeta_values)):
-                cell = grid.cell(i, j)
-                r = cell.report
-                if r is None:
-                    row += f" {cell.error.split(':', 1)[0]:^22} |"
-                else:
-                    row += f" P{_pct(r.precision)} R{_pct(r.recall)} F{_pct(r.f1)} |"
-            fh.write(row + "\n")
-        if best is not None:
-            fh.write(
-                f"\nbest: lambda={best.lam!r} zeta={best.zeta!r} "
-                f"P={_fmt(best.report.precision)} R={_fmt(best.report.recall)} "
-                f"F1={_fmt(best.report.f1)}\n"
-            )
-    errors = [c for c in grid.cells if c.error]
-    if errors:
-        with open(_outpath(ns, "sweep_errors.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            for cell in errors:
-                fh.write(f"{cell.lam!r}\t{cell.zeta!r}\t{cell.error}\n")
-    write_manifest(_outpath(ns, "manifest.txt"), "sweep", ns)
-    print(
-        f"sweep: {len(grid.cells)} cells"
-        + (
-            f", best lambda={best.lam!r} zeta={best.zeta!r} f1={_fmt(best.report.f1)}"
-            if best is not None
-            else ""
-        )
-    )
-    return 0
+    table = ["# lambda\tzeta\tprecision\trecall\tf1\n"]
+    for c in grid.cells:  # a failed cell has no report, so "none" for each metric
+        metrics = [_fmt(getattr(c.report, k, None)) for k in ("precision", "recall", "f1")]
+        table.append("\t".join([repr(c.lam), repr(c.zeta), *metrics]) + "\n")
+    errors = [f"{c.lam!r}\t{c.zeta!r}\t{c.error}\n" for c in grid.cells if c.error]
+    outputs = {
+        "sweep.tsv": partial(write_file, table),
+        "sweep_matrix.txt": partial(write_file, _sweep_matrix(grid, best)),
+        "sweep_errors.txt": partial(write_file, errors) if errors else None,
+    }
+    summary = f"sweep: {len(grid.cells)} cells"
+    if best is not None:
+        summary += f", best lambda={best.lam!r} zeta={best.zeta!r} f1={_fmt(best.report.f1)}"
+    return _finish(ns, outputs, lambda: summary)
 
 
 def cmd_export(ns: argparse.Namespace) -> int:
@@ -466,14 +454,14 @@ def cmd_export(ns: argparse.Namespace) -> int:
     state, data = _checkpoint_and_corpus(ns)
     rows = export_embeddings(state, data, classes)
     count = 0
-    with open(_outpath(ns, "embeddings.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-        for class_id, label, role, *components in rows:
-            comp_text = "\t".join(repr(c) for c in components)
-            fh.write(f"{class_id}\t{label}\t{role}\t{comp_text}\n")
-            count += 1
-    write_manifest(_outpath(ns, "manifest.txt"), "export", ns)
-    print(f"export: {count} rows -> {ns.out_dir}")
-    return 0
+
+    def lines():
+        nonlocal count
+        for count, (class_id, label, role, *components) in enumerate(rows, start=1):
+            yield f"{class_id}\t{label}\t{role}\t" + "\t".join(map(repr, components)) + "\n"
+
+    outputs = {"embeddings.tsv": partial(write_file, lines())}
+    return _finish(ns, outputs, lambda: f"export: {count} rows -> {ns.out_dir}")
 
 
 def build_parser(file_defaults: dict[str, str]) -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -117,6 +118,21 @@ def read_lines(path, error: type[PurgelabError] = ParseError):
             raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
+def write_file(chunks, path) -> None:
+    """Replace the file ``path`` whole with ``chunks``, each a ``str`` (as UTF-8)
+    or bytes-like, through a temporary file next to it and ``os.replace``. If
+    anything raises, an interrupt included, ``path`` keeps its old bytes and the
+    temporary file is removed. Not fsynced: a power loss is not covered."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):  # os.replace did not run or failed
+            os.remove(tmp)
+
+
 def ingest(path) -> Corpus:
     """Parse a corpus file and validate the per-class origin invariant."""
     records: list[MutantRecord] = []
@@ -151,11 +167,8 @@ def ingest(path) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in corpus.records:
-            fh.write(
-                f"{r.class_id}\t{r.label}\t{_escape(r.origin_text)}\t{_escape(r.mutant_text)}\n"
-            )
+    write_file((f"{r.class_id}\t{r.label}\t{_escape(r.origin_text)}\t{_escape(r.mutant_text)}\n"
+                for r in corpus.records), path)
 
 
 def _squash_ws(text: str) -> str:
@@ -298,11 +311,11 @@ class TableFeatures:
 
 
 def write_feature_table(features: TableFeatures, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"feature-table 1 {features.dim}\n")
-        for key in features.table:
-            comps = " ".join(repr(float(x)) for x in features.table[key])
-            fh.write(f"{_escape(key)}\t{comps}\n")
+    def lines():
+        yield f"feature-table 1 {features.dim}\n"
+        for key, vec in features.table.items():
+            yield f"{_escape(key)}\t{' '.join(repr(float(x)) for x in vec)}\n"
+    write_file(lines(), path)
 
 
 def load_feature_table(path) -> TableFeatures:

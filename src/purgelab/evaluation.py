@@ -289,19 +289,17 @@ def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None
     if len(data) == 0:
         raise ConfigError("cannot export an empty corpus")
     present = {int(c) for c in data.class_ids}
-    if class_filter is not None:
-        wanted = {int(c) for c in class_filter}
-        unknown = wanted - present
-        if unknown:
-            raise UnknownClassError(f"classes not in corpus: {sorted(unknown)}")
-    else:
-        wanted = present
+    wanted = present if class_filter is None else {int(c) for c in class_filter}
+    if wanted - present:
+        raise UnknownClassError(f"classes not in corpus: {sorted(wanted - present)}")
     origins = _origin_embeddings(state, data)
     mutants = _encode(state.encoder, data.mutant_features)
+    order = np.argsort(data.class_ids, kind="stable")  # by class, in corpus order within one
+    groups = np.split(order, np.flatnonzero(np.diff(data.class_ids[order])) + 1)
 
     def rows():
-        for cid in sorted(wanted):
-            members = np.flatnonzero(data.class_ids == cid)
+        for members in (g for g in groups if int(data.class_ids[g[0]]) in wanted):
+            cid = int(data.class_ids[members[0]])
             yield (cid, -1, "origin", *origins[data.origin_rows[members[0]]].tolist())
             for i in members:
                 yield (cid, int(data.labels[i]), "mutant", *mutants[i].tolist())

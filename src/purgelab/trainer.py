@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import FeatureCache, make_batches
+from .data import FeatureCache, make_batches, write_file
 from .encoder import (
     DenseParams,
     classify_pairs,
@@ -301,7 +301,8 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def save_checkpoint(state: TrainerState, path) -> None:
-    """Write the versioned checkpoint container; byte-identical for equal states."""
+    """Write the versioned checkpoint container, replacing ``path`` whole;
+    byte-identical for equal states."""
     meta = {
         "epoch": state.epoch,
         "adam_t": state.adam.t,
@@ -311,12 +312,11 @@ def save_checkpoint(state: TrainerState, path) -> None:
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = struct.pack("<II", CHECKPOINT_VERSION, len(meta_b))
     block = [f.astype("<f8", copy=False) for f in (state.params, state.adam.m, state.adam.v)]
+    parts = [CHECKPOINT_MAGIC, header, meta_b, *block]
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in (CHECKPOINT_MAGIC, header, meta_b, *block):
-            digest.update(part)
-            fh.write(part)
-        fh.write(digest.digest())
+    for part in parts:
+        digest.update(part)
+    write_file([*parts, digest.digest()], path)
 
 
 def load_checkpoint(path) -> TrainerState:

@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import errno
 import hashlib
 import json
 import math
@@ -13,7 +15,7 @@ import pytest
 from purgelab.cli import build_parser, run
 from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
 from purgelab.errors import ConfigError
-from purgelab.trainer import CHECKPOINT_MAGIC, TrainConfig
+from purgelab.trainer import CHECKPOINT_MAGIC, TrainConfig, load_checkpoint
 
 SMALL_DIMS = [
     "--feature-dim", "24", "--hidden-dim", "12", "--embed-dim", "8", "--pair-hidden-dim", "6",
@@ -359,6 +361,83 @@ def test_ctrl_c_exits_130_with_an_error_line(monkeypatch, capsys):
     assert capsys.readouterr().err == "ERROR KeyboardInterrupt: interrupted\n"
 
 
+@pytest.mark.parametrize("case", ["train-trace", "sweep-errors", "gen-features"])
+def test_a_run_removes_the_optional_outputs_it_did_not_write(tmp_path, case):
+    # The second run into the same directory does not write ``name``, so an
+    # old copy would pair the first run's file with the second run's manifest.
+    if case == "train-trace":
+        corpus, features = gen_small(tmp_path / "data")
+        first = ["train", "--corpus", corpus, "--features", features, "--epochs", "1", *SMALL_DIMS]
+        first, second, name = [*first, "--trace"], [*first, "--seed", "3"], "steps.tsv"
+    elif case == "sweep-errors":
+        args = sweep_args(tmp_path)  # lambda = -0.5 fails its cell
+        first, second = ([*args, f"--lambda-range={r}", "--zeta-range=0:0:1"] for r in ("-0.5:0.5:0.5", "0.5:0.5:1"))
+        name = "sweep_errors.txt"
+    else:
+        first = ["gen", "--classes", "4", "--per-class", "8", "--feature-dim", "24"]
+        second = ["gen", "--mode", "codegen", "--classes", "4", "--per-class", "8"]
+        name = "features.tsv"
+    out = tmp_path / "out"
+    assert run([*first, "--out-dir", str(out)]) == 0
+    assert (out / name).exists()
+    assert run([*second, "--out-dir", str(out)]) == 0
+    assert not (out / name).exists()
+    manifest = (out / "manifest.txt").read_text()
+    assert {"train-trace": "trace = 0\n", "sweep-errors": "lambda_range = 0.5:0.5:1\n",
+            "gen-features": "mode = codegen\n"}[case] in manifest
+
+
+def _fail_third_write(monkeypatch, error):
+    """Make the third write to each file opened for writing raise ``error``."""
+    real_open = builtins.open
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise error
+            return self.fh.write(data)
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                self.write(chunk)
+
+    def patched(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Failing(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", patched)
+
+
+@pytest.mark.parametrize("error, rc, line", [
+    pytest.param(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 1, "ERROR OSError: ", id="ENOSPC"),
+    pytest.param(KeyboardInterrupt(), 130, "ERROR KeyboardInterrupt: ", id="KeyboardInterrupt"),
+])
+def test_failed_in_place_resume_keeps_the_old_checkpoint(tmp_path, monkeypatch, capsys, error, rc, line):
+    corpus, features = gen_small(tmp_path / "data")
+    run_dir = tmp_path / "run"
+    ckpt = train_small(run_dir, corpus, features)
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        _fail_third_write(patch, error)
+        assert run(["train", "--resume", ckpt, "--epochs", "3", "--corpus", corpus, "--features", features,
+                    "--out-dir", str(run_dir)]) == rc
+    assert capsys.readouterr().err.startswith(line)
+    # the same files with the same bytes: no temporary file is left behind
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert load_checkpoint(ckpt).epoch == 2
+
+
 def test_commands_do_not_mutate_inputs(tmp_path):
     corpus, features = gen_small(tmp_path / "data")
     before = Path(corpus).read_bytes(), Path(features).read_bytes()
@@ -398,6 +477,64 @@ def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
         if rc == 1:
             assert re.match(r"ERROR \w+: ", capsys.readouterr().err)
     assert outcomes == {0: 0, 1: len(cases)}
+
+
+# Tokens the input fuzz inserts: separators, escapes, values the parsers
+# special-case, and bytes that are not UTF-8 or end a C string.
+FUZZ_TOKENS = [b"\t", b"\n", b"\r", b"\\", b"=", b" ", b"#", b"-1", b"nan", b"1e999", b"none", b"\x00",
+               b"\xff", b"\xc3"]
+
+
+def _fuzzed(raw, rng, per_kind=12):
+    """Seeded byte flips, truncations, inserted tokens and duplicated lines of ``raw``."""
+    for _ in range(per_kind):
+        bit = int(rng.integers(0, 8 * len(raw)))
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+        yield raw[: int(rng.integers(0, len(raw)))]
+        at = int(rng.integers(0, len(raw) + 1))
+        yield raw[:at] + FUZZ_TOKENS[int(rng.integers(0, len(FUZZ_TOKENS)))] + raw[at:]
+        lines = raw.splitlines(keepends=True)
+        line = lines[int(rng.integers(0, len(lines)))]
+        lines.insert(int(rng.integers(0, len(lines) + 1)), line)
+        yield b"".join(lines)
+
+
+def test_fuzzed_corpus_table_and_config_never_escape(tmp_path, monkeypatch, capsys):
+    # Relative paths, so a fuzzed --config path stays under tmp_path; a
+    # one-bit flip cannot turn their first letters into "/".
+    monkeypatch.chdir(tmp_path)
+    corpus, features = gen_small(Path("data"))
+    ckpt = train_small(Path("run"), corpus, features)
+    good = {name: Path(name).read_bytes() for name in (corpus, features)}
+    Path("eval.txt").write_text(
+        f"command = eval\ncheckpoint = {ckpt}\ncorpus = {corpus}\nfeatures = {features}\nout_dir = eval\n"
+    )
+    good["eval.txt"] = Path("eval.txt").read_bytes()
+    runs = {
+        corpus: [["eval", "--checkpoint", ckpt, "--corpus", corpus, "--features", features],
+                 ["eval", "--checkpoint", ckpt, "--corpus", corpus],
+                 ["preprocess", "--input", corpus]],
+        features: [["eval", "--checkpoint", ckpt, "--corpus", corpus, "--features", features]],
+        "eval.txt": [["eval", "--config", "eval.txt"]],
+    }
+    rng = np.random.default_rng(17)
+    outcomes = {0: 0, 1: 0, 2: 0}
+    for name, argvs in runs.items():
+        for case in _fuzzed(good[name], rng):
+            Path(name).write_bytes(case)
+            for argv in argvs:
+                capsys.readouterr()
+                rc = run(argv if name == "eval.txt" else [*argv, "--out-dir", "out"])
+                err = capsys.readouterr().err
+                assert rc in outcomes, (name, case, argv)
+                assert "Traceback" not in err
+                if rc == 1:
+                    assert re.match(r"ERROR \w+: ", err), (name, case, err)
+                outcomes[rc] += 1
+        Path(name).write_bytes(good[name])
+    assert all(outcomes.values()), outcomes
 
 
 def forge_meta(ckpt, updates, out):

@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +28,7 @@ from purgelab.data import (
     split,
     write_corpus,
     write_feature_table,
+    write_file,
 )
 from purgelab.errors import (
     ConfigError,
@@ -362,6 +366,61 @@ def test_hashing_features_cancelled_grams_raise(monkeypatch):
         HashingFeatures(16).vector("x z")
     with pytest.raises(DegenerateInputError):
         HashingFeatures(16).vector("z x z x")
+
+
+def test_write_file_writes_str_as_utf8_and_bytes_as_is(tmp_path):
+    path = tmp_path / "out.bin"
+    write_file(["é\r\n", b"\x00\xff", np.array([1.0])], path)
+    assert path.read_bytes() == "é\r\n".encode("utf-8") + b"\x00\xff" + np.array([1.0]).tobytes()
+    # created like any other file, so its mode follows the umask
+    (tmp_path / "plain").touch()
+    assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+def test_write_file_keeps_the_old_file_when_the_chunks_raise(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise ParseError("bad row")
+
+    with pytest.raises(ParseError):
+        write_file(chunks(), path)
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert path.read_text() == "old\n"
+
+
+def _writers(tree):
+    """The enclosing function of each ``open`` call whose mode writes,
+    appends or creates, or is not a string literal, and of each
+    ``write_text``/``write_bytes`` call."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                writes = any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+                if (name == "open" and writes) or name in ("write_text", "write_bytes"):
+                    found.append(func)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_write_file_is_the_only_writer():
+    # Every output goes through write_file, so every output is replaced whole.
+    package = Path(data_module.__file__).parent
+    sites = [
+        (path.name, func)
+        for path in sorted(package.glob("*.py"))
+        for func in _writers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == [("data.py", "write_file")]
 
 
 def test_feature_table_roundtrip(tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from purgelab import evaluation
 from purgelab.data import FeatureCache, HashingFeatures, generate_synthetic, split
 from purgelab.errors import ConfigError, StratifyError, UnknownClassError
 from purgelab.evaluation import (
@@ -333,6 +334,23 @@ def test_export_class_filter():
     assert all(row[0] == 2 for row in rows)
     mutants = [row for row in rows if row[2] == "mutant"]
     assert len(mutants) == sum(1 for r in corpus.records if r.class_id == 2)
+
+
+@pytest.mark.parametrize("class_filter", [None, [3, 0]])
+def test_export_groups_interleaved_classes_like_a_per_class_scan(class_filter):
+    # Classes interleaved in the corpus: rows come class by class, ascending,
+    # and in corpus order within a class, as a scan per class gives them.
+    _, data = small_setup()
+    data = data.take(np.random.default_rng(5).permutation(len(data)))
+    state = init_state(small_config())
+    origins = evaluation._origin_embeddings(state, data)
+    mutants = evaluation._encode(state.encoder, data.mutant_features)
+    expected = []
+    for cid in sorted(set(data.class_ids.tolist()) if class_filter is None else set(class_filter)):
+        members = np.flatnonzero(data.class_ids == cid)
+        expected.append((cid, -1, "origin", *origins[data.origin_rows[members[0]]].tolist()))
+        expected += [(cid, int(data.labels[i]), "mutant", *mutants[i].tolist()) for i in members]
+    assert list(export_embeddings(state, data, class_filter)) == expected
 
 
 def test_export_unknown_class():
