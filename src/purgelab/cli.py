@@ -224,18 +224,22 @@ def _featurized(ns: argparse.Namespace, feature_dim: int, *paths: str) -> list[F
 def _finish(ns: argparse.Namespace, outputs: dict, summary) -> int:
     """Make ``--out-dir``; write each of ``outputs`` (file name -> writer of a
     path) into it and remove each mapped to None, an optional output this run
-    did not write; write the manifest last, so it marks a finished command;
-    print ``summary()``, which may report what the writes counted."""
+    did not write; remove an old manifest once the first output is in place
+    and write the new one last, so a manifest marks a finished command; print
+    ``summary()``, which may report what the writes counted."""
     os.makedirs(ns.out_dir, exist_ok=True)
+    manifest = os.path.join(ns.out_dir, "manifest.txt")
     for name, write in outputs.items():
         path = os.path.join(ns.out_dir, name)
         if write is not None:
             write(path)
         elif os.path.lexists(path):
             os.remove(path)
+        if os.path.lexists(manifest):
+            os.remove(manifest)
     skip = {"command", "config", "func", "given"}
-    manifest = [f"{key} = {_fmt(getattr(ns, key))}\n" for key in sorted(vars(ns)) if key not in skip]
-    write_file([f"command = {ns.command}\n", *manifest], os.path.join(ns.out_dir, "manifest.txt"))
+    lines = [f"{key} = {_fmt(getattr(ns, key))}\n" for key in sorted(vars(ns)) if key not in skip]
+    write_file([f"command = {ns.command}\n", *lines], manifest)
     print(summary())
     return 0
 

@@ -377,6 +377,7 @@ class FeatureCache:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, provider) -> "FeatureCache":
+        validate_corpus(corpus)
         n = len(corpus)
         dim = provider.dim
         mutant_features = np.zeros((n, dim), dtype=np.float64)

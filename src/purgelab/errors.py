@@ -62,7 +62,7 @@ class ConfigError(PurgelabError):
 
 
 class DivergenceError(PurgelabError):
-    """Training produced a non-finite loss."""
+    """A training step produced a non-finite value or a float overflow."""
 
     def __init__(self, message, epoch=None, step=None, history=None):
         super().__init__(message)

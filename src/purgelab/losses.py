@@ -339,9 +339,10 @@ def cross_entropy(logits, labels) -> LossOutput:
 
 
 def joint_loss(metric_value: float, ce_value: float, lam: float) -> float:
-    """Joint objective: metric_value * lam + ce_value."""
-    if not (np.isfinite(metric_value) and np.isfinite(ce_value) and np.isfinite(lam)):
-        raise NumericError("joint_loss inputs must be finite")
+    """Joint objective: metric_value * lam + ce_value, which must be finite."""
     if lam < 0.0:
         raise ConfigError(f"lam must be non-negative, got {lam!r}")
-    return metric_value * lam + ce_value
+    joint = metric_value * lam + ce_value
+    if not np.isfinite(joint):
+        raise NumericError(f"non-finite joint loss {joint!r}")
+    return joint

@@ -186,44 +186,38 @@ def _metric_loss(state: TrainerState, batch: EmbeddedBatch) -> LossOutput | None
 def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
     """One forward/backward/update cycle; mutates the state in place.
 
-    Any non-finite value surfacing in the forward pass or the loss marks
-    numeric divergence and aborts with a :class:`DivergenceError`; nothing
-    is clipped or papered over.
+    The one place a step diverges: a non-finite value in the forward pass or
+    the loss, or a float power that overflows, aborts with a
+    :class:`DivergenceError`; nothing is clipped or papered over.
     """
     try:
-        return _train_step_inner(state, batch)
-    except NumericError as exc:
-        raise DivergenceError(f"numeric divergence: {exc}", epoch=state.epoch) from exc
+        lcfg = state.config.loss
+        m = len(batch)
+        cache = encode_batch(
+            state.encoder, np.concatenate([batch.origin_features, batch.mutant_features])
+        )
+        origins, mutants = cache.embeddings[:m], cache.embeddings[m:]
+        embedded = EmbeddedBatch.from_rows(batch.class_ids, batch.labels, origins, mutants)
 
+        metric_out = _metric_loss(state, embedded)
+        metric_value = 0.0 if metric_out is None else metric_out.value
+        skipped = 0 if metric_out is None else metric_out.skipped_count
 
-def _train_step_inner(state: TrainerState, batch: FeatureCache) -> LossRow:
-    lcfg = state.config.loss
-    m = len(batch)
-    cache = encode_batch(
-        state.encoder, np.concatenate([batch.origin_features, batch.mutant_features])
-    )
-    origins, mutants = cache.embeddings[:m], cache.embeddings[m:]
-    embedded = EmbeddedBatch.from_rows(batch.class_ids, batch.labels, origins, mutants)
+        pair_cache = classify_pairs(state.head, origins, mutants)
+        ce = cross_entropy(pair_cache.logits, embedded.labels)
+        joint = joint_loss(metric_value, ce.value, lcfg.lam)
 
-    metric_out = _metric_loss(state, embedded)
-    metric_value = 0.0 if metric_out is None else metric_out.value
-    skipped = 0 if metric_out is None else metric_out.skipped_count
-
-    pair_cache = classify_pairs(state.head, origins, mutants)
-    ce = cross_entropy(pair_cache.logits, embedded.labels)
-
-    joint = joint_loss(metric_value, ce.value, lcfg.lam)
-    if not np.isfinite(joint):
-        raise DivergenceError(f"non-finite joint loss {joint!r}", epoch=state.epoch)
-
-    grads = state.grad_segments
-    d_embeddings = np.concatenate(pair_backward(state.head, pair_cache, ce.logit_grads, grads[4:]))
-    if metric_out is not None:
-        d_embeddings += lcfg.lam * np.concatenate([metric_out.origin_grads, metric_out.mutant_grads])
-    encoder_backward(state.encoder, cache, d_embeddings, grads[:4])
-    row = LossRow(state.adam.t, ce.value, metric_value, joint, skipped)
-    _adam_step(state)
-    return row
+        grads = state.grad_segments
+        d_embeddings = np.concatenate(pair_backward(state.head, pair_cache, ce.logit_grads, grads[4:]))
+        if metric_out is not None:
+            d_embeddings += lcfg.lam * np.concatenate([metric_out.origin_grads, metric_out.mutant_grads])
+        encoder_backward(state.encoder, cache, d_embeddings, grads[:4])
+        row = LossRow(state.adam.t, ce.value, metric_value, joint, skipped)
+        _adam_step(state)
+        return row
+    except (NumericError, OverflowError) as exc:
+        cause = f"step overflowed {exc}" if isinstance(exc, OverflowError) else exc
+        raise DivergenceError(f"numeric divergence: {cause}", epoch=state.epoch) from exc
 
 
 def _adam_step(state: TrainerState) -> None:
@@ -278,7 +272,6 @@ def resume(state: TrainerState, data: FeatureCache, collect_steps: bool = False)
             try:
                 rows.append(train_step(state, batch))
             except DivergenceError as exc:
-                exc.epoch = epoch
                 exc.step = step_index
                 exc.history = history
                 raise

@@ -15,7 +15,7 @@ import pytest
 from purgelab.cli import build_parser, run
 from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
 from purgelab.errors import ConfigError
-from purgelab.trainer import CHECKPOINT_MAGIC, TrainConfig, load_checkpoint
+from purgelab.trainer import CHECKPOINT_MAGIC, LOSS_KINDS, TrainConfig, load_checkpoint
 
 SMALL_DIMS = [
     "--feature-dim", "24", "--hidden-dim", "12", "--embed-dim", "8", "--pair-hidden-dim", "6",
@@ -438,6 +438,32 @@ def test_failed_in_place_resume_keeps_the_old_checkpoint(tmp_path, monkeypatch, 
     assert load_checkpoint(ckpt).epoch == 2
 
 
+def test_a_run_failing_after_its_first_output_leaves_no_old_manifest(tmp_path, monkeypatch, capsys):
+    # The seed-3 checkpoint replaces the seed-0 one, then the history write
+    # fails: a manifest saying seed = 0 would describe a mix of two runs.
+    import purgelab.cli as cli
+
+    corpus, features = gen_small(tmp_path / "data")
+    run_dir = tmp_path / "run"
+    ckpt = train_small(run_dir, corpus, features)
+    old_history = (run_dir / "history.tsv").read_bytes()
+    real = cli.write_file
+
+    def write_file(chunks, path):
+        if os.path.basename(path) == "history.tsv":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real(chunks, path)
+
+    monkeypatch.setattr(cli, "write_file", write_file)
+    capsys.readouterr()
+    assert run(["train", "--corpus", corpus, "--features", features, "--out-dir", str(run_dir),
+                "--epochs", "2", *SMALL_DIMS, "--seed", "3"]) == 1
+    assert capsys.readouterr().err.startswith("ERROR OSError: ")
+    assert load_checkpoint(ckpt).config.seed == 3
+    assert (run_dir / "history.tsv").read_bytes() == old_history
+    assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint.bin", "history.tsv"]
+
+
 def test_commands_do_not_mutate_inputs(tmp_path):
     corpus, features = gen_small(tmp_path / "data")
     before = Path(corpus).read_bytes(), Path(features).read_bytes()
@@ -477,6 +503,48 @@ def test_corrupt_checkpoint_never_escapes_eval(tmp_path, capsys):
         if rc == 1:
             assert re.match(r"ERROR \w+: ", capsys.readouterr().err)
     assert outcomes == {0: 0, 1: len(cases)}
+
+
+# Extreme but valid values of the float training flags.
+EXTREME_FLOATS = {
+    "--alpha": ["1e-300", "400", "1e300"],
+    "--beta": ["1e-300", "400", "1e300"],
+    "--zeta": ["-1e300", "10", "1e300"],
+    "--lambda": ["0", "1e300"],
+    "--gamma": ["1", "1e300"],
+    "--step-size": ["1e-300", "1e300"],
+    "--adam-epsilon": ["1e-300", "1e300"],
+    "--hinge-epsilon": ["1e-300", "0.001"],
+}
+
+
+def test_extreme_training_floats_never_escape(tmp_path, capsys):
+    # Seeded draws of extreme flag values, 10 per loss kind: each train exits
+    # 0, or 1 with one error line, never with a traceback.
+    corpus, features = gen_small(tmp_path / "data")
+    rng = np.random.default_rng(18)
+    outcomes = {0: 0, 1: 0}
+    with np.errstate(all="ignore"):
+        for case in range(40):
+            flags = [f"{flag}={rng.choice(values)}" for flag, values in EXTREME_FLOATS.items()
+                     if rng.random() < 0.5]
+            capsys.readouterr()
+            rc = run(["train", "--corpus", corpus, "--features", features, "--out-dir", str(tmp_path / "run"),
+                      "--epochs", "2", *SMALL_DIMS, "--loss-kind", LOSS_KINDS[case % 4], *flags])
+            err = capsys.readouterr().err
+            outcomes[rc] += 1
+            assert re.fullmatch(r"ERROR \w+: .+\n" if rc else "", err), (flags, err)
+        assert outcomes[0] and outcomes[1]
+        # the zeta = 9.9 cell overflows 400th powers; the other one keeps its F1
+        args = [*sweep_args(tmp_path), "--alpha", "400", "--lambda-range", "1:1:1", "--epochs", "3"]
+        alone, both = tmp_path / "alone", tmp_path / "both"
+        assert run([*args, "--zeta-range=-0.05:-0.05:1", "--out-dir", str(alone)]) == 0
+        assert run([*args, "--zeta-range=-0.05:10:9.95", "--out-dir", str(both)]) == 0
+    good = (alone / "sweep.tsv").read_text().splitlines()[1]
+    assert good.split("\t")[4] != "none"
+    assert (both / "sweep.tsv").read_text().splitlines()[1:] == [good, "1.0\t9.9\tnone\tnone\tnone"]
+    error = (both / "sweep_errors.txt").read_text()
+    assert error.startswith("1.0\t9.9\tDivergenceError: numeric divergence: step overflowed ")
 
 
 # Tokens the input fuzz inserts: separators, escapes, values the parsers

@@ -503,6 +503,14 @@ def test_feature_cache_matches_provider():
         assert np.array_equal(cache.origin_features[i], provider.vector(record.origin_text))
 
 
+def test_feature_cache_rejects_conflicting_origins():
+    # An in-memory corpus never passes through ingest, so the cache checks it:
+    # one origin row per class would silently keep only the first text.
+    corpus = Corpus(records=[rec(0, "int a;", "int b;", 1), rec(0, "float z = 1;", "float z = 2;", 0)])
+    with pytest.raises(SchemaError, match="class 0 has conflicting origin texts"):
+        FeatureCache.from_corpus(corpus, HashingFeatures(16))
+
+
 # --- synthetic generation -------------------------------------------------------
 
 

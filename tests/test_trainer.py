@@ -1,9 +1,12 @@
+import ast
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from purgelab import trainer as trainer_module
 from purgelab.data import FeatureCache, generate_synthetic, make_batches
 from purgelab.encoder import encode_batch, encoder_backward, split_flat
 from purgelab.errors import (
@@ -13,6 +16,7 @@ from purgelab.errors import (
     StateError,
     VersionError,
 )
+from purgelab.losses import LossConfig
 from purgelab.trainer import (
     TrainConfig,
     _adam_step,
@@ -167,6 +171,46 @@ def test_divergence_raises_with_location():
     assert info.value.epoch == 0
     assert info.value.step >= 1
     assert info.value.history == []
+
+
+def test_float_overflow_raises_divergence_with_location():
+    # 2,000th powers of hinge arguments above 1.43 overflow a Python float in
+    # the second epoch, after the first one finished
+    data = small_setup()
+    config = small_config(epochs=4, loss=LossConfig(zeta=1.0, alpha=2000.0))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="step overflowed") as info:
+        train(config, data)
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert (info.value.epoch, info.value.step) == (1, 7)
+    assert [row.index for row in info.value.history] == [0]
+
+
+def _divergence_sites(tree):
+    """The enclosing function of each ``DivergenceError(...)`` call."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name == "DivergenceError":
+                    found.append(func)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_train_step_is_the_only_divergence_boundary():
+    # Every failing step turns into a DivergenceError in one place.
+    package = Path(trainer_module.__file__).parent
+    sites = [
+        (path.name, func)
+        for path in sorted(package.glob("*.py"))
+        for func in _divergence_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == [("trainer.py", "train_step")]
 
 
 def test_flat_adam_matches_textbook_per_array_update():
