@@ -106,40 +106,6 @@ def _zero_or_one(text: str) -> bool:
     return text == "1"
 
 
-class _Args:
-    """add_argument wrapper that lets a config file override built-in defaults.
-
-    A config value is passed to argparse as a string default, so the chosen
-    subcommand parses it like the same flag on the command line. ``given`` on
-    the parsed namespace names every value that came from the command line or
-    the config file rather than a built-in default.
-    """
-
-    def __init__(self, parser: argparse.ArgumentParser, file_defaults: dict[str, str]):
-        self.parser = parser
-        self.file_defaults = file_defaults
-        parser.set_defaults(given=frozenset(file_defaults))
-
-    def add(self, *names, dest=None, type=str, default=None, **kwargs):
-        if dest is None:
-            dest = names[-1].lstrip("-").replace("-", "_")
-        raw = self.file_defaults.get(dest)
-        if raw is not None:
-            default = None if raw == "none" else raw
-        self.parser.add_argument(
-            *names, dest=dest, type=type, default=default, action=_StoreGiven, **kwargs
-        )
-
-    def flag(self, *names, dest=None, default=False, **kwargs):
-        if dest is None:
-            dest = names[-1].lstrip("-").replace("-", "_")
-        default = self.file_defaults.get(dest, default)
-        action = self.parser.add_argument(
-            *names, dest=dest, action="store_true", default=default, **kwargs
-        )
-        action.type = _zero_or_one  # argparse applies it to a config file's string default
-
-
 # Training flags whose names differ from their config field's.
 _FLAG_NAMES = {"lam": "--lambda", "batch_size": "--batch"}
 
@@ -165,14 +131,14 @@ _TRAIN_HELP = {
 }
 
 
-def _add_train_flags(args: _Args) -> None:
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """One flag per field of LossConfig and TrainConfig, with its default and type."""
     for defaults in (_LOSS_DEFAULTS, _TRAIN_DEFAULTS):
         for f in fields(defaults):
             if f.name == "loss":
                 continue
             default = getattr(defaults, f.name)
-            args.add(
+            p.add_argument(
                 _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
                 dest=f.name,
                 type=type(default),
@@ -468,75 +434,70 @@ def cmd_export(ns: argparse.Namespace) -> int:
     return _finish(ns, outputs, lambda: f"export: {count} rows -> {ns.out_dir}")
 
 
-def build_parser(file_defaults: dict[str, str]) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="purgelab",
         description="Equivalent-mutant detection lab: cluster purge loss training and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subparser(name, help_text):
+    def subparser(name, help_text, func):
         p = sub.add_parser(name, help=help_text)
-        a = _Args(p, file_defaults)
-        a.add("--config", type=str, default=None, help="preload flags from a manifest file")
-        a.add("--out-dir", type=str, default="out", help="directory for outputs")
-        return p, a
+        p.register("action", None, _StoreGiven)  # every flag without an action records itself
+        p.set_defaults(func=func, given=frozenset())
+        p.add_argument("--config", help="preload flags from a manifest file")
+        p.add_argument("--out-dir", default="out", help="directory for outputs")
+        return p
 
-    p, a = subparser("gen", "generate a synthetic mutant corpus")
-    a.add("--mode", choices=("geometric", "codegen"), default="geometric")
-    a.add("--classes", type=int, default=8, help="number of mutant classes")
-    a.add("--per-class", type=int, default=40, help="mutants per class")
-    a.add("--equiv-fraction", type=float, default=0.5)
-    a.add("--noise", type=float, default=_GEOMETRIC_FLAGS["noise"], help="geometric scatter magnitude")
-    a.add("--seed", type=int, default=0)
-    a.add("--feature-dim", type=int, default=_GEOMETRIC_FLAGS["feature_dim"])
-    p.set_defaults(func=cmd_gen)
+    p = subparser("gen", "generate a synthetic mutant corpus", cmd_gen)
+    p.add_argument("--mode", choices=("geometric", "codegen"), default="geometric")
+    p.add_argument("--classes", type=int, default=8, help="number of mutant classes")
+    p.add_argument("--per-class", type=int, default=40, help="mutants per class")
+    p.add_argument("--equiv-fraction", type=float, default=0.5)
+    p.add_argument("--noise", type=float, default=_GEOMETRIC_FLAGS["noise"], help="geometric scatter magnitude")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--feature-dim", type=int, default=_GEOMETRIC_FLAGS["feature_dim"])
 
-    p, a = subparser("preprocess", "ingest, dedup, and stratified-split a corpus")
-    a.add("--input", type=str, default="corpus.tsv")
-    a.add("--fraction", type=float, default=0.5, help="train-side fraction")
-    a.add("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_preprocess)
+    p = subparser("preprocess", "ingest, dedup, and stratified-split a corpus", cmd_preprocess)
+    p.add_argument("--input", default="corpus.tsv")
+    p.add_argument("--fraction", type=float, default=0.5, help="train-side fraction")
+    p.add_argument("--seed", type=int, default=0)
 
-    p, a = subparser("train", "train a model on a corpus")
-    a.add("--corpus", type=str, default="corpus.tsv")
-    a.add("--features", type=str, default=None, help="feature table (default: hashed features)")
-    a.add("--resume", type=str, default=None, help="checkpoint to continue from")
-    a.flag("--trace", help="also write per-step loss trace")
-    _add_train_flags(a)
-    p.set_defaults(func=cmd_train)
+    p = subparser("train", "train a model on a corpus", cmd_train)
+    p.add_argument("--corpus", default="corpus.tsv")
+    p.add_argument("--features", help="feature table (default: hashed features)")
+    p.add_argument("--resume", help="checkpoint to continue from")
+    trace = p.add_argument("--trace", action="store_true", help="also write per-step loss trace")
+    trace.type = _zero_or_one  # argparse applies it to a config file's string default
+    _add_train_flags(p)
 
-    p, a = subparser("eval", "evaluate a checkpoint on a corpus")
-    a.add("--checkpoint", type=str, default="out/checkpoint.bin")
-    a.add("--corpus", type=str, default="corpus.tsv")
-    a.add("--features", type=str, default=None)
-    p.set_defaults(func=cmd_eval)
+    p = subparser("eval", "evaluate a checkpoint on a corpus", cmd_eval)
+    p.add_argument("--checkpoint", default="out/checkpoint.bin")
+    p.add_argument("--corpus", default="corpus.tsv")
+    p.add_argument("--features")
 
-    p, a = subparser("sweep", "grid-search lambda and zeta")
-    a.add("--train-corpus", type=str, default="train.tsv")
-    a.add("--test-corpus", type=str, default="test.tsv")
-    a.add("--features", type=str, default=None)
-    a.add("--lambda-range", type=str, default="1.00:1.30:0.05", help="START:STOP:STEP")
-    a.add("--zeta-range", type=str, default="-0.06:0.01:0.01", help="START:STOP:STEP")
-    a.add("--workers", type=int, default=1, help="parallel sweep workers")
-    _add_train_flags(a)
-    p.set_defaults(func=cmd_sweep)
+    p = subparser("sweep", "grid-search lambda and zeta", cmd_sweep)
+    p.add_argument("--train-corpus", default="train.tsv")
+    p.add_argument("--test-corpus", default="test.tsv")
+    p.add_argument("--features")
+    p.add_argument("--lambda-range", default="1.00:1.30:0.05", help="START:STOP:STEP")
+    p.add_argument("--zeta-range", default="-0.06:0.01:0.01", help="START:STOP:STEP")
+    p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+    _add_train_flags(p)
 
-    p, a = subparser("stats", "distance distribution stats, optionally vs a baseline")
-    a.add("--checkpoint", type=str, default="out/checkpoint.bin")
-    a.add("--baseline", type=str, default=None, help="baseline checkpoint to compare against")
-    a.add("--corpus", type=str, default="corpus.tsv")
-    a.add("--features", type=str, default=None)
-    a.add("--resamples", type=int, default=_PERMUTATION_FLAGS["resamples"])
-    a.add("--stats-seed", type=int, default=_PERMUTATION_FLAGS["stats_seed"], help="permutation test seed")
-    p.set_defaults(func=cmd_stats)
+    p = subparser("stats", "distance distribution stats, optionally vs a baseline", cmd_stats)
+    p.add_argument("--checkpoint", default="out/checkpoint.bin")
+    p.add_argument("--baseline", help="baseline checkpoint to compare against")
+    p.add_argument("--corpus", default="corpus.tsv")
+    p.add_argument("--features")
+    p.add_argument("--resamples", type=int, default=_PERMUTATION_FLAGS["resamples"])
+    p.add_argument("--stats-seed", type=int, default=_PERMUTATION_FLAGS["stats_seed"], help="permutation test seed")
 
-    p, a = subparser("export", "export embeddings for external plotting")
-    a.add("--checkpoint", type=str, default="out/checkpoint.bin")
-    a.add("--corpus", type=str, default="corpus.tsv")
-    a.add("--features", type=str, default=None)
-    a.add("--classes", type=str, default="", help="comma-separated class ids (default all)")
-    p.set_defaults(func=cmd_export)
+    p = subparser("export", "export embeddings for external plotting", cmd_export)
+    p.add_argument("--checkpoint", default="out/checkpoint.bin")
+    p.add_argument("--corpus", default="corpus.tsv")
+    p.add_argument("--features")
+    p.add_argument("--classes", default="", help="comma-separated class ids (default all)")
 
     return parser
 
@@ -551,15 +512,32 @@ def _check_config_keys(parser, ns: argparse.Namespace, file_defaults: dict[str, 
         parser.error(f"{ns.command}: --config keys name no flag: {', '.join(unknown)}")
 
 
+def _check_choices(parser, ns: argparse.Namespace) -> None:
+    """Usage error for a config value outside its flag's choices, which argparse
+    checks only on the command line."""
+    for a in parser._actions:
+        if a.choices is not None and (value := getattr(ns, a.dest)) not in a.choices:
+            choices = ", ".join(map(repr, a.choices))
+            parser.error(f"argument {a.option_strings[0]}: invalid choice: {value!r} (choose from {choices})")
+
+
 def run(argv) -> int:
     try:
         try:
-            ns = build_parser({}).parse_args(argv)
+            parser = build_parser()
+            ns = parser.parse_args(argv)
             if ns.config is not None:
-                file_defaults = load_config_file(ns.config)
-                parser = build_parser(file_defaults)
+                # The file's values become the chosen command's defaults, which
+                # argparse converts with each flag's type; "none" is None only
+                # for a flag whose built-in default is None. Flags still win.
+                values = load_config_file(ns.config)
+                _check_config_keys(parser, ns, values)
+                [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+                command = commands[ns.command]
+                defaults = {k: None if v == "none" and command.get_default(k) is None else v for k, v in values.items()}
+                command.set_defaults(given=frozenset(values), **defaults)
                 ns = parser.parse_args(argv)
-                _check_config_keys(parser, ns, file_defaults)
+                _check_choices(command, ns)
         except SystemExit as exc:
             return int(exc.code or 0)
         return ns.func(ns)

@@ -45,6 +45,9 @@ GEOMETRIC_SUBSPACE_DIM = 8
 
 # Largest synthetic corpus (n_classes * per_class records); the default is 320.
 MAX_GEN_RECORDS = 100_000
+# Largest geometric noise: far past where the scatter swamps the unit origin,
+# and far below where a point's squared norm would overflow.
+MAX_GEN_NOISE = 1e100
 
 
 @dataclass(frozen=True)
@@ -455,8 +458,8 @@ def generate_synthetic(
         raise ConfigError(f"{n_classes} x {per_class} records is more than {MAX_GEN_RECORDS}")
     if not 0.0 < equiv_fraction < 1.0:
         raise ConfigError(f"equiv_fraction must be in (0, 1), got {equiv_fraction!r}")
-    if not 0.0 <= noise < np.inf:
-        raise ConfigError(f"noise must be finite and >= 0, got {noise!r}")
+    if not 0.0 <= noise <= MAX_GEN_NOISE:
+        raise ConfigError(f"noise must be in [0, {MAX_GEN_NOISE:g}], got {noise!r}")
     n_equiv = int(per_class * equiv_fraction + 0.5)
     if n_equiv == 0 or n_equiv == per_class:
         raise ConfigError("equiv_fraction leaves one label empty at this per_class")

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from purgelab import cli
 from purgelab.cli import build_parser, run
 from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
 from purgelab.errors import ConfigError
@@ -98,7 +99,7 @@ TRAINING_FLAGS = {
 
 
 def _subcommand_actions(name):
-    parser = build_parser({})
+    parser = build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices[name]._actions
 
@@ -277,6 +278,15 @@ def test_resume_takes_checkpoint_config_and_rejects_conflicting_flags(tmp_path, 
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR ConfigError:")
         assert not (tmp_path / "bad").exists()
+
+    # so is a conflicting value that only the --config file gives
+    config = tmp_path / "lam.txt"
+    config.write_text("lam = 9.0\n")
+    capsys.readouterr()
+    rc = run([*base, "--config", str(config), "--out-dir", str(tmp_path / "bad")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR ConfigError: lam = 9.0 conflicts")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_sweep_grid_counts_and_table(tmp_path):
@@ -709,6 +719,8 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
     pytest.param("sweep", ["--workers", "-3"], id="sweep-workers-negative"),
     pytest.param("gen", ["--noise", "nan"], id="gen-noise-nan"),
     pytest.param("gen", ["--noise", "inf"], id="gen-noise-inf"),
+    # finite, but a geometric point's norm would overflow
+    pytest.param("gen", ["--noise", "1e300"], id="gen-noise-overflow"),
     # codegen corpora have no feature table and no geometric scatter
     pytest.param("gen", ["--mode", "codegen", "--noise", "5"], id="gen-codegen-noise"),
     pytest.param("gen", ["--mode", "codegen", "--feature-dim", "7"], id="gen-codegen-feature-dim"),
@@ -795,6 +807,10 @@ def test_stats_manifest_without_baseline_replays_with_config(tmp_path):
     "command = eval", "bogus = 7", "classes = 99",
     # a config file cannot name another config file
     "config = other.txt",
+    # argparse checks choices only on the command line
+    "loss_kind = bogus",
+    # "none" is None only for a flag whose default is None
+    "gamma = none", "trace = none",
 ])
 def test_bad_config_value_exits_2_like_the_flag(tmp_path, capsys, line):
     config = tmp_path / "config.txt"
@@ -804,6 +820,35 @@ def test_bad_config_value_exits_2_like_the_flag(tmp_path, capsys, line):
     assert rc == 2
     assert "usage:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_config_mode_outside_choices_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text("mode = bogus\n")
+    rc = run(["gen", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "preprocess", "train", "eval", "sweep", "stats", "export"])
+def test_config_of_every_default_parses_like_no_config(tmp_path, monkeypatch, command):
+    # every flag's built-in default, written as a manifest writes it, parses
+    # back to the same value through --config
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda ns: seen.append(ns) or 0)
+    assert run([command]) == 0
+    bare = vars(seen.pop())
+    keys = sorted(set(bare) - {"command", "config", "func", "given"})
+    config = tmp_path / "config.txt"
+    config.write_text("".join(f"{key} = {cli._fmt(bare[key])}\n" for key in keys))
+    assert run([command, "--config", str(config)]) == 0
+    again = vars(seen.pop())
+    assert again.pop("given") == {"config", *keys} and bare.pop("given") == frozenset()
+    assert again.pop("config") == str(config) and bare.pop("config") is None
+    assert again == bare
+    if command == "train":  # every flag type: int, float, str, None and store-true
+        assert {type(bare[key]) for key in keys} == {int, float, str, type(None), bool}
 
 
 def test_export_manifest_replays_with_config(tmp_path):

@@ -532,6 +532,18 @@ def test_generate_geometric_zero_noise_equivalents_sit_on_origin():
             assert d <= 1e-12
 
 
+def test_generate_geometric_noise_bound():
+    # at the bound every point is still a unit vector; past it nothing is generated
+    _, table = generate_synthetic(
+        "geometric", n_classes=2, per_class=4, noise=data_module.MAX_GEN_NOISE, feature_dim=16
+    )
+    norms = np.linalg.norm(np.stack(list(table.table.values())), axis=1)
+    assert np.allclose(norms, 1.0)
+    for noise in (np.nextafter(data_module.MAX_GEN_NOISE, np.inf), 1e300, np.inf, np.nan, -1.0):
+        with pytest.raises(ConfigError, match="noise must be in"):
+            generate_synthetic("geometric", n_classes=2, per_class=4, noise=noise, feature_dim=16)
+
+
 def test_generate_geometric_label_counts():
     corpus, _ = generate_synthetic("geometric", n_classes=3, per_class=10, equiv_fraction=0.3, seed=0)
     per_class_eq = 3
