@@ -1021,3 +1021,31 @@ def test_multiblock_eval_stats_export_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in PINNED_MULTIBLOCK_DIGESTS}
     assert digests == PINNED_MULTIBLOCK_DIGESTS
+
+
+# sha256 of the training outputs of each loss kind at the default model
+# dimensions and batch 4, on 27 geometric records: six full batches and a
+# partial one of three per epoch. They pin every float bit of the step.
+PINNED_LOSS_KIND_DIGESTS = {
+    "ce_only": ("8a37a70fdbfe8b435e5d0effce6dec48dce640cf1ace3f59b9ab8fa88a1c78f2",
+                "73015c3484cf200a457b564bdbd93018fda0312fbc301364b1553c87c6b9e500"),
+    "ce_plus_cpl": ("644232d88c741b9974b9475c3135e4acc155c8b48532dec762bc79b3f4e49248",
+                    "5d45d1850df32b8834f2d504349514d24b2ab5ea43eab2595629d99a94ff2051"),
+    "ce_plus_contrastive": ("3bf5b71a1417eb1360138f0bb106f0b1a390cdfba8250fcf7b49a29774f9f88a",
+                            "13724fc86328d72324573f1d46e08c61ef7e2d4bfa430a63888aec5d913e414a"),
+    "ce_plus_triplet": ("ce1cde0c8bd40741e389984b5ca089836c9a822e1b040b420785b2af592e93c4",
+                        "db3fd83010c343faa66881df1c632c142102f803be9c07953442fe18356bae7d"),
+}
+
+
+def test_default_width_training_of_every_loss_kind_is_pinned(tmp_path):
+    data = tmp_path / "data"
+    assert run(["gen", "--classes", "3", "--per-class", "9", "--seed", "5", "--out-dir", str(data)]) == 0
+    digests = {}
+    for kind in LOSS_KINDS:
+        out = tmp_path / kind
+        assert run(["train", "--corpus", str(data / "corpus.tsv"), "--features", str(data / "features.tsv"),
+                    "--loss-kind", kind, "--epochs", "3", "--seed", "2", "--out-dir", str(out)]) == 0
+        digests[kind] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                              for name in ("checkpoint.bin", "history.tsv"))
+    assert digests == PINNED_LOSS_KIND_DIGESTS

@@ -1,6 +1,7 @@
 import ast
 import copy
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from purgelab.errors import (
 )
 from purgelab.losses import LossConfig
 from purgelab.trainer import (
+    LOSS_KINDS,
     TrainConfig,
     _adam_step,
     init_state,
@@ -391,3 +393,23 @@ def test_cpl_training_loss_decreases_on_separable_data():
     result = train(TrainConfig(loss_kind="ce_plus_cpl", epochs=5, seed=4), data)
     joints = [e.joint_loss for e in result.history]
     assert all(b <= a for a, b in zip(joints, joints[1:]))
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_warm_training_steps_allocate_little(kind):
+    # At default dimensions a step's arrays are batch-sized; only a per-step
+    # copy of the flat parameter vector (or of its largest segments) would
+    # reach a quarter of its bytes.
+    corpus, table = generate_synthetic("geometric", n_classes=4, per_class=10, seed=1)
+    batches = make_batches(FeatureCache.from_corpus(corpus, table), 4, 0, 0)
+    state = init_state(TrainConfig(loss_kind=kind))
+    for batch in batches[:3]:
+        train_step(state, batch)
+    tracemalloc.start()
+    try:
+        for batch in batches[3:]:
+            train_step(state, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.params.nbytes // 4
