@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
 from functools import partial
 
@@ -541,7 +542,7 @@ def run(argv) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return ns.func(ns)
-    except (PurgelabError, OSError) as exc:
+    except (PurgelabError, OSError, MemoryError, BrokenProcessPool) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

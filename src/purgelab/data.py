@@ -360,15 +360,24 @@ class FeatureCache:
     a class share its origin text, so ``origins`` holds each class's vector
     once, in order of first appearance, and record i's origin row is
     ``origins[origin_rows[i]]``. Built once per corpus by :meth:`from_corpus`;
-    a minibatch is a record subset, made by :meth:`take`, that shares the
-    origins."""
+    a minibatch is a record subset, made by :meth:`take` or
+    :func:`make_batches`, that shares the origins."""
 
-    def __init__(self, class_ids, labels, origins, origin_rows, mutant_features):
+    def __init__(self, class_ids, labels, origins, origin_rows, mutant_features, stacked=None):
         self.class_ids = np.asarray(class_ids, dtype=np.int64)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.origins = np.asarray(origins, dtype=np.float64)
         self.origin_rows = np.asarray(origin_rows, dtype=np.int64)
         self.mutant_features = np.asarray(mutant_features, dtype=np.float64)
+        self._stacked = stacked
+
+    @property
+    def stacked_features(self) -> np.ndarray:
+        """Every record's origin row over every record's mutant row, one (2n, dim)
+        block: the encoder input of a training step."""
+        if self._stacked is None:
+            self._stacked = np.concatenate([self.origin_features, self.mutant_features])
+        return self._stacked
 
     def __len__(self) -> int:
         return int(self.class_ids.shape[0])
@@ -417,8 +426,23 @@ def make_batches(data: FeatureCache, batch_size: int, seed: int, epoch_index: in
         raise ConfigError("cannot batch an empty corpus")
     if epoch_index < 0:
         raise ConfigError(f"epoch_index must be >= 0, got {epoch_index}")
-    order = np.random.default_rng([seed, epoch_index]).permutation(len(data))
-    return [data.take(order[start : start + batch_size]) for start in range(0, len(data), batch_size)]
+    n = len(data)
+    order = np.random.default_rng([seed, epoch_index]).permutation(n)
+    class_ids, labels, origin_rows = data.class_ids[order], data.labels[order], data.origin_rows[order]
+    # One gather for the epoch. The batch at positions s..e-1 owns rows 2s..2e-1
+    # of ``block``: position p's origin row goes to row s + p, its mutant row
+    # to row e + p.
+    p = np.arange(n)
+    first = p - p % batch_size
+    rows = np.empty(2 * n, dtype=np.int64)
+    rows[first + p] = origin_rows
+    rows[np.minimum(first + batch_size, n) + p] = len(data.origins) + order
+    block = np.concatenate([data.origins, data.mutant_features])[rows]
+    starts = range(0, n, batch_size)
+    return [
+        FeatureCache(class_ids[s:e], labels[s:e], data.origins, origin_rows[s:e], block[s + e : 2 * e], block[2 * s : 2 * e])
+        for s, e in zip(starts, [*starts[1:], n])
+    ]
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -117,10 +117,10 @@ def _backward(
         raise DimensionError("gradient buffers must match the parameter shapes")
     w1, b1, w2, b2 = out
     np.matmul(d_out.T, cache.hidden, out=w2)
-    d_out.sum(axis=0, out=b2)
+    np.add.reduce(d_out, axis=0, out=b2)
     d_pre = (d_out @ params.w2) * (1.0 - cache.hidden**2)  # tanh'
     np.matmul(d_pre.T, cache.inputs, out=w1)
-    d_pre.sum(axis=0, out=b1)
+    np.add.reduce(d_pre, axis=0, out=b1)
     return d_pre
 
 
@@ -141,10 +141,12 @@ def encode_batch(params: DenseParams, features: np.ndarray) -> EncoderCache:
             f"features must be (m, {params.w1.shape[1]}), got {features.shape}"
         )
     hidden, prenorm = _forward(params, features)
-    norms = np.linalg.norm(prenorm, axis=1, keepdims=True)  # (m, 1)
-    if np.any(norms == 0.0):
+    # np.linalg.norm's own sum, without its Python wrapper: the same bits
+    norms = np.sqrt(np.add.reduce(prenorm * prenorm, axis=1, keepdims=True))  # (m, 1)
+    listed = norms.ravel().tolist()
+    if 0.0 in listed:
         raise DegenerateVectorError("encoder produced a zero vector before normalization")
-    if not np.isfinite(norms).all():
+    if not all(map(math.isfinite, listed)):
         raise NumericError("encoder pre-normalization norm is not finite")
     return EncoderCache(features, hidden, norms, prenorm / norms, params.version)
 
@@ -164,7 +166,7 @@ def encoder_backward(
     """
     upstream = _upstream(params, cache, upstream, cache.embeddings)
     e = cache.embeddings
-    radial = np.sum(upstream * e, axis=1, keepdims=True)
+    radial = np.add.reduce(upstream * e, axis=1, keepdims=True)
     _backward(params, cache, (upstream - radial * e) / cache.norms, out)
 
 
@@ -215,7 +217,5 @@ def pair_backward(
     origins, mutants = cache.inputs[:, :e], cache.inputs[:, e : 2 * e]
     d_o_block, d_s_block = d_pf[:, :e], d_pf[:, e : 2 * e]
     d_abs, d_prod = d_pf[:, 2 * e : 3 * e], d_pf[:, 3 * e :]
-    diff_sign = np.sign(origins - mutants)
-    origin_grads = d_o_block + diff_sign * d_abs + mutants * d_prod
-    mutant_grads = d_s_block - diff_sign * d_abs + origins * d_prod
-    return origin_grads, mutant_grads
+    d_abs = np.sign(origins - mutants) * d_abs
+    return d_o_block + d_abs + mutants * d_prod, d_s_block - d_abs + origins * d_prod

@@ -19,7 +19,8 @@ from the scalar one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -90,50 +91,59 @@ class EmbeddedBatch:
 
     Row i pairs the embedding of class ``class_ids[i]``'s original program with
     the embedding of one of its mutants; ``labels[i]`` is 1 when that mutant is
-    equivalent. The row norms and the origin-mutant distances are computed
-    once, on construction, and every row must be finite and nonzero. Use
-    :meth:`from_rows` for rows that must also be unit-norm.
+    equivalent. ``rows`` stacks the m origin rows over the m mutant rows, as
+    the encoder emits them; ``origins`` and ``mutants`` are its two halves.
+    The row norms and the origin-mutant distances are computed once, on
+    construction, and every row must be finite and nonzero, and unit-norm
+    too under ``unit`` (see :meth:`from_rows`).
     """
 
     class_ids: np.ndarray  # (m,)
     labels: np.ndarray  # (m,), 0 or 1
     origins: np.ndarray  # (m, dim)
     mutants: np.ndarray  # (m, dim)
-    origin_norms: np.ndarray = field(init=False)  # (m,)
-    mutant_norms: np.ndarray = field(init=False)  # (m,)
+    unit: InitVar[bool] = False
+    rows: np.ndarray = field(init=False)  # (2m, dim)
+    norms: np.ndarray = field(init=False)  # (2m,), origin norms then mutant norms
     distances: np.ndarray = field(init=False)  # (m,), in [0, 1]
 
-    def __post_init__(self):
+    def __post_init__(self, unit):
         self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.origins = np.asarray(self.origins, dtype=np.float64)
-        self.mutants = np.asarray(self.mutants, dtype=np.float64)
+        origins, mutants = np.asarray(self.origins), np.asarray(self.mutants)
         m = self.class_ids.size
         if m == 0:
             raise EmptyBatchError("a batch needs at least one sample")
         if (
             self.class_ids.shape != (m,)
             or self.labels.shape != (m,)
-            or self.origins.ndim != 2
-            or self.origins.shape != self.mutants.shape
-            or self.origins.shape[0] != m
+            or origins.ndim != 2
+            or origins.shape != mutants.shape
+            or origins.shape[0] != m
         ):
             raise DimensionError(
                 f"batch needs m class ids and labels and two (m, dim) embedding "
                 f"matrices, got {self.class_ids.shape}, {self.labels.shape}, "
-                f"{self.origins.shape} and {self.mutants.shape}"
+                f"{origins.shape} and {mutants.shape}"
             )
-        if ((self.labels != 0) & (self.labels != 1)).any():
+        if not set(self.labels.tolist()) <= {0, 1}:
             raise ConfigError(f"labels must be 0 or 1, got {self.labels.tolist()!r}")
-        self.origin_norms = row_norms(self.origins)
-        self.mutant_norms = row_norms(self.mutants)
-        if not (np.isfinite(self.origin_norms).all() and np.isfinite(self.mutant_norms).all()):
-            raise NumericError("embeddings contain non-finite components")
-        if not (self.origin_norms.all() and self.mutant_norms.all()):
-            raise DegenerateVectorError("cosine distance is undefined for a zero vector")
-        self.distances = cosine_distances(
-            self.origins, self.mutants, self.origin_norms, self.mutant_norms
-        )
+        self.rows = np.concatenate([origins, mutants], dtype=np.float64)
+        self.origins, self.mutants = self.rows[:m], self.rows[m:]
+        self.norms = norms = row_norms(self.rows)
+        # One pass over the norms on the common path, which finds the precise
+        # error only once it fails. A list is cheaper to scan than a numpy
+        # reduction is to call at these sizes.
+        listed = norms.tolist()
+        if not all(abs(x - 1.0) <= _UNIT_NORM_TOL if unit else 0.0 < x < math.inf for x in listed):
+            if not all(map(math.isfinite, listed)):
+                raise NumericError("embeddings contain non-finite components")
+            if 0.0 in listed:
+                raise DegenerateVectorError("cosine distance is undefined for a zero vector")
+            i = next(i for i, x in enumerate(listed) if abs(x - 1.0) > _UNIT_NORM_TOL)
+            name, row = ("origin", i) if i < m else ("mutant", i - m)
+            raise NormalizationError(f"{name} embedding {row} must be unit-norm, got norm {listed[i]!r}")
+        self.distances = cosine_distances(self.origins, self.mutants, norms[:m], norms[m:])
 
     def __len__(self) -> int:
         return int(self.class_ids.shape[0])
@@ -141,48 +151,46 @@ class EmbeddedBatch:
     @classmethod
     def from_rows(cls, class_ids, labels, origins, mutants) -> "EmbeddedBatch":
         """A batch whose embedding rows must all be unit-norm, such as encoder output."""
-        batch = cls(class_ids, labels, origins, mutants)
-        for name, norms in (("origin", batch.origin_norms), ("mutant", batch.mutant_norms)):
-            off = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_NORM_TOL)
-            if off.size:
-                norm = float(norms[off[0]])
-                raise NormalizationError(
-                    f"{name} embedding {int(off[0])} must be unit-norm, got norm {norm!r}"
-                )
-        return batch
+        return cls(class_ids, labels, origins, mutants, unit=True)
 
-    def distance_grads(
-        self, rows: Sequence[int], scales: Sequence[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of sum_k scales[k] * distances[rows[k]] w.r.t. the origins
-        and the mutants; rows not listed get zero."""
-        origin_grads = np.zeros_like(self.origins)
-        mutant_grads = np.zeros_like(self.mutants)
+    def distance_grads(self, rows: Sequence[int], scales: Sequence[float]) -> np.ndarray:
+        """Gradient of sum_k scales[k] * distances[rows[k]] w.r.t. ``rows``, the
+        origins stacked over the mutants; rows not listed get zero."""
+        m = len(self)
+        grads = np.zeros(self.rows.shape)
         if rows:
             idx = np.asarray(rows)
             grad_o, grad_s = cosine_distance_gradients(
-                self.origins[idx], self.mutants[idx], self.origin_norms[idx], self.mutant_norms[idx]
+                self.origins[idx], self.mutants[idx], self.norms[idx], self.norms[m + idx]
             )
             scale = np.asarray(scales)[:, None]
-            origin_grads[idx] = scale * grad_o
-            mutant_grads[idx] = scale * grad_s
-        return origin_grads, mutant_grads
+            grads[idx] = scale * grad_o
+            grads[m + idx] = scale * grad_s
+        return grads
 
 
 @dataclass
 class LossOutput:
     """Loss value plus the gradients the caller needs to backpropagate.
 
-    Batch losses fill ``origin_grads``/``mutant_grads`` (one row per sample);
-    cross-entropy fills ``logit_grads``. ``skipped_count`` counts samples whose
-    term was dropped because the required opposite verge was uninitialized.
+    Batch losses fill ``embedding_grads``, shaped like :attr:`EmbeddedBatch.rows`
+    (one origin row, then one mutant row, per sample); cross-entropy fills
+    ``logit_grads``. ``skipped_count`` counts samples whose term was dropped
+    because the required opposite verge was uninitialized.
     """
 
     value: float
     skipped_count: int = 0
-    origin_grads: np.ndarray | None = None
-    mutant_grads: np.ndarray | None = None
+    embedding_grads: np.ndarray | None = None
     logit_grads: np.ndarray | None = None
+
+    @property
+    def origin_grads(self) -> np.ndarray:
+        return self.embedding_grads[: len(self.embedding_grads) // 2]
+
+    @property
+    def mutant_grads(self) -> np.ndarray:
+        return self.embedding_grads[len(self.embedding_grads) // 2 :]
 
 
 def cluster_purge_loss(
@@ -228,13 +236,7 @@ def cluster_purge_loss(
         factor = exponent * max(arg, cfg.hinge_epsilon) ** (exponent - 1.0)
         rows.append(i)
         scales.append(sign * factor / m)
-    origin_grads, mutant_grads = batch.distance_grads(rows, scales)
-    return LossOutput(
-        value=total / m,
-        skipped_count=skipped,
-        origin_grads=origin_grads,
-        mutant_grads=mutant_grads,
-    )
+    return LossOutput(total / m, skipped, batch.distance_grads(rows, scales))
 
 
 def contrastive_loss(batch: EmbeddedBatch, cfg: LossConfig) -> LossOutput:
@@ -259,8 +261,7 @@ def contrastive_loss(batch: EmbeddedBatch, cfg: LossConfig) -> LossOutput:
         total += arg
         rows.append(i)
         scales.append(d_dist)
-    origin_grads, mutant_grads = batch.distance_grads(rows, scales)
-    return LossOutput(value=total / m, origin_grads=origin_grads, mutant_grads=mutant_grads)
+    return LossOutput(total / m, embedding_grads=batch.distance_grads(rows, scales))
 
 
 def triplet_batch_loss(batch: EmbeddedBatch, margin: float) -> LossOutput:
@@ -272,16 +273,16 @@ def triplet_batch_loss(batch: EmbeddedBatch, margin: float) -> LossOutput:
     order. The mean is over all triplets; a batch without one contributes
     zero. Uses the same normalized cosine distance as the other losses.
     """
-    origin_grads = np.zeros_like(batch.origins)
-    mutant_grads = np.zeros_like(batch.mutants)
+    m = len(batch)
+    grads = np.zeros(batch.rows.shape)
     equivalent = batch.labels == 1
     same_class = batch.class_ids[:, None] == batch.class_ids[None, :]
     anchors, negatives = np.nonzero(equivalent[:, None] & ~equivalent[None, :] & same_class)
     n = anchors.size
     if n == 0:
-        return LossOutput(value=0.0, origin_grads=origin_grads, mutant_grads=mutant_grads)
-    o, o_norms = batch.origins[anchors], batch.origin_norms[anchors]
-    s_neg, s_neg_norms = batch.mutants[negatives], batch.mutant_norms[negatives]
+        return LossOutput(value=0.0, embedding_grads=grads)
+    o, o_norms = batch.origins[anchors], batch.norms[anchors]
+    s_neg, s_neg_norms = batch.mutants[negatives], batch.norms[m + negatives]
     args = batch.distances[anchors] - cosine_distances(o, s_neg, o_norms, s_neg_norms) + margin
     active = args > 0.0
     total = 0.0
@@ -290,19 +291,16 @@ def triplet_batch_loss(batch: EmbeddedBatch, margin: float) -> LossOutput:
     if active.any():
         i, j = anchors[active], negatives[active]
         o, o_norms = o[active], o_norms[active]
-        grad_o_pos, grad_pos = cosine_distance_gradients(
-            o, batch.mutants[i], o_norms, batch.mutant_norms[i]
-        )
+        grad_o_pos, grad_pos = cosine_distance_gradients(o, batch.mutants[i], o_norms, batch.norms[m + i])
         grad_o_neg, grad_neg = cosine_distance_gradients(
             o, s_neg[active], o_norms, s_neg_norms[active]
         )
         # Unbuffered adds in triplet order, as a triplet-by-triplet fold would.
-        np.add.at(origin_grads, i, grad_o_pos - grad_o_neg)
-        np.add.at(mutant_grads, i, grad_pos)
-        np.add.at(mutant_grads, j, -grad_neg)
-    origin_grads /= n
-    mutant_grads /= n
-    return LossOutput(value=total / n, origin_grads=origin_grads, mutant_grads=mutant_grads)
+        np.add.at(grads, i, grad_o_pos - grad_o_neg)
+        np.add.at(grads, m + i, grad_pos)
+        np.add.at(grads, m + j, -grad_neg)
+    grads /= n
+    return LossOutput(value=total / n, embedding_grads=grads)
 
 
 def cross_entropy(logits, labels) -> LossOutput:
@@ -320,9 +318,9 @@ def cross_entropy(logits, labels) -> LossOutput:
     m = rows.shape[0]
     if labels.shape != (m,):
         raise DimensionError(f"need one label per logit row, got {labels.shape[0]} for {m}")
-    if not np.isfinite(rows).all():
+    if not all(map(math.isfinite, rows.ravel().tolist())):
         raise NumericError("logits contains non-finite components")
-    if ((labels != 0) & (labels != 1)).any():
+    if not set(labels.tolist()) <= {0, 1}:
         raise ConfigError(f"label must be 0 or 1, got {labels.tolist()!r}")
     labels = labels.astype(np.intp, copy=False)
     shifted = rows - rows.max(axis=1, keepdims=True)
@@ -343,6 +341,6 @@ def joint_loss(metric_value: float, ce_value: float, lam: float) -> float:
     if lam < 0.0:
         raise ConfigError(f"lam must be non-negative, got {lam!r}")
     joint = metric_value * lam + ce_value
-    if not np.isfinite(joint):
+    if not math.isfinite(joint):
         raise NumericError(f"non-finite joint loss {joint!r}")
     return joint

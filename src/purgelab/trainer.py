@@ -97,14 +97,14 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """Adam moments in the flat parameter layout. The step gradient ``grad``
-    and two ``scratch`` vectors share the layout; they are not checkpointed."""
+    and one ``scratch`` vector share the layout; they are not checkpointed."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
     def __post_init__(self):
-        self.grad, *self.scratch = np.zeros((3, self.m.size))
+        self.grad, self.scratch = np.zeros((2, self.m.size))
 
 
 @dataclass
@@ -193,9 +193,7 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
     try:
         lcfg = state.config.loss
         m = len(batch)
-        cache = encode_batch(
-            state.encoder, np.concatenate([batch.origin_features, batch.mutant_features])
-        )
+        cache = encode_batch(state.encoder, batch.stacked_features)
         origins, mutants = cache.embeddings[:m], cache.embeddings[m:]
         embedded = EmbeddedBatch.from_rows(batch.class_ids, batch.labels, origins, mutants)
 
@@ -210,7 +208,7 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
         grads = state.grad_segments
         d_embeddings = np.concatenate(pair_backward(state.head, pair_cache, ce.logit_grads, grads[4:]))
         if metric_out is not None:
-            d_embeddings += lcfg.lam * np.concatenate([metric_out.origin_grads, metric_out.mutant_grads])
+            d_embeddings += lcfg.lam * metric_out.embedding_grads
         encoder_backward(state.encoder, cache, d_embeddings, grads[:4])
         row = LossRow(state.adam.t, ce.value, metric_value, joint, skipped)
         _adam_step(state)
@@ -225,10 +223,11 @@ def _adam_step(state: TrainerState) -> None:
     and allocation-free. It takes Kingma and Ba's efficient form (Adam, ICLR
     2015, section 2): the bias corrections fold into the step size and epsilon,
     so θ -= α·√(1-β₂ᵗ)/(1-β₁ᵗ) · m / (√v + ε·√(1-β₂ᵗ)). That is the textbook
-    update up to rounding, with no scalar divide over the vector."""
+    update up to rounding, with no scalar divide over the vector. The gradient
+    is dead once v has seen it, so its buffer then holds √v + ε·√(1-β₂ᵗ)."""
     cfg = state.config
     adam = state.adam
-    g, (a, b) = adam.grad, adam.scratch
+    g, a = adam.grad, adam.scratch
     adam.t += 1
     root_bias2 = math.sqrt(1.0 - cfg.beta2**adam.t)
     step = cfg.step_size * root_bias2 / (1.0 - cfg.beta1**adam.t)
@@ -239,10 +238,10 @@ def _adam_step(state: TrainerState) -> None:
     np.multiply(g, 1.0 - cfg.beta2, out=a)
     np.multiply(a, g, out=a)
     np.add(adam.v, a, out=adam.v)
-    np.sqrt(adam.v, out=b)
-    np.add(b, cfg.adam_epsilon * root_bias2, out=b)
+    np.sqrt(adam.v, out=g)
+    np.add(g, cfg.adam_epsilon * root_bias2, out=g)
     np.multiply(adam.m, step, out=a)
-    np.divide(a, b, out=a)
+    np.divide(a, g, out=a)
     np.subtract(state.params, a, out=state.params)
     state.encoder.version += 1
     state.head.version += 1

@@ -35,10 +35,10 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the matching rows of two (m, d) arrays.
 
-    The stacked matmul gives every row the bits ``np.dot`` gives that row;
+    ``np.vecdot`` gives every row the bits ``np.dot`` gives that row;
     ``einsum`` and ``(a * b).sum(axis=1)`` round differently.
     """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return np.vecdot(a, b)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -51,11 +51,12 @@ def cosine_distances(a, b, norm_a, norm_b) -> np.ndarray:
 
     Codomain is [0, 1]: 0 for collinear rows, 0.5 for orthogonal ones, 1 for
     antiparallel ones. ``norm_a``/``norm_b`` are the rows' nonzero norms. The
-    similarity is clamped into [-1, 1] before the mapping so float drift
-    cannot push a result outside [0, 1].
+    similarity is clamped into [-1, 1] so float drift cannot push a result
+    outside [0, 1]: each step of the mapping is monotone and exact at the
+    ends of the range.
     """
     cos = np.minimum(1.0, np.maximum(-1.0, row_dots(a, b) / (norm_a * norm_b)))
-    return np.minimum(1.0, np.maximum(0.0, 1.0 - (cos + 1.0) / 2.0))
+    return 1.0 - (cos + 1.0) / 2.0
 
 
 def cosine_distance_gradients(a, b, norm_a, norm_b) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +132,12 @@ def ema_batch(current: float, xs: Sequence[float], gamma: float) -> float:
         raise EmptyBatchError("ema_batch needs at least one observation")
     if not math.isfinite(current) or not all(math.isfinite(x) for x in xs):
         raise NumericError("EMA inputs must be finite")
-    s = ema_rate(gamma)
+    return ema_fold(current, xs, ema_rate(gamma))
+
+
+def ema_fold(current: float, xs: list[float], s: float) -> float:
+    """:func:`ema_batch` at rate ``s`` on inputs already known to be finite
+    floats, at least one."""
     keep = 1.0 - s
     h = len(xs)
     weighted = 0.0

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DeserializeError, RangeError
 from .losses import EmbeddedBatch
-from .vecmath import ema_batch, ema_rate
+from .vecmath import ema_fold, ema_rate
 
 # Not called here: purgebench's tracer counts calls made through this module
 # attribute, so it stays importable from this module.
@@ -43,7 +43,7 @@ class VergeRegistry:
     """
 
     def __init__(self, gamma: float):
-        ema_rate(gamma)  # raises ConfigError unless gamma is finite and >= 1
+        self.rate = ema_rate(gamma)  # raises ConfigError unless gamma is finite and >= 1
         self.gamma = float(gamma)
         self.states: dict[int, VergeState] = {}
 
@@ -63,35 +63,36 @@ class VergeRegistry:
         the closed-form EMA over the tuple in order. An empty tuple leaves
         that verge untouched. Distances must lie in [0, 1].
         """
-        pos = _checked_distances(pos_distances, "pos_distances")
-        neg = _checked_distances(neg_distances, "neg_distances")
+        pos = [_checked(float(d), "pos_distances") for d in pos_distances]
+        neg = [_checked(float(d), "neg_distances") for d in neg_distances]
         if not pos and not neg:
             return self.states.get(class_id, VergeState())
-        state = self.states.setdefault(class_id, VergeState())
-        state.v_plus = self._fold(state.v_plus, pos)
-        state.v_minus = self._fold(state.v_minus, neg)
-        return state
+        return self._fold(class_id, pos, neg)
 
-    def _fold(self, value: float | None, distances: list[float]) -> float | None:
-        if not distances:
-            return value
-        return ema_batch(distances[0] if value is None else value, distances, self.gamma)
+    def _fold(self, class_id: int, pos: list[float], neg: list[float]) -> VergeState:
+        """Fold checked distances, at least one, into one class's verges."""
+        state = self.states.setdefault(class_id, VergeState())
+        if pos:
+            state.v_plus = ema_fold(pos[0] if state.v_plus is None else state.v_plus, pos, self.rate)
+        if neg:
+            state.v_minus = ema_fold(neg[0] if state.v_minus is None else state.v_minus, neg, self.rate)
+        return state
 
     def batch_update(self, batch: EmbeddedBatch) -> set[int]:
         """Update verges from one embedded minibatch.
 
-        Collects, per class in the batch, the equivalent and non-equivalent
-        origin-mutant distances in stable batch order, folds them in, and
-        returns the set of touched class ids. Classes not in the batch are
-        untouched.
+        Checks every distance before it folds any. Collects, per class in the batch,
+        the equivalent and non-equivalent origin-mutant distances in stable
+        batch order, folds them in, and returns the set of touched class ids.
+        Classes not in the batch are untouched.
         """
         groups: dict[int, tuple[list[float], list[float]]] = {}
         rows = zip(batch.class_ids.tolist(), batch.labels.tolist(), batch.distances.tolist())
         for cid, label, d in rows:
             pos, neg = groups.setdefault(cid, ([], []))
-            (pos if label == 1 else neg).append(d)
+            (pos if label == 1 else neg).append(_checked(d, "pos_distances" if label == 1 else "neg_distances"))
         for cid, (pos, neg) in groups.items():
-            self.update_class(cid, pos, neg)
+            self._fold(cid, pos, neg)
         return set(groups)
 
     def rows(self) -> list[list]:
@@ -119,12 +120,9 @@ class VergeRegistry:
         return registry
 
 
-def _checked_distances(distances: Sequence[float], name: str) -> list[float]:
-    out = []
-    for d in distances:
-        d = float(d)
-        if not -_RANGE_TOL <= d <= 1.0 + _RANGE_TOL:
-            raise RangeError(f"{name} value {d!r} outside [0, 1]")
-        out.append(min(1.0, max(0.0, d)))
-    return out
+def _checked(d: float, name: str) -> float:
+    """A distance in [0, 1], within the tolerance, clamped into it."""
+    if not -_RANGE_TOL <= d <= 1.0 + _RANGE_TOL:
+        raise RangeError(f"{name} value {d!r} outside [0, 1]")
+    return min(1.0, max(0.0, d))
 

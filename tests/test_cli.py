@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from purgelab import cli
+from purgelab import cli, evaluation, trainer
 from purgelab.cli import build_parser, run
 from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
 from purgelab.errors import ConfigError
@@ -369,6 +369,45 @@ def test_ctrl_c_exits_130_with_an_error_line(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_gen", interrupted)
     assert run(["gen"]) == 130
     assert capsys.readouterr().err == "ERROR KeyboardInterrupt: interrupted\n"
+
+
+def _cell_dying_above_lambda_1_05(base_config, train_data, test_data, lam, zeta):
+    # A sweep worker that dies the way the OOM killer or a segfault ends it.
+    if lam > 1.05:
+        os._exit(3)
+    return _REAL_RUN_CELL(base_config, train_data, test_data, lam, zeta)
+
+
+_REAL_RUN_CELL = evaluation._run_cell
+
+
+def test_a_dead_sweep_worker_exits_1_with_an_error_line(tmp_path, monkeypatch, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluation, "_run_cell", _cell_dying_above_lambda_1_05)
+    rc = run(["sweep", "--train-corpus", corpus, "--test-corpus", corpus, "--features", features,
+              "--out-dir", str(tmp_path / "sweep"), "--lambda-range", "1.00:1.10:0.10",
+              "--zeta-range=0:0:0.01", "--epochs", "1", "--workers", "2", *SMALL_DIMS])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR BrokenProcessPool: ")
+
+
+def test_out_of_memory_exits_1_with_an_error_line(tmp_path, monkeypatch, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    capsys.readouterr()
+
+    def too_big(seed, config):
+        raise MemoryError("Unable to allocate 239. GiB for an array with shape (32000000000,)")
+
+    monkeypatch.setattr(trainer, "init_flat_params", too_big)
+    rc = run(["train", "--corpus", corpus, "--features", features, *SMALL_DIMS,
+              "--hidden-dim", "100000000", "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "ERROR MemoryError: Unable to allocate 239. GiB for an array with shape (32000000000,)\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("case", ["train-trace", "sweep-errors", "gen-features"])
