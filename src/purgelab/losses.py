@@ -110,7 +110,7 @@ class EmbeddedBatch:
     def __post_init__(self, unit):
         self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        origins, mutants = np.asarray(self.origins), np.asarray(self.mutants)
+        origins, mutants = (np.asarray(a, dtype=np.float64) for a in (self.origins, self.mutants))
         m = self.class_ids.size
         if m == 0:
             raise EmptyBatchError("a batch needs at least one sample")
@@ -128,7 +128,7 @@ class EmbeddedBatch:
             )
         if not set(self.labels.tolist()) <= {0, 1}:
             raise ConfigError(f"labels must be 0 or 1, got {self.labels.tolist()!r}")
-        self.rows = np.concatenate([origins, mutants], dtype=np.float64)
+        self.rows = np.concatenate([origins, mutants])
         self.origins, self.mutants = self.rows[:m], self.rows[m:]
         self.norms = norms = row_norms(self.rows)
         # One pass over the norms on the common path, which finds the precise
@@ -323,7 +323,7 @@ def cross_entropy(logits, labels) -> LossOutput:
     if not set(labels.tolist()) <= {0, 1}:
         raise ConfigError(f"label must be 0 or 1, got {labels.tolist()!r}")
     labels = labels.astype(np.intp, copy=False)
-    shifted = rows - rows.max(axis=1, keepdims=True)
+    shifted = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
     exp = np.exp(shifted)
     totals = exp[:, 0] + exp[:, 1]
     picked = np.arange(m), labels
