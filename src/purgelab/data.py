@@ -440,7 +440,8 @@ def make_batches(data: FeatureCache, batch_size: int, seed: int, epoch_index: in
     block = np.concatenate([data.origins, data.mutant_features])[rows]
     starts = range(0, n, batch_size)
     return [
-        FeatureCache(class_ids[s:e], labels[s:e], data.origins, origin_rows[s:e], block[s + e : 2 * e], block[2 * s : 2 * e])
+        FeatureCache(class_ids[s:e], labels[s:e], data.origins, origin_rows[s:e],
+                     block[s + e : 2 * e], block[2 * s : 2 * e])
         for s, e in zip(starts, [*starts[1:], n])
     ]
 

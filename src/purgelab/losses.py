@@ -154,8 +154,8 @@ class EmbeddedBatch:
         return cls(class_ids, labels, origins, mutants, unit=True)
 
     def distance_grads(self, rows: Sequence[int], scales: Sequence[float]) -> np.ndarray:
-        """Gradient of sum_k scales[k] * distances[rows[k]] w.r.t. ``rows``, the
-        origins stacked over the mutants; rows not listed get zero."""
+        """Gradient of sum_k scales[k] * distances[rows[k]] w.r.t. the stacked
+        embeddings ``self.rows``; samples not listed get zero rows."""
         m = len(self)
         grads = np.zeros(self.rows.shape)
         if rows:

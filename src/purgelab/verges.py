@@ -81,10 +81,10 @@ class VergeRegistry:
     def batch_update(self, batch: EmbeddedBatch) -> set[int]:
         """Update verges from one embedded minibatch.
 
-        Checks every distance before it folds any. Collects, per class in the batch,
-        the equivalent and non-equivalent origin-mutant distances in stable
-        batch order, folds them in, and returns the set of touched class ids.
-        Classes not in the batch are untouched.
+        Checks every distance before it folds any. Collects, per class in the
+        batch, the equivalent and non-equivalent origin-mutant distances in
+        stable batch order, folds them in, and returns the set of touched class
+        ids. Classes not in the batch are untouched.
         """
         groups: dict[int, tuple[list[float], list[float]]] = {}
         rows = zip(batch.class_ids.tolist(), batch.labels.tolist(), batch.distances.tolist())
