@@ -44,7 +44,6 @@ from .evaluation import (
 )
 from .losses import LossConfig
 from .trainer import (
-    LOSS_KINDS,
     TrainConfig,
     TrainerState,
     load_checkpoint,
@@ -56,11 +55,8 @@ from .trainer import (
 # Largest sweep grid the CLI accepts; the default grid has 56 cells.
 MAX_SWEEP_CELLS = 10_000
 
-_TRAIN_DEFAULTS = TrainConfig()
-_LOSS_DEFAULTS = LossConfig()
-
 # gen flags that only geometric mode reads, with their defaults.
-_GEOMETRIC_FLAGS = {"noise": 1.0, "feature_dim": _TRAIN_DEFAULTS.feature_dim}
+_GEOMETRIC_FLAGS = {"noise": 1.0, "feature_dim": TrainConfig.feature_dim}
 # stats flags that only the permutation test against --baseline reads.
 _PERMUTATION_FLAGS = {"resamples": 10_000, "stats_seed": 0}
 
@@ -107,45 +103,18 @@ def _zero_or_one(text: str) -> bool:
     return text == "1"
 
 
-# Training flags whose names differ from their config field's.
-_FLAG_NAMES = {"lam": "--lambda", "batch_size": "--batch"}
-
-_TRAIN_HELP = {
-    "gamma": "verge EMA smoothing factor",
-    "alpha": "equivalent-side hinge exponent",
-    "beta": "non-equivalent-side hinge exponent",
-    "zeta": "hinge margin (may be negative)",
-    "lam": "metric-loss weight",
-    "hinge_epsilon": "derivative guard for fractional hinge exponents",
-    "loss_kind": "training objective",
-    "epochs": "training epochs",
-    "batch_size": "minibatch size",
-    "feature_dim": "input feature width",
-    "hidden_dim": "encoder hidden width",
-    "embed_dim": "embedding width",
-    "pair_hidden_dim": "pair-classifier hidden width",
-    "step_size": "optimizer step size",
-    "beta1": "first-moment decay",
-    "beta2": "second-moment decay",
-    "adam_epsilon": "optimizer denominator guard",
-    "seed": "initialization and shuffling seed",
-}
-
-
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per field of LossConfig and TrainConfig, with its default and type."""
-    for defaults in (_LOSS_DEFAULTS, _TRAIN_DEFAULTS):
-        for f in fields(defaults):
-            if f.name == "loss":
-                continue
-            default = getattr(defaults, f.name)
+    """One flag per field of LossConfig and TrainConfig, with the default, type
+    and flag metadata its field declares."""
+    for f in (*fields(LossConfig), *fields(TrainConfig)):
+        if f.name != "loss":
             p.add_argument(
-                _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                f.metadata.get("flag", "--" + f.name.replace("_", "-")),
                 dest=f.name,
-                type=type(default),
-                default=default,
-                choices=LOSS_KINDS if f.name == "loss_kind" else None,
-                help=_TRAIN_HELP[f.name] + " (default %(default)s)",
+                type=type(f.default),
+                default=f.default,
+                choices=f.metadata.get("choices"),
+                help=f.metadata["help"] + " (default %(default)s)",
             )
 
 
@@ -258,10 +227,12 @@ def _parse_range(text: str) -> list[float]:
         raise ConfigError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError(f"range needs step > 0 and stop >= start, got {text!r}")
-    steps = (stop - start) / step  # inf when the difference overflows
-    if not steps <= MAX_SWEEP_CELLS - 1:
+    # Every START + i * STEP up to STOP: the step count is floored, forgiving
+    # 1e-9 of a step of rounding ((0.01 + 0.06) / 0.01 is 6.999999999999999),
+    # and is inf when STOP - START overflows.
+    count = math.floor(min((stop - start) / step, MAX_SWEEP_CELLS) + 1e-9) + 1
+    if count > MAX_SWEEP_CELLS:
         raise ConfigError(f"range {text!r} has more than {MAX_SWEEP_CELLS} values")
-    count = int(round(steps)) + 1
     return [round(start + i * step, 9) for i in range(count)]
 
 
@@ -442,12 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subparser(name, help_text, func):
+    def subparser(name, help_text, func, reads_checkpoint=False):
         p = sub.add_parser(name, help=help_text)
         p.register("action", None, _StoreGiven)  # every flag without an action records itself
         p.set_defaults(func=func, given=frozenset())
         p.add_argument("--config", help="preload flags from a manifest file")
         p.add_argument("--out-dir", default="out", help="directory for outputs")
+        if reads_checkpoint:  # eval, stats and export: a checkpoint run on a corpus
+            p.add_argument("--checkpoint", default="out/checkpoint.bin")
+            p.add_argument("--corpus", default="corpus.tsv")
+            p.add_argument("--features")
         return p
 
     p = subparser("gen", "generate a synthetic mutant corpus", cmd_gen)
@@ -472,10 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.type = _zero_or_one  # argparse applies it to a config file's string default
     _add_train_flags(p)
 
-    p = subparser("eval", "evaluate a checkpoint on a corpus", cmd_eval)
-    p.add_argument("--checkpoint", default="out/checkpoint.bin")
-    p.add_argument("--corpus", default="corpus.tsv")
-    p.add_argument("--features")
+    subparser("eval", "evaluate a checkpoint on a corpus", cmd_eval, reads_checkpoint=True)
 
     p = subparser("sweep", "grid-search lambda and zeta", cmd_sweep)
     p.add_argument("--train-corpus", default="train.tsv")
@@ -486,18 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     _add_train_flags(p)
 
-    p = subparser("stats", "distance distribution stats, optionally vs a baseline", cmd_stats)
-    p.add_argument("--checkpoint", default="out/checkpoint.bin")
+    p = subparser("stats", "distance distribution stats, optionally vs a baseline", cmd_stats, reads_checkpoint=True)
     p.add_argument("--baseline", help="baseline checkpoint to compare against")
-    p.add_argument("--corpus", default="corpus.tsv")
-    p.add_argument("--features")
     p.add_argument("--resamples", type=int, default=_PERMUTATION_FLAGS["resamples"])
     p.add_argument("--stats-seed", type=int, default=_PERMUTATION_FLAGS["stats_seed"], help="permutation test seed")
 
-    p = subparser("export", "export embeddings for external plotting", cmd_export)
-    p.add_argument("--checkpoint", default="out/checkpoint.bin")
-    p.add_argument("--corpus", default="corpus.tsv")
-    p.add_argument("--features")
+    p = subparser("export", "export embeddings for external plotting", cmd_export, reads_checkpoint=True)
     p.add_argument("--classes", default="", help="comma-separated class ids (default all)")
 
     return parser

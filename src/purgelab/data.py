@@ -136,6 +136,14 @@ def write_file(chunks, path) -> None:
             os.remove(tmp)
 
 
+def _ascii_int(text: str, name: str) -> int:
+    """The integer ``text`` spells in ASCII digits alone; ``int`` also takes a
+    sign, ``_``, blanks and non-ASCII digits, which a rewrite makes canonical."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be ASCII digits, got {text!r}")
+    return int(text)
+
+
 def ingest(path) -> Corpus:
     """Parse a corpus file and validate the per-class origin invariant."""
     records: list[MutantRecord] = []
@@ -150,8 +158,8 @@ def ingest(path) -> Corpus:
         if len(parts) != 4:
             raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            class_id = int(parts[0])
-            label = int(parts[1])
+            class_id = _ascii_int(parts[0], "class_id")
+            label = int(parts[1]) if parts[1] in ("0", "1") else parts[1]  # any other text fails MutantRecord
             origin = origins.get(parts[2])
             if origin is None:
                 origin = origins[parts[2]] = _unescape(parts[2])
@@ -330,9 +338,9 @@ def load_feature_table(path) -> TableFeatures:
     if len(header) != 3 or header[0] != "feature-table" or header[1] != "1":
         raise ParseError(f"not a feature table: {header!r}")
     try:
-        dim = int(header[2])
-    except ValueError:
-        raise ParseError(f"feature table dim must be an integer, got {header[2]!r}") from None
+        dim = _ascii_int(header[2], "feature table dim")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     table: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines, start=2):
         line = line.rstrip("\n")
@@ -361,10 +369,13 @@ class FeatureCache:
     once, in order of first appearance, and record i's origin row is
     ``origins[origin_rows[i]]``. Built once per corpus by :meth:`from_corpus`;
     a minibatch is a record subset, made by :meth:`take` or
-    :func:`make_batches`, that shares the origins."""
+    :func:`make_batches`, that shares the origins. Every consumer reads its
+    records through one, so it alone rejects an empty corpus."""
 
     def __init__(self, class_ids, labels, origins, origin_rows, mutant_features, stacked=None):
         self.class_ids = np.asarray(class_ids, dtype=np.int64)
+        if self.class_ids.size == 0:
+            raise ConfigError("empty corpus: a feature cache needs at least one record")
         self.labels = np.asarray(labels, dtype=np.int64)
         self.origins = np.asarray(origins, dtype=np.float64)
         self.origin_rows = np.asarray(origin_rows, dtype=np.int64)
@@ -391,8 +402,7 @@ class FeatureCache:
     def from_corpus(cls, corpus: Corpus, provider) -> "FeatureCache":
         validate_corpus(corpus)
         n = len(corpus)
-        dim = provider.dim
-        mutant_features = np.zeros((n, dim), dtype=np.float64)
+        mutant_features = np.zeros((n, provider.dim), dtype=np.float64)
         origin_rows = np.zeros(n, dtype=np.int64)
         row_of: dict[int, int] = {}  # class id -> its row of ``origins``
         origins: list[np.ndarray] = []
@@ -406,7 +416,7 @@ class FeatureCache:
         return cls(
             class_ids=[r.class_id for r in corpus.records],
             labels=[r.label for r in corpus.records],
-            origins=np.array(origins, dtype=np.float64).reshape(len(origins), dim),
+            origins=np.array(origins, dtype=np.float64),
             origin_rows=origin_rows,
             mutant_features=mutant_features,
         )
@@ -422,8 +432,6 @@ def make_batches(data: FeatureCache, batch_size: int, seed: int, epoch_index: in
     """Epoch-deterministic shuffled minibatches; the final partial batch stays."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if len(data) == 0:
-        raise ConfigError("cannot batch an empty corpus")
     if epoch_index < 0:
         raise ConfigError(f"epoch_index must be >= 0, got {epoch_index}")
     n = len(data)

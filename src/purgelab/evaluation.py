@@ -91,8 +91,6 @@ def _embedded_blocks(state: TrainerState, data: FeatureCache):
 
 def evaluate(state: TrainerState, data: FeatureCache) -> EvalReport:
     """Classify every pair and aggregate binary metrics on the equivalent class."""
-    if len(data) == 0:
-        raise ConfigError("cannot evaluate on an empty corpus")
     predictions = np.empty(len(data), dtype=np.int64)
     for rows, origins, mutants in _embedded_blocks(state, data):
         logits = classify_pairs(state.head, origins, mutants).logits
@@ -137,8 +135,6 @@ class DistanceStats:
 
 def pair_distances(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndarray]:
     """Raw origin-mutant distances, split by label: (equivalent, non-equivalent)."""
-    if len(data) == 0:
-        raise ConfigError("cannot compute distances on an empty corpus")
     distances = np.empty(len(data))
     for rows, origins, mutants in _embedded_blocks(state, data):
         distances[rows] = EmbeddedBatch(data.class_ids[rows], data.labels[rows], origins, mutants).distances
@@ -263,8 +259,6 @@ def sweep(
     zeta_values = [float(v) for v in zeta_values]
     if not lambda_values or not zeta_values:
         raise ConfigError("sweep needs at least one value per axis")
-    if len(train_data) == 0 or len(test_data) == 0:
-        raise ConfigError("cannot sweep over an empty train or test corpus")
     lams = [lam for lam in lambda_values for _ in zeta_values]
     zetas = zeta_values * len(lambda_values)
     workers = sweep_workers(workers, len(lams))
@@ -282,12 +276,10 @@ def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None
 
     One ``origin`` row per selected class (label -1: origins carry no
     equivalence label) followed by one ``mutant`` row per record, in
-    deterministic class-then-corpus order. The corpus and the filter are
-    checked, and every pair embedded, before this returns; the rows are
+    deterministic class-then-corpus order. The filter is checked, and every
+    pair embedded, before this returns; the rows are
     then made one at a time as they are iterated.
     """
-    if len(data) == 0:
-        raise ConfigError("cannot export an empty corpus")
     present = {int(c) for c in data.class_ids}
     wanted = present if class_filter is None else {int(c) for c in class_filter}
     if wanted - present:

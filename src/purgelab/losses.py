@@ -50,28 +50,27 @@ if TYPE_CHECKING:
 _UNIT_NORM_TOL = 1e-6
 
 
+def setting(default, help: str, **metadata):
+    """A config field that declares its command-line flag: its ``help``, and as
+    needed its ``flag`` (else ``--field-name``), ``choices`` and integer
+    ``minimum``, which ``TrainConfig`` checks. ``asdict`` leaves them out."""
+    return field(default=default, metadata={"help": help, **metadata})
+
+
 @dataclass(frozen=True)
 class LossConfig:
-    """Hyperparameters shared by the metric losses.
+    """Hyperparameters shared by the metric losses, each described by its
+    field's help. ``zeta``, the margin added to both hinge arguments, may be
+    negative, which carves an error zone the loss leaves alone; it is also the
+    triplet baseline's margin. ``hinge_epsilon`` floors the hinge argument in
+    derivative factors only; loss values are never clamped."""
 
-    gamma          EMA smoothing factor for verge updates (>= 1).
-    alpha          exponent on the equivalent-side hinge (> 0).
-    beta           exponent on the non-equivalent-side hinge (> 0).
-    zeta           margin added to both hinge arguments; may be negative,
-                   which carves an error zone the loss leaves alone. Also
-                   used as the triplet baseline's margin.
-    lam            weight of the metric loss in the joint objective.
-    hinge_epsilon  floor for the hinge argument inside derivative factors
-                   only, guarding fractional exponents near activation
-                   onset; loss values are never clamped.
-    """
-
-    gamma: float = 12.0
-    alpha: float = 2.0
-    beta: float = 0.5
-    zeta: float = -0.05
-    lam: float = 1.15
-    hinge_epsilon: float = 1e-6
+    gamma: float = setting(12.0, "verge EMA smoothing factor")
+    alpha: float = setting(2.0, "equivalent-side hinge exponent")
+    beta: float = setting(0.5, "non-equivalent-side hinge exponent")
+    zeta: float = setting(-0.05, "hinge margin (may be negative)")
+    lam: float = setting(1.15, "metric-loss weight", flag="--lambda")
+    hinge_epsilon: float = setting(1e-6, "derivative guard for fractional hinge exponents")
 
     def __post_init__(self):
         ema_rate(self.gamma)  # raises ConfigError unless gamma is finite and >= 1

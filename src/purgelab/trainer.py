@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .losses import (
     contrastive_loss,
     cross_entropy,
     joint_loss,
+    setting,
     triplet_batch_loss,
 )
 from .verges import VergeRegistry
@@ -56,36 +57,32 @@ CHECKPOINT_VERSION = 3
 
 LOSS_KINDS = ("ce_only", "ce_plus_cpl", "ce_plus_contrastive", "ce_plus_triplet")
 
-# The integer fields of TrainConfig and the least value each may take.
-_INT_MINIMUMS = {"epochs": 1, "batch_size": 1, "seed": 0, "feature_dim": 1, "hidden_dim": 1,
-                 "embed_dim": 1, "pair_hidden_dim": 1}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss_kind: str = "ce_plus_cpl"
+    loss_kind: str = setting("ce_plus_cpl", "training objective", choices=LOSS_KINDS)
     loss: LossConfig = field(default_factory=LossConfig)
-    epochs: int = 30
-    batch_size: int = 4
-    feature_dim: int = 256
-    hidden_dim: int = 128
-    embed_dim: int = 64
-    pair_hidden_dim: int = 64
-    step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    seed: int = 0
+    epochs: int = setting(30, "training epochs", minimum=1)
+    batch_size: int = setting(4, "minibatch size", flag="--batch", minimum=1)
+    feature_dim: int = setting(256, "input feature width", minimum=1)
+    hidden_dim: int = setting(128, "encoder hidden width", minimum=1)
+    embed_dim: int = setting(64, "embedding width", minimum=1)
+    pair_hidden_dim: int = setting(64, "pair-classifier hidden width", minimum=1)
+    step_size: float = setting(1e-3, "optimizer step size")
+    beta1: float = setting(0.9, "first-moment decay")
+    beta2: float = setting(0.999, "second-moment decay")
+    adam_epsilon: float = setting(1e-8, "optimizer denominator guard")
+    seed: int = setting(0, "initialization and shuffling seed", minimum=0)
 
     def __post_init__(self):
-        for name, low in _INT_MINIMUMS.items():
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if "minimum" in meta and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if "minimum" in meta and value < meta["minimum"]:
+                raise ConfigError(f"{f.name} must be >= {meta['minimum']}, got {value}")
+            if "choices" in meta and value not in meta["choices"]:
+                raise ConfigError(f"{f.name} must be one of {meta['choices']}, got {value!r}")
         if not 0.0 < self.step_size < math.inf:
             raise ConfigError(f"step_size must be finite and positive, got {self.step_size!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -259,8 +256,6 @@ def resume(state: TrainerState, data: FeatureCache, collect_steps: bool = False)
     Epoch shuffles are keyed by (seed, epoch index), so a resumed run walks
     the same batches an uninterrupted run would.
     """
-    if len(data) == 0:
-        raise ConfigError("cannot train on an empty corpus")
     cfg = state.config
     history: list[LossRow] = []
     trace: list[LossRow] | None = [] if collect_steps else None

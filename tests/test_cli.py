@@ -7,6 +7,7 @@ import math
 import os
 import re
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from purgelab import cli, evaluation, trainer
 from purgelab.cli import build_parser, run
 from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
 from purgelab.errors import ConfigError
+from purgelab.losses import LossConfig
 from purgelab.trainer import CHECKPOINT_MAGIC, LOSS_KINDS, TrainConfig, load_checkpoint
 
 SMALL_DIMS = [
@@ -132,6 +134,24 @@ def test_train_and_sweep_flags_are_pinned():
         assert flags["--loss-kind"].choices == (
             "ce_only", "ce_plus_cpl", "ce_plus_contrastive", "ce_plus_triplet"
         )
+
+
+def test_training_flags_are_made_from_field_metadata():
+    # Each training setting's flag, help, choices and integer minimum live on
+    # its config field alone; the CLI keeps no table of its own.
+    declared = [f for f in (*fields(LossConfig), *fields(TrainConfig)) if f.name != "loss"]
+    assert all(isinstance(f.metadata.get("help"), str) and f.metadata["help"] for f in declared)
+    for name in ("train", "sweep"):
+        actions = {a.dest: a for a in _subcommand_actions(name)}
+        for f in declared:
+            a = actions[f.name]
+            assert a.option_strings == [f.metadata.get("flag", "--" + f.name.replace("_", "-"))]
+            assert a.help == f.metadata["help"] + " (default %(default)s)"
+            assert (a.default, a.choices) == (f.default, f.metadata.get("choices"))
+    for f in declared:
+        if "minimum" in f.metadata:
+            with pytest.raises(ConfigError, match=f"{f.name} must be >= {f.metadata['minimum']}"):
+                TrainConfig(**{f.name: f.metadata["minimum"] - 1})
 
 
 def test_invalid_zeta_format_exits_2_and_writes_nothing(tmp_path):
@@ -316,6 +336,19 @@ def test_paper_grid_shapes(tmp_path):
     assert len(_parse_range("1.00:1.30:0.05")) == 7
     assert len(_parse_range("-0.06:0.01:0.01")) == 8
     assert len(_parse_range("0.03:0.18:0.03")) == 6
+
+
+@pytest.mark.parametrize("text, values", [
+    ("1.00:1.30:0.05", [1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3]),
+    ("-0.06:0.01:0.01", [-0.06, -0.05, -0.04, -0.03, -0.02, -0.01, 0.0, 0.01]),
+    ("0.03:0.18:0.03", [0.03, 0.06, 0.09, 0.12, 0.15, 0.18]),
+    # a STEP that does not divide STOP - START stops short of STOP
+    ("0:1:0.6", [0.0, 0.6]),
+    ("-0.06:0.01:0.04", [-0.06, -0.02]),
+    ("0:1:0.4", [0.0, 0.4, 0.8]),
+])
+def test_range_values_never_pass_stop(text, values):
+    assert cli._parse_range(text) == values
 
 
 def test_stats_with_baseline(tmp_path):
@@ -747,6 +780,8 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
 @pytest.mark.parametrize("command, flags", [
     pytest.param("export", [], id="export-empty-corpus"),
     pytest.param("stats", [], id="stats-empty-corpus"),
+    # the later --corpus wins over the missing one
+    pytest.param("train", ["--corpus", "{empty}"], id="train-empty-corpus"),
     pytest.param("train", ["--step-size", "inf"], id="step-size-inf"),
     pytest.param("train", ["--adam-epsilon", "inf"], id="adam-epsilon-inf"),
     pytest.param("train", ["--alpha", "nan"], id="alpha-nan"),
@@ -788,7 +823,7 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
         "gen": [],
         "preprocess": ["--input", missing],
     }[command]
-    flags = [flag.format(missing=missing) for flag in flags]
+    flags = [flag.format(missing=missing, empty=empty) for flag in flags]
     out = tmp_path / "out"
     capsys.readouterr()
     rc = run([command, *inputs, *flags, "--out-dir", str(out)])

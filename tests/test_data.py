@@ -96,6 +96,26 @@ def test_ingest_reports_line_numbers(tmp_path):
         ingest(path)
 
 
+@pytest.mark.parametrize("class_id, label", [
+    pytest.param("1_0", "1", id="class-underscore"),
+    pytest.param("+1", "0", id="class-plus"),
+    pytest.param(" 0 ", "1", id="class-blanks"),
+    pytest.param("\u0663", "0", id="class-arabic-indic-digit"),
+    pytest.param("-1", "0", id="class-negative"),
+    pytest.param("3", "01", id="label-leading-zero"),
+    pytest.param("3", "+1", id="label-plus"),
+    pytest.param("3", " 1", id="label-blank"),
+    pytest.param("3", "\u0661", id="label-arabic-indic-digit"),
+])
+def test_ingest_rejects_integers_not_in_ascii_digits(tmp_path, class_id, label):
+    # int() takes each of these, and preprocess would then write it in
+    # canonical form, so the record would not survive a round trip.
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"0\t1\to\tm\n{class_id}\t{label}\to2\tm\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2: "):
+        ingest(path)
+
+
 def test_corpus_roundtrip_with_escapes(tmp_path):
     corpus = Corpus(
         records=[
@@ -455,6 +475,14 @@ def test_feature_table_bad_key_escape_is_parse_error(tmp_path, key, message):
         load_feature_table(path)
 
 
+@pytest.mark.parametrize("dim", ["+2", "2_0", "\u0662", "-2"])
+def test_feature_table_dim_must_be_ascii_digits(tmp_path, dim):
+    path = tmp_path / "features.tsv"
+    path.write_text(f"feature-table 1 {dim}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="feature table dim must be ASCII digits"):
+        load_feature_table(path)
+
+
 def test_table_features_unknown_key():
     table = TableFeatures(dim=4, table={})
     with pytest.raises(DegenerateInputError):
@@ -486,6 +514,18 @@ def test_make_batches_epoch_deterministic():
 def test_make_batches_empty_corpus():
     with pytest.raises(ConfigError, match="empty corpus"):
         make_batches(FeatureCache.from_corpus(Corpus(), HashingFeatures()), 4, 0, 0)
+
+
+def test_feature_cache_rejects_an_empty_corpus():
+    # Every consumer gets its records through a FeatureCache, so it alone
+    # rejects an empty corpus, however it is made.
+    data = FeatureCache.from_corpus(small_corpus(), HashingFeatures(32))
+    with pytest.raises(ConfigError, match="empty corpus"):
+        FeatureCache.from_corpus(Corpus(), HashingFeatures(32))
+    with pytest.raises(ConfigError, match="empty corpus"):
+        FeatureCache([], [], data.origins, [], np.zeros((0, 32)))
+    with pytest.raises(ConfigError, match="empty corpus"):
+        data.take([])
 
 
 def test_make_batches_rejects_bad_size():
