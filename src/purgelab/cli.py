@@ -154,7 +154,10 @@ def _featurized(ns: argparse.Namespace, feature_dim: int, *paths: str) -> list[F
             raise ConfigError(f"feature table dim {provider.dim} is not the model's {feature_dim}")
     else:
         provider = HashingFeatures(feature_dim)
-    return [FeatureCache.from_corpus(ingest(path), provider) for path in paths]
+    try:
+        return [FeatureCache.from_corpus(ingest(path := p), provider) for p in paths]
+    except ConfigError as exc:  # an empty corpus; ``path`` is the file being read
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _finish(ns: argparse.Namespace, outputs: dict, summary) -> int:

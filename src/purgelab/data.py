@@ -137,10 +137,11 @@ def write_file(chunks, path) -> None:
 
 
 def _ascii_int(text: str, name: str) -> int:
-    """The integer ``text`` spells in ASCII digits alone; ``int`` also takes a
-    sign, ``_``, blanks and non-ASCII digits, which a rewrite makes canonical."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{name} must be ASCII digits, got {text!r}")
+    """The integer ``text`` spells in ASCII digits with no leading zero; ``int``
+    also takes a sign, ``_``, blanks, leading zeros and non-ASCII digits, which
+    a rewrite would not keep."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", text):
+        raise ValueError(f"{name} must be ASCII digits with no leading zero, got {text!r}")
     return int(text)
 
 
@@ -340,7 +341,7 @@ def load_feature_table(path) -> TableFeatures:
     try:
         dim = _ascii_int(header[2], "feature table dim")
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(f"line 1: {exc}") from None
     table: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines, start=2):
         line = line.rstrip("\n")
@@ -368,11 +369,11 @@ class FeatureCache:
     a class share its origin text, so ``origins`` holds each class's vector
     once, in order of first appearance, and record i's origin row is
     ``origins[origin_rows[i]]``. Built once per corpus by :meth:`from_corpus`;
-    a minibatch is a record subset, made by :meth:`take` or
-    :func:`make_batches`, that shares the origins. Every consumer reads its
-    records through one, so it alone rejects an empty corpus."""
+    a minibatch is a record subset made by :meth:`take`, which shares the
+    origins. Every consumer reads its records through one, so it alone
+    rejects an empty corpus."""
 
-    def __init__(self, class_ids, labels, origins, origin_rows, mutant_features, stacked=None):
+    def __init__(self, class_ids, labels, origins, origin_rows, mutant_features):
         self.class_ids = np.asarray(class_ids, dtype=np.int64)
         if self.class_ids.size == 0:
             raise ConfigError("empty corpus: a feature cache needs at least one record")
@@ -380,15 +381,6 @@ class FeatureCache:
         self.origins = np.asarray(origins, dtype=np.float64)
         self.origin_rows = np.asarray(origin_rows, dtype=np.int64)
         self.mutant_features = np.asarray(mutant_features, dtype=np.float64)
-        self._stacked = stacked
-
-    @property
-    def stacked_features(self) -> np.ndarray:
-        """Every record's origin row over every record's mutant row, one (2n, dim)
-        block: the encoder input of a training step."""
-        if self._stacked is None:
-            self._stacked = np.concatenate([self.origin_features, self.mutant_features])
-        return self._stacked
 
     def __len__(self) -> int:
         return int(self.class_ids.shape[0])
@@ -434,24 +426,8 @@ def make_batches(data: FeatureCache, batch_size: int, seed: int, epoch_index: in
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if epoch_index < 0:
         raise ConfigError(f"epoch_index must be >= 0, got {epoch_index}")
-    n = len(data)
-    order = np.random.default_rng([seed, epoch_index]).permutation(n)
-    class_ids, labels, origin_rows = data.class_ids[order], data.labels[order], data.origin_rows[order]
-    # One gather for the epoch. The batch at positions s..e-1 owns rows 2s..2e-1
-    # of ``block``: position p's origin row goes to row s + p, its mutant row
-    # to row e + p.
-    p = np.arange(n)
-    first = p - p % batch_size
-    rows = np.empty(2 * n, dtype=np.int64)
-    rows[first + p] = origin_rows
-    rows[np.minimum(first + batch_size, n) + p] = len(data.origins) + order
-    block = np.concatenate([data.origins, data.mutant_features])[rows]
-    starts = range(0, n, batch_size)
-    return [
-        FeatureCache(class_ids[s:e], labels[s:e], data.origins, origin_rows[s:e],
-                     block[s + e : 2 * e], block[2 * s : 2 * e])
-        for s, e in zip(starts, [*starts[1:], n])
-    ]
+    order = np.random.default_rng([seed, epoch_index]).permutation(len(data))
+    return [data.take(order[s : s + batch_size]) for s in range(0, len(data), batch_size)]
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:

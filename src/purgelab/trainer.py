@@ -190,7 +190,7 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
     try:
         lcfg = state.config.loss
         m = len(batch)
-        cache = encode_batch(state.encoder, batch.stacked_features)
+        cache = encode_batch(state.encoder, np.concatenate([batch.origin_features, batch.mutant_features]))
         origins, mutants = cache.embeddings[:m], cache.embeddings[m:]
         embedded = EmbeddedBatch.from_rows(batch.class_ids, batch.labels, origins, mutants)
 

@@ -4,9 +4,12 @@ import errno
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import struct
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -424,6 +427,46 @@ def test_a_dead_sweep_worker_exits_1_with_an_error_line(tmp_path, monkeypatch, c
     assert rc == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("ERROR BrokenProcessPool: ")
+
+
+def _cell_interrupting_above_lambda_1_05(base_config, train_data, test_data, lam, zeta):
+    # One Ctrl-C reaching the sweep's own process while its workers train.
+    if lam > 1.05:
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(0.5)
+    return _REAL_RUN_CELL(base_config, train_data, test_data, lam, zeta)
+
+
+def test_ctrl_c_during_a_pooled_sweep_exits_130_and_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    capsys.readouterr()
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluation, "_run_cell", _cell_interrupting_above_lambda_1_05)
+    out = tmp_path / "sweep"
+    rc = run(["sweep", "--train-corpus", corpus, "--test-corpus", corpus, "--features", features,
+              "--out-dir", str(out), "--lambda-range", "1.00:1.10:0.10",
+              "--zeta-range=0:0:0.01", "--epochs", "1", "--workers", "2", *SMALL_DIMS])
+    assert rc == 130
+    assert capsys.readouterr().err == "ERROR KeyboardInterrupt: interrupted\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_an_empty_corpus_error_names_the_file(tmp_path, capsys, side):
+    # With two corpora, "empty corpus" alone would not say which one is empty.
+    corpus, features = gen_small(tmp_path / "data")
+    empty = tmp_path / "empty.tsv"
+    empty.write_bytes(b"")
+    corpora = {"train": corpus, "test": corpus, side: str(empty)}
+    capsys.readouterr()
+    rc = run(["sweep", "--train-corpus", corpora["train"], "--test-corpus", corpora["test"],
+              "--features", features, "--lambda-range", "1:1:1", "--zeta-range", "0:0:1", "--epochs", "1",
+              *SMALL_DIMS, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"ERROR ConfigError: {empty}: empty corpus: a feature cache needs at least one record\n"
+    )
 
 
 def test_out_of_memory_exits_1_with_an_error_line(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import os
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -102,6 +103,7 @@ def test_ingest_reports_line_numbers(tmp_path):
     pytest.param(" 0 ", "1", id="class-blanks"),
     pytest.param("\u0663", "0", id="class-arabic-indic-digit"),
     pytest.param("-1", "0", id="class-negative"),
+    pytest.param("007", "1", id="class-leading-zeros"),
     pytest.param("3", "01", id="label-leading-zero"),
     pytest.param("3", "+1", id="label-plus"),
     pytest.param("3", " 1", id="label-blank"),
@@ -443,6 +445,35 @@ def test_write_file_is_the_only_writer():
     assert sites == [("data.py", "write_file")]
 
 
+def _constructors(tree):
+    """The qualified name of the function around each call of ``FeatureCache``,
+    or of ``cls`` inside the ``FeatureCache`` class."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id == "FeatureCache" or (child.func.id == "cls" and scope[:1] == ["FeatureCache"]):
+                    found.append(".".join(scope))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, [*scope, child.name] if named else scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_from_corpus_and_take_make_a_feature_cache():
+    # A cache comes from a corpus, and every minibatch from FeatureCache.take,
+    # so nothing else needs to know how a cache lays out its rows.
+    package = Path(data_module.__file__).parent
+    sites = [
+        (path.name, func)
+        for path in sorted(package.glob("*.py"))
+        for func in _constructors(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == [("data.py", "FeatureCache.from_corpus"), ("data.py", "FeatureCache.take")]
+
+
 def test_feature_table_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     table = TableFeatures(
@@ -475,7 +506,7 @@ def test_feature_table_bad_key_escape_is_parse_error(tmp_path, key, message):
         load_feature_table(path)
 
 
-@pytest.mark.parametrize("dim", ["+2", "2_0", "\u0662", "-2"])
+@pytest.mark.parametrize("dim", ["+2", "2_0", "\u0662", "-2", "016"])
 def test_feature_table_dim_must_be_ascii_digits(tmp_path, dim):
     path = tmp_path / "features.tsv"
     path.write_text(f"feature-table 1 {dim}\n", encoding="utf-8")
@@ -509,6 +540,21 @@ def test_make_batches_epoch_deterministic():
     assert any(
         not np.array_equal(x.mutant_features, y.mutant_features) for x, y in zip(a, c)
     )
+
+
+def test_make_batches_copies_no_more_than_one_feature_table():
+    # Each batch takes its own mutant rows from the cache; the epoch makes no
+    # copy of the whole table and no stacked origin-and-mutant block.
+    corpus, _ = generate_synthetic("codegen", n_classes=8, per_class=40, seed=0)
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(256))
+    table_bytes = len(data) * 256 * 8
+    tracemalloc.start()
+    try:
+        make_batches(data, 4, seed=0, epoch_index=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table_bytes
 
 
 def test_make_batches_empty_corpus():
