@@ -21,6 +21,7 @@ from functools import partial
 from .data import (
     FeatureCache,
     HashingFeatures,
+    _ascii_int,
     check_fraction,
     dedup,
     generate_synthetic,
@@ -243,9 +244,9 @@ def _parse_classes(text: str) -> list[int] | None:
     if not text:
         return None
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--classes must be comma-separated integers, got {text!r}") from None
+        return [_ascii_int(part, "--classes ids") for part in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:

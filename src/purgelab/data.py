@@ -30,7 +30,6 @@ from .errors import (
 )
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-NGRAM_ORDERS = (1, 2)  # token unigrams and bigrams
 
 # Geometric-mode constants. Non-equivalent mutants are offset by a controlled
 # radial shift along a fixed "mutation" direction set shared across classes
@@ -48,6 +47,11 @@ MAX_GEN_RECORDS = 100_000
 # Largest geometric noise: far past where the scatter swamps the unit origin,
 # and far below where a point's squared norm would overflow.
 MAX_GEN_NOISE = 1e100
+# Widest feature vector or layer. With every width at this bound the flat
+# parameter vector holds under 2**57 float64s, so even the checkpoint's 3 x n
+# block stays below numpy's 2**63-byte limit, and an array too large for the
+# host's memory raises MemoryError.
+MAX_DIM = 2**27
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class MutantRecord:
     label: int
 
     def __post_init__(self):
-        if self.class_id < 0:
-            raise SchemaError(f"class_id must be >= 0, got {self.class_id}")
+        if not 0 <= self.class_id < 2**63:  # an int64 in every array that holds it
+            raise SchemaError(f"class_id must be in [0, 2**63), got {self.class_id}")
         if self.label not in (0, 1):
             raise SchemaError(f"label must be 0 or 1, got {self.label!r}")
         if not self.origin_text or not self.mutant_text:
@@ -239,33 +243,32 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
 
 
 class HashingFeatures:
-    """Feature provider that hashes token n-grams (orders :data:`NGRAM_ORDERS`)
-    into sign-hashed, L2-normalized ``dim``-vectors, stable across runs.
+    """Feature provider that hashes token unigrams and bigrams into
+    sign-hashed, L2-normalized ``dim``-vectors, stable across runs.
 
-    Two memos live as long as the instance, and the n-gram orders are
-    :data:`NGRAM_ORDERS` as it was when the instance was made.
+    Two memos live as long as the instance.
 
-    - The gram memo maps each distinct gram (a token, or a tuple of tokens
-      for the higher orders) to its signed slot: ``bucket`` for a + sign,
-      ``bucket + dim`` for a - sign. A gram is hashed once, and a memo hit
-      builds no string.
-    - The line memo maps a line (text split on ``"\\n"``) and the last
-      ``max(orders) - 1`` tokens ahead of it to the slots of the grams that
-      end in the line, and to the last tokens ahead of the next line. A token
-      never holds whitespace, so each gram of a text ends in exactly one of
-      its lines, and the gram's earlier tokens are among those ahead of it.
+    - The gram memo maps each distinct gram (a token, or a pair of tokens) to
+      its signed slot: ``bucket`` for a + sign, ``bucket + dim`` for a - sign.
+      A gram is hashed once, and a memo hit builds no string.
+    - The line memo maps a line (text split on ``"\\n"``) and the last token
+      ahead of it to the slots of the line's unigrams and of the bigrams that
+      end in it, the first of which spans the break, and to the last token
+      ahead of the next line. A token never holds whitespace, so each gram of
+      a text ends in exactly one of its lines.
+
+    A text of n tokens has 2n - 1 grams. The vector's entries sum to the
+    signed count of those grams, an odd number, so the vector is never zero.
     """
 
     def __init__(self, dim: int = 256):
-        if not isinstance(dim, numbers.Integral) or dim < 16:
-            raise ConfigError(f"feature dim must be an integer >= 16, got {dim!r}")
+        if not isinstance(dim, numbers.Integral) or not 16 <= dim <= MAX_DIM:
+            raise ConfigError(f"feature dim must be an integer in [16, {MAX_DIM}], got {dim!r}")
         self.dim = dim
-        self._orders = NGRAM_ORDERS
-        self._edge = max(self._orders) - 1
-        self._slots: dict[str | tuple[str, ...], int] = {}
+        self._slots: dict[str | tuple[str, str], int] = {}
         self._lines: dict[tuple[tuple[str, ...], str], tuple[list[int], tuple[str, ...]]] = {}
 
-    def _slot(self, gram: str | tuple[str, ...]) -> int:
+    def _slot(self, gram: str | tuple[str, str]) -> int:
         tokens = (gram,) if isinstance(gram, str) else gram
         key = f"{len(tokens)}:" + "\x1f".join(tokens)
         digest = hashlib.blake2b(key.encode("utf-8"), digest_size=9).digest()
@@ -275,37 +278,29 @@ class HashingFeatures:
 
     def _line(self, before: tuple[str, ...], line: str) -> tuple[list[int], tuple[str, ...]]:
         """Memoize and return the slots of the grams that end in ``line``, with
-        ``before`` the tokens ahead of it, and the tokens ahead of the next line."""
+        ``before`` the token ahead of it (none at the start of a text), and the
+        token ahead of the next line."""
         tokens = [*before, *_TOKEN_RE.findall(line)]
         memo = self._slots
-        slots: list[int] = []
-        for order in self._orders:
-            # The k-grams that start in the first len(before) - k + 1 tokens
-            # end in ``before``.
-            ending = tokens[max(len(before) - order + 1, 0) :]
-            grams = ending if order == 1 else zip(*(ending[k:] for k in range(order)))
-            slots += [memo[gram] if gram in memo else self._slot(gram) for gram in grams]
-        entry = self._lines[before, line] = (slots, tuple(tokens[max(len(tokens) - self._edge, 0) :]))
+        grams = [*tokens[len(before) :], *zip(tokens, tokens[1:])]
+        slots = [memo[gram] if gram in memo else self._slot(gram) for gram in grams]
+        entry = self._lines[before, line] = (slots, tuple(tokens[-1:]))
         return entry
 
     def vector(self, text: str) -> np.ndarray:
         lines = self._lines
         slots: list[int] = []
-        before: tuple[str, ...] = ()  # the last max(orders) - 1 tokens so far
+        before: tuple[str, ...] = ()  # the last token so far
         for line in text.split("\n"):
             entry = lines.get((before, line))
             line_slots, before = self._line(before, line) if entry is None else entry
             slots += line_slots
-        # A token leaves a unigram slot (orders (1,)) or a token in ``before``.
-        if not slots and not before:
+        if not slots:
             raise DegenerateInputError("text contains no tokens")
         # Exact integer counts, so this has the bits of adding +-1.0 per gram.
         counts = np.bincount(slots, minlength=2 * self.dim)
         vec = np.subtract(counts[: self.dim], counts[self.dim :], dtype=np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise DegenerateInputError("feature hashing cancelled to a zero vector")
-        return vec / norm
+        return vec / float(np.linalg.norm(vec))
 
 
 class TableFeatures:
@@ -473,9 +468,9 @@ def generate_synthetic(
     if n_equiv == 0 or n_equiv == per_class:
         raise ConfigError("equiv_fraction leaves one label empty at this per_class")
     if mode == "geometric":
-        if feature_dim < 2 * GEOMETRIC_SUBSPACE_DIM:
+        if not 2 * GEOMETRIC_SUBSPACE_DIM <= feature_dim <= MAX_DIM:
             raise ConfigError(
-                f"geometric mode needs feature_dim >= {2 * GEOMETRIC_SUBSPACE_DIM}, got {feature_dim}"
+                f"geometric mode needs feature_dim in [{2 * GEOMETRIC_SUBSPACE_DIM}, {MAX_DIM}], got {feature_dim}"
             )
         return _generate_geometric(n_classes, per_class, n_equiv, noise, seed, feature_dim)
     return _generate_codegen(n_classes, per_class, n_equiv, seed), None

@@ -8,6 +8,7 @@ silent 0. Argmax ties in the classifier are broken toward non-equivalent.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -264,8 +265,19 @@ def sweep(
     workers = sweep_workers(workers, len(lams))
     run_cell = partial(_run_cell, base_config, train_data, test_data)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             cells = list(pool.map(run_cell, lams, zetas))
+        except BaseException:
+            # A pool's own shutdown waits for the running cells, and a second
+            # Ctrl-C in that wait would leave the workers alive and the
+            # process unable to exit, so they are ended here.
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in multiprocessing.active_children():
+                worker.terminate()
+                worker.join()
+            raise
+        pool.shutdown()
     else:
         cells = list(map(run_cell, lams, zetas))
     return SweepGrid(lambda_values=lambda_values, zeta_values=zeta_values, cells=cells)

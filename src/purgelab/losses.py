@@ -53,7 +53,8 @@ _UNIT_NORM_TOL = 1e-6
 def setting(default, help: str, **metadata):
     """A config field that declares its command-line flag: its ``help``, and as
     needed its ``flag`` (else ``--field-name``), ``choices`` and integer
-    ``minimum``, which ``TrainConfig`` checks. ``asdict`` leaves them out."""
+    ``minimum`` and ``maximum``, which ``TrainConfig`` checks. ``asdict``
+    leaves them out."""
     return field(default=default, metadata={"help": help, **metadata})
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import FeatureCache, make_batches, write_file
+from .data import MAX_DIM, FeatureCache, make_batches, write_file
 from .encoder import (
     DenseParams,
     classify_pairs,
@@ -64,10 +64,10 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     epochs: int = setting(30, "training epochs", minimum=1)
     batch_size: int = setting(4, "minibatch size", flag="--batch", minimum=1)
-    feature_dim: int = setting(256, "input feature width", minimum=1)
-    hidden_dim: int = setting(128, "encoder hidden width", minimum=1)
-    embed_dim: int = setting(64, "embedding width", minimum=1)
-    pair_hidden_dim: int = setting(64, "pair-classifier hidden width", minimum=1)
+    feature_dim: int = setting(256, "input feature width", minimum=1, maximum=MAX_DIM)
+    hidden_dim: int = setting(128, "encoder hidden width", minimum=1, maximum=MAX_DIM)
+    embed_dim: int = setting(64, "embedding width", minimum=1, maximum=MAX_DIM)
+    pair_hidden_dim: int = setting(64, "pair-classifier hidden width", minimum=1, maximum=MAX_DIM)
     step_size: float = setting(1e-3, "optimizer step size")
     beta1: float = setting(0.9, "first-moment decay")
     beta2: float = setting(0.999, "second-moment decay")
@@ -81,6 +81,8 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if "minimum" in meta and value < meta["minimum"]:
                 raise ConfigError(f"{f.name} must be >= {meta['minimum']}, got {value}")
+            if "maximum" in meta and value > meta["maximum"]:
+                raise ConfigError(f"{f.name} must be <= {meta['maximum']}, got {value}")
             if "choices" in meta and value not in meta["choices"]:
                 raise ConfigError(f"{f.name} must be one of {meta['choices']}, got {value!r}")
         if not 0.0 < self.step_size < math.inf:
@@ -92,39 +94,34 @@ class TrainConfig:
 
 
 @dataclass
-class AdamState:
-    """Adam moments in the flat parameter layout. The step gradient ``grad``
-    and one ``scratch`` vector share the layout; they are not checkpointed."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        self.grad, self.scratch = np.zeros((2, self.m.size))
-
-
-@dataclass
 class TrainerState:
     """Everything a training run carries: the checkpointable state.
 
-    ``encoder`` and ``head`` are views into the flat vector ``params``, and
-    ``grad_segments`` are the same views into ``adam.grad``. The views'
-    version counters start at ``adam.t``: every Adam step bumps all three.
+    ``m`` and ``v`` are Adam's moments and ``t`` its step count. ``encoder``
+    and ``head`` are views into the flat vector ``params``, and
+    ``grad_segments`` are the same views into the step gradient ``grad``.
+    ``grad`` and one ``scratch`` vector share the layout of ``m`` and ``v``
+    and are not checkpointed. The views' version counters start at ``t``:
+    every Adam step bumps all three.
     """
 
     config: TrainConfig
     params: np.ndarray
     registry: VergeRegistry
-    adam: AdamState
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
     epoch: int = 0
     encoder: DenseParams = field(init=False)
     head: DenseParams = field(init=False)
+    grad: np.ndarray = field(init=False)
+    scratch: np.ndarray = field(init=False)
     grad_segments: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.encoder, self.head = param_views(self.params, self.config, self.adam.t)
-        self.grad_segments = split_flat(self.adam.grad, self.config)
+        self.encoder, self.head = param_views(self.params, self.config, self.t)
+        self.grad, self.scratch = np.zeros((2, self.params.size))
+        self.grad_segments = split_flat(self.grad, self.config)
 
 
 @dataclass
@@ -163,8 +160,7 @@ class TrainResult:
 
 def init_state(config: TrainConfig) -> TrainerState:
     params = init_flat_params(config.seed, config)
-    adam = AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
-    return TrainerState(config, params, VergeRegistry(config.loss.gamma), adam)
+    return TrainerState(config, params, VergeRegistry(config.loss.gamma), np.zeros_like(params), np.zeros_like(params))
 
 
 def _metric_loss(state: TrainerState, batch: EmbeddedBatch) -> LossOutput | None:
@@ -207,7 +203,7 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
         if metric_out is not None:
             d_embeddings += lcfg.lam * metric_out.embedding_grads
         encoder_backward(state.encoder, cache, d_embeddings, grads[:4])
-        row = LossRow(state.adam.t, ce.value, metric_value, joint, skipped)
+        row = LossRow(state.t, ce.value, metric_value, joint, skipped)
         _adam_step(state)
         return row
     except (NumericError, OverflowError) as exc:
@@ -216,28 +212,27 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
 
 
 def _adam_step(state: TrainerState) -> None:
-    """One Adam update of the flat parameters from ``state.adam.grad``, in place
+    """One Adam update of the flat parameters from ``state.grad``, in place
     and allocation-free. It takes Kingma and Ba's efficient form (Adam, ICLR
     2015, section 2): the bias corrections fold into the step size and epsilon,
     so θ -= α·√(1-β₂ᵗ)/(1-β₁ᵗ) · m / (√v + ε·√(1-β₂ᵗ)). That is the textbook
     update up to rounding, with no scalar divide over the vector. The gradient
     is dead once v has seen it, so its buffer then holds √v + ε·√(1-β₂ᵗ)."""
     cfg = state.config
-    adam = state.adam
-    g, a = adam.grad, adam.scratch
-    adam.t += 1
-    root_bias2 = math.sqrt(1.0 - cfg.beta2**adam.t)
-    step = cfg.step_size * root_bias2 / (1.0 - cfg.beta1**adam.t)
-    np.multiply(adam.m, cfg.beta1, out=adam.m)
+    m, v, g, a = state.m, state.v, state.grad, state.scratch
+    state.t += 1
+    root_bias2 = math.sqrt(1.0 - cfg.beta2**state.t)
+    step = cfg.step_size * root_bias2 / (1.0 - cfg.beta1**state.t)
+    np.multiply(m, cfg.beta1, out=m)
     np.multiply(g, 1.0 - cfg.beta1, out=a)
-    np.add(adam.m, a, out=adam.m)
-    np.multiply(adam.v, cfg.beta2, out=adam.v)
+    np.add(m, a, out=m)
+    np.multiply(v, cfg.beta2, out=v)
     np.multiply(g, 1.0 - cfg.beta2, out=a)
     np.multiply(a, g, out=a)
-    np.add(adam.v, a, out=adam.v)
-    np.sqrt(adam.v, out=g)
+    np.add(v, a, out=v)
+    np.sqrt(v, out=g)
     np.add(g, cfg.adam_epsilon * root_bias2, out=g)
-    np.multiply(adam.m, step, out=a)
+    np.multiply(m, step, out=a)
     np.divide(a, g, out=a)
     np.subtract(state.params, a, out=state.params)
     state.encoder.version += 1
@@ -292,13 +287,13 @@ def save_checkpoint(state: TrainerState, path) -> None:
     byte-identical for equal states."""
     meta = {
         "epoch": state.epoch,
-        "adam_t": state.adam.t,
+        "adam_t": state.t,
         "verges": state.registry.rows(),
         "config": asdict(state.config),
     }
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = struct.pack("<II", CHECKPOINT_VERSION, len(meta_b))
-    block = [f.astype("<f8", copy=False) for f in (state.params, state.adam.m, state.adam.v)]
+    block = [f.astype("<f8", copy=False) for f in (state.params, state.m, state.v)]
     parts = [CHECKPOINT_MAGIC, header, meta_b, *block]
     digest = hashlib.sha256()
     for part in parts:
@@ -349,7 +344,7 @@ def load_checkpoint(path) -> TrainerState:
     if not np.isfinite(flat).all():
         raise DeserializeError("checkpoint holds non-finite parameters or moments")
     params, m, v = flat.reshape(3, n)
-    return TrainerState(config, params, registry, AdamState(m, v, adam_t), epoch)
+    return TrainerState(config, params, registry, m, v, adam_t, epoch)
 
 
 def with_loss(config: TrainConfig, **loss_updates) -> TrainConfig:

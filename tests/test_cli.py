@@ -9,6 +9,8 @@ import os
 import re
 import signal
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -452,6 +454,54 @@ def test_ctrl_c_during_a_pooled_sweep_exits_130_and_leaves_no_worker(tmp_path, m
     assert multiprocessing.active_children() == []
 
 
+# Run in its own process: with the workers left alive, that process never
+# exits. It prints how many child processes are left when ``run`` returns.
+_SWEEP_WITH_TWO_CTRL_CS = """
+import multiprocessing, os, signal, sys, time
+from purgelab import cli, evaluation
+
+real_run_cell = evaluation._run_cell
+
+def cell(base_config, train_data, test_data, lam, zeta):
+    # Two Ctrl-Cs reaching the sweep's own process 0.3 s apart while its workers train.
+    if lam > 1.05:
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(0.3)
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(0.5)
+    return real_run_cell(base_config, train_data, test_data, lam, zeta)
+
+os.cpu_count = lambda: 2
+evaluation._run_cell = cell
+rc = cli.run(sys.argv[1:])
+print(len(multiprocessing.active_children()))
+sys.exit(rc)
+"""
+
+
+def test_a_second_ctrl_c_during_a_pooled_sweep_exits_130_and_leaves_no_worker(tmp_path):
+    corpus, features = gen_small(tmp_path / "data")
+    out = tmp_path / "sweep"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SWEEP_WITH_TWO_CTRL_CS, "sweep", "--train-corpus", corpus, "--test-corpus", corpus,
+         "--features", features, "--out-dir", str(out), "--lambda-range", "1.00:1.10:0.10",
+         "--zeta-range=0:0:0.01", "--epochs", "1", "--workers", "2", *SMALL_DIMS],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:  # hung: end it and its workers
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130
+    assert stderr == "ERROR KeyboardInterrupt: interrupted\n"
+    assert stdout == "0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side", ["train", "test"])
 def test_an_empty_corpus_error_names_the_file(tmp_path, capsys, side):
     # With two corpora, "empty corpus" alone would not say which one is empty.
@@ -872,6 +922,91 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     rc = run([command, *inputs, *flags, "--out-dir", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("ERROR ConfigError: ")
+    assert not out.exists()
+
+
+def _with_class_id(corpus: str, class_id: str, path: Path) -> str:
+    """A copy of ``corpus`` at ``path`` with class 0, its first line, renamed ``class_id``."""
+    lines = Path(corpus).read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(class_id + line[1:] if line.startswith("0\t") else line for line in lines),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_class_ids_are_bounded_by_int64(tmp_path, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    largest = _with_class_id(corpus, str(2**63 - 1), tmp_path / "largest.tsv")
+    ckpt = train_small(tmp_path / "run", largest, features)
+    assert run(["export", "--checkpoint", ckpt, "--corpus", largest, "--features", features,
+                "--classes", str(2**63 - 1), "--out-dir", str(tmp_path / "exp")]) == 0
+    rows = (tmp_path / "exp" / "embeddings.tsv").read_text().splitlines()
+    assert {row.split("\t")[0] for row in rows} == {str(2**63 - 1)}
+    too_large = _with_class_id(corpus, str(2**63), tmp_path / "too_large.tsv")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--corpus", too_large, "--features", features, "--out-dir", str(out), *SMALL_DIMS]) == 1
+    assert capsys.readouterr().err == (
+        f"ERROR ParseError: line 1: class_id must be in [0, 2**63), got {2**63}\n"
+    )
+    assert not out.exists()
+
+
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("args", [
+    # a class id past int64, on every path that reads a corpus
+    pytest.param(["train", "--corpus", "{huge_id}", "--features", "{features}", *SMALL_DIMS], id="train-class-id"),
+    pytest.param(["train", "--corpus", "{id_2_63}", "--features", "{features}", *SMALL_DIMS],
+                 id="train-class-id-2**63"),
+    pytest.param(["eval", "--checkpoint", "{ckpt}", "--corpus", "{huge_id}", "--features", "{features}"],
+                 id="eval-class-id"),
+    pytest.param(["stats", "--checkpoint", "{ckpt}", "--corpus", "{huge_id}", "--features", "{features}"],
+                 id="stats-class-id"),
+    pytest.param(["export", "--checkpoint", "{ckpt}", "--corpus", "{huge_id}", "--features", "{features}"],
+                 id="export-class-id"),
+    pytest.param(["sweep", "--train-corpus", "{huge_id}", "--test-corpus", "{corpus}", "--features", "{features}",
+                  "--lambda-range", "1:1:1", "--zeta-range", "0:0:1", "--epochs", "1", *SMALL_DIMS],
+                 id="sweep-class-id"),
+    pytest.param(["preprocess", "--input", "{huge_id}"], id="preprocess-class-id"),
+    # a dimension past MAX_DIM
+    pytest.param(["gen", "--feature-dim", _HUGE], id="gen-feature-dim-1e20"),
+    pytest.param(["gen", "--feature-dim", str(2**62)], id="gen-feature-dim-2**62"),
+    pytest.param(["train", "--corpus", "{corpus}", "--hidden-dim", _HUGE], id="train-hidden-dim"),
+    pytest.param(["train", "--corpus", "{corpus}", "--feature-dim", _HUGE], id="train-hashed-feature-dim"),
+    pytest.param(["train", "--corpus", "{corpus}", "--embed-dim", _HUGE], id="train-embed-dim"),
+    pytest.param(["train", "--corpus", "{corpus}", "--pair-hidden-dim", _HUGE], id="train-pair-hidden-dim"),
+])
+def test_an_oversize_integer_exits_1_with_one_error_line(tmp_path, capsys, args):
+    corpus, features = gen_small(tmp_path / "data")
+    paths = {
+        "corpus": corpus,
+        "features": features,
+        "ckpt": train_small(tmp_path / "run", corpus, features),
+        "huge_id": _with_class_id(corpus, _HUGE, tmp_path / "huge_id.tsv"),
+        "id_2_63": _with_class_id(corpus, str(2**63), tmp_path / "id_2_63.tsv"),
+    }
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run([arg.format(**paths) for arg in args] + ["--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    [line] = err.splitlines()
+    assert line.startswith("ERROR ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", ["1_0", "+3", " 4", "\u0663", "007", "-1"])
+def test_export_classes_are_spelled_as_the_corpus_spells_class_ids(tmp_path, capsys, classes):
+    # a missing checkpoint: the flag is checked before it is read
+    out = tmp_path / "out"
+    rc = run(["export", "--checkpoint", str(tmp_path / "missing.bin"), "--corpus", str(tmp_path / "missing.tsv"),
+              f"--classes={classes}", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"ERROR ConfigError: --classes ids must be ASCII digits with no leading zero, got {classes!r}\n"
+    )
     assert not out.exists()
 
 

@@ -4,7 +4,6 @@ import os
 import re
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from purgelab import data as data_module
 from purgelab.data import (
-    NGRAM_ORDERS,
     Corpus,
     FeatureCache,
     HashingFeatures,
@@ -325,22 +323,20 @@ def test_hashed_feature_bits_are_pinned(dim):
     assert digests == FEATURE_DIGESTS[dim]
 
 
-def reference_features(text: str, dim: int, orders=NGRAM_ORDERS) -> np.ndarray:
-    """One blake2b per gram occurrence, accumulated one signed unit at a time."""
+def reference_features(text: str, dim: int) -> np.ndarray:
+    """One blake2b per unigram and bigram occurrence, accumulated one signed
+    unit at a time."""
     tokens = re.findall(r"\w+|[^\w\s]", text)
     if not tokens:
         raise DegenerateInputError("text contains no tokens")
     vec = np.zeros(dim, dtype=np.float64)
-    for order in orders:
+    for order in (1, 2):
         for i in range(len(tokens) - order + 1):
             gram = f"{order}:" + "\x1f".join(tokens[i : i + order])
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9).digest()
             bucket = int.from_bytes(digest[:8], "little") % dim
             vec[bucket] += 1.0 if digest[8] & 1 else -1.0
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise DegenerateInputError("feature hashing cancelled to a zero vector")
-    return vec / norm
+    return vec / float(np.linalg.norm(vec))
 
 
 # A small alphabet makes repeated grams and memo hits likely; the non-ASCII
@@ -365,29 +361,14 @@ def _features_or_error(featurize, text: str):
 @settings(max_examples=200, deadline=None)
 @given(texts=st.lists(_TEXTS, min_size=1, max_size=4), dim=st.sampled_from([16, 17, 64, 256]))
 @example(texts=["x", "变量", "a a a a", "( ( ( ("], dim=16)  # single tokens, repeated grams
-# trigrams that span two line breaks around one-token lines; blank lines
+# bigrams that span line breaks around one-token lines; blank lines
 @example(texts=["a\nb\nc", "a\n\nb\r\n \nc\n", "x y\nz\nmid ; (", "\n\na b\n"], dim=16)
 def test_hashing_features_match_per_gram_reference(texts, dim):
-    for orders in [(1,), (1, 2), (1, 2, 3)]:
-        with mock.patch.object(data_module, "NGRAM_ORDERS", orders):
-            provider = HashingFeatures(dim)  # shared, so later texts hit the memo
-            for text in texts + texts:
-                expected = _features_or_error(lambda t: reference_features(t, dim, orders=orders), text)
-                assert _features_or_error(provider.vector, text) == expected
-                assert _features_or_error(HashingFeatures(dim).vector, text) == expected
-
-
-def test_hashing_features_cancelled_grams_raise(monkeypatch):
-    # With orders (1, 2) a text of n tokens has 2n - 1 grams, an odd count
-    # that cannot cancel, so unigrams alone are used: at dim 16, "x" and "z"
-    # hash to one bucket with opposite signs.
-    monkeypatch.setattr(data_module, "NGRAM_ORDERS", (1,))
-    with pytest.raises(DegenerateInputError):
-        reference_features("x z", 16, orders=(1,))
-    with pytest.raises(DegenerateInputError):
-        HashingFeatures(16).vector("x z")
-    with pytest.raises(DegenerateInputError):
-        HashingFeatures(16).vector("z x z x")
+    provider = HashingFeatures(dim)  # shared, so later texts hit the memo
+    for text in texts + texts:
+        expected = _features_or_error(lambda t: reference_features(t, dim), text)
+        assert _features_or_error(provider.vector, text) == expected
+        assert _features_or_error(HashingFeatures(dim).vector, text) == expected
 
 
 def test_write_file_writes_str_as_utf8_and_bytes_as_is(tmp_path):

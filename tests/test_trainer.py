@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from purgelab import trainer as trainer_module
-from purgelab.data import FeatureCache, generate_synthetic, make_batches
+from purgelab.data import MAX_DIM, FeatureCache, HashingFeatures, generate_synthetic, make_batches
 from purgelab.encoder import encode_batch, encoder_backward, split_flat
 from purgelab.errors import (
     ConfigError,
@@ -56,9 +56,9 @@ def checkpoints_equal(a, b):
     ]
     if not all(np.array_equal(x, y) for x, y in pairs):
         return False
-    if a.adam.t != b.adam.t or a.epoch != b.epoch:
+    if a.t != b.t or a.epoch != b.epoch:
         return False
-    if not (np.array_equal(a.adam.m, b.adam.m) and np.array_equal(a.adam.v, b.adam.v)):
+    if not (np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)):
         return False
     return (a.registry.gamma, a.registry.states) == (b.registry.gamma, b.registry.states)
 
@@ -74,6 +74,22 @@ def test_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig(feature_dim=16.0)
+
+
+@pytest.mark.parametrize("name", ["feature_dim", "hidden_dim", "embed_dim", "pair_hidden_dim"])
+def test_dimensions_are_bounded_by_max_dim(name):
+    # checked on the config alone: nothing of that size is allocated
+    assert getattr(TrainConfig(**{name: MAX_DIM}), name) == MAX_DIM
+    with pytest.raises(ConfigError, match=f"{name} must be <= {MAX_DIM}, got {MAX_DIM + 1}"):
+        TrainConfig(**{name: MAX_DIM + 1})
+
+
+def test_hashing_and_geometric_widths_are_bounded_by_max_dim():
+    assert HashingFeatures(MAX_DIM).dim == MAX_DIM
+    with pytest.raises(ConfigError):
+        HashingFeatures(MAX_DIM + 1)
+    with pytest.raises(ConfigError):
+        generate_synthetic("geometric", feature_dim=MAX_DIM + 1)
 
 
 def test_ce_only_reports_zero_metric_and_joint_equals_ce():
@@ -244,11 +260,11 @@ def test_flat_adam_matches_textbook_per_array_update():
             m_hat = ref_m[k] / bias1
             v_hat = ref_v[k] / bias2
             ref_params[k] -= config.step_size * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-    for flat, ref in ((state.params, eff_params), (state.adam.m, ref_m), (state.adam.v, ref_v)):
+    for flat, ref in ((state.params, eff_params), (state.m, ref_m), (state.v, ref_v)):
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in ref]))
     textbook = np.concatenate([a.ravel() for a in ref_params])
     np.testing.assert_allclose(state.params, textbook, rtol=1e-12, atol=0.0)
-    assert state.adam.t == state.encoder.version == state.head.version == 6
+    assert state.t == state.encoder.version == state.head.version == 6
 
 
 def test_each_step_encodes_and_backpropagates_both_towers_in_one_call(monkeypatch):
@@ -282,15 +298,15 @@ def test_param_version_counts_steps_and_stales_caches(tmp_path):
     result = train(small_config(epochs=2), data)
     steps = 2 * int(np.ceil(len(data) / 4))
     state = result.state
-    assert state.encoder.version == state.head.version == state.adam.t == steps
+    assert state.encoder.version == state.head.version == state.t == steps
     path = tmp_path / "ckpt.bin"
     save_checkpoint(state, path)
     loaded = load_checkpoint(path)
-    assert loaded.encoder.version == loaded.head.version == loaded.adam.t == steps
+    assert loaded.encoder.version == loaded.head.version == loaded.t == steps
     batch = make_batches(data, 4, 0, 0)[0]
     cache = encode_batch(loaded.encoder, batch.origin_features)
     train_step(loaded, batch)
-    assert loaded.encoder.version == loaded.adam.t == steps + 1
+    assert loaded.encoder.version == loaded.t == steps + 1
     with pytest.raises(StateError):
         upstream = np.zeros_like(cache.embeddings)
         encoder_backward(loaded.encoder, cache, upstream, loaded.grad_segments[:4])
