@@ -65,10 +65,17 @@ def test_cosine_distance_positive_scaling(seed, scale):
 
 
 def test_cosine_distance_range():
+    # VergeRegistry.batch_update folds these distances unchecked, so the
+    # range must hold at extreme scales and at both ends, collinear and
+    # antiparallel, where the cosine can round past +-1.
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        d = cosine_distance(rng.normal(size=6), rng.normal(size=6))
-        assert 0.0 <= d <= 1.0
+    for scale in (1.0, 1e-160, 1e153):
+        for _ in range(200):
+            a = scale * rng.normal(size=6)
+            b = scale * rng.normal(size=6)
+            for x, y in ((a, b), (a, a), (a, 0.5 * a), (a, -a), (a, -0.5 * a)):
+                d = cosine_distance(x, y)
+                assert 0.0 <= d <= 1.0
 
 
 def test_cosine_distance_gradient_matches_finite_differences():

@@ -212,6 +212,8 @@ MALFORMED_ROWS = [
     [0, math.nan, 0.5],
     [0, 5.0, None],
     [0, -0.1, None],
+    [0, 1.5, None],
+    [0, None, 1.0 + 1e-8],  # past the 1e-9 rounding tolerance
     [0, 1, None],  # a verge is a float, never a JSON int
     [0, True, None],
     [0, "0.5", None],
