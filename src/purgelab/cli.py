@@ -18,6 +18,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
 from functools import partial
 
+import numpy as np
+
 from .data import (
     FeatureCache,
     HashingFeatures,
@@ -511,7 +513,9 @@ def run(argv) -> int:
                 _check_choices(command, ns)
         except SystemExit as exc:
             return int(exc.code or 0)
-        return ns.func(ns)
+        # The finite checks decide what is an error, so numpy's warnings stay quiet.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return ns.func(ns)
     except (PurgelabError, OSError, MemoryError, BrokenProcessPool) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

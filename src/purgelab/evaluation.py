@@ -265,15 +265,16 @@ def sweep(
     workers = sweep_workers(workers, len(lams))
     run_cell = partial(_run_cell, base_config, train_data, test_data)
     if workers > 1:
+        bystanders = set(multiprocessing.active_children())
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             cells = list(pool.map(run_cell, lams, zetas))
         except BaseException:
             # A pool's own shutdown waits for the running cells, and a second
             # Ctrl-C in that wait would leave the workers alive and the
-            # process unable to exit, so they are ended here.
+            # process unable to exit, so they are ended here, and only they.
             pool.shutdown(wait=False, cancel_futures=True)
-            for worker in multiprocessing.active_children():
+            for worker in set(multiprocessing.active_children()) - bystanders:
                 worker.terminate()
                 worker.join()
             raise

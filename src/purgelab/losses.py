@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -153,10 +153,23 @@ class EmbeddedBatch:
         """A batch whose embedding rows must all be unit-norm, such as encoder output."""
         return cls(class_ids, labels, origins, mutants, unit=True)
 
-    def distance_grads(self, rows: Sequence[int], scales: Sequence[float]) -> np.ndarray:
-        """Gradient of sum_k scales[k] * distances[rows[k]] w.r.t. the stacked
-        embeddings ``self.rows``; samples not listed get zero rows."""
+    def hinge(self, terms: Iterable[tuple[int, float, float, float]], epsilon: float, skipped: int = 0) -> LossOutput:
+        """Sum of [arg]_+ ** exponent over ``(row, arg, exponent, sign)`` terms in
+        row order, divided by the batch size m, where ``sign`` is d arg / d
+        distance, with its gradient w.r.t. ``self.rows``; a row with no active
+        term gets zero rows. ``epsilon`` floors the argument in the derivative
+        factor only, which keeps an exponent below 1 bounded at onset."""
         m = len(self)
+        total = 0.0
+        rows: list[int] = []
+        scales: list[float] = []
+        for i, arg, exponent, sign in terms:
+            if arg <= 0.0:
+                continue
+            total += arg**exponent
+            factor = exponent * max(arg, epsilon) ** (exponent - 1.0)
+            rows.append(i)
+            scales.append(sign * factor / m)
         grads = np.zeros(self.rows.shape)
         if rows:
             idx = np.asarray(rows)
@@ -166,7 +179,7 @@ class EmbeddedBatch:
             scale = np.asarray(scales)[:, None]
             grads[idx] = scale * grad_o
             grads[m + idx] = scale * grad_s
-        return grads
+        return LossOutput(total / m, skipped, grads)
 
 
 @dataclass
@@ -207,61 +220,33 @@ def cluster_purge_loss(
     constants: callers update it before computing the loss, and no gradient
     flows into the verges.
     """
-    m = len(batch)
-    total = 0.0
+    terms = []
     skipped = 0
-    rows: list[int] = []
-    scales: list[float] = []
     rows_in = zip(batch.class_ids.tolist(), batch.labels.tolist(), batch.distances.tolist())
     for i, (class_id, label, d) in enumerate(rows_in):
         state = registry.get(class_id)
-        verge = None
-        if state is not None:
-            verge = state.v_minus if label == 1 else state.v_plus
+        verge = None if state is None else state.v_minus if label == 1 else state.v_plus
         if verge is None:
             skipped += 1
-            continue
-        if label == 1:
-            arg = d - verge + cfg.zeta
-            exponent = cfg.alpha
-            sign = 1.0
+        elif label == 1:
+            terms.append((i, d - verge + cfg.zeta, cfg.alpha, 1.0))
         else:
-            arg = verge - d + cfg.zeta
-            exponent = cfg.beta
-            sign = -1.0
-        if arg <= 0.0:
-            continue
-        total += arg**exponent
-        # Derivative factor only: the floor keeps beta < 1 bounded at onset.
-        factor = exponent * max(arg, cfg.hinge_epsilon) ** (exponent - 1.0)
-        rows.append(i)
-        scales.append(sign * factor / m)
-    return LossOutput(total / m, skipped, batch.distance_grads(rows, scales))
+            terms.append((i, verge - d + cfg.zeta, cfg.beta, -1.0))
+    return batch.hinge(terms, cfg.hinge_epsilon, skipped)
 
 
 def contrastive_loss(batch: EmbeddedBatch, cfg: LossConfig) -> LossOutput:
     """Adapted contrastive loss over origin-mutant pairs; class ids are unused.
 
     Equivalent pairs pay their raw distance, non-equivalent pairs pay
-    [zeta - dist]_+, i.e. only while they sit inside the margin.
+    [zeta - dist]_+, i.e. only while they sit inside the margin: the purge
+    hinge with exponent 1 and a fixed border.
     """
-    m = len(batch)
-    total = 0.0
-    rows: list[int] = []
-    scales: list[float] = []
-    for i, (label, d) in enumerate(zip(batch.labels.tolist(), batch.distances.tolist())):
-        if label == 1:
-            arg = d
-            d_dist = 1.0 / m
-        else:
-            arg = cfg.zeta - d
-            d_dist = -1.0 / m
-        if arg <= 0.0:
-            continue
-        total += arg
-        rows.append(i)
-        scales.append(d_dist)
-    return LossOutput(total / m, embedding_grads=batch.distance_grads(rows, scales))
+    terms = (
+        (i, d, 1.0, 1.0) if label == 1 else (i, cfg.zeta - d, 1.0, -1.0)
+        for i, (label, d) in enumerate(zip(batch.labels.tolist(), batch.distances.tolist()))
+    )
+    return batch.hinge(terms, cfg.hinge_epsilon)
 
 
 def triplet_batch_loss(batch: EmbeddedBatch, margin: float) -> LossOutput:

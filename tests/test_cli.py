@@ -431,6 +431,31 @@ def test_a_dead_sweep_worker_exits_1_with_an_error_line(tmp_path, monkeypatch, c
     assert line.startswith("ERROR BrokenProcessPool: ")
 
 
+def _cell_raising_above_lambda_1_05(base_config, train_data, test_data, lam, zeta):
+    # A sweep cell that fails with an error the sweep does not record.
+    if lam > 1.05:
+        raise RuntimeError("not a purgelab error")
+    return _REAL_RUN_CELL(base_config, train_data, test_data, lam, zeta)
+
+
+def test_a_failed_pooled_sweep_ends_only_its_own_workers(tmp_path, monkeypatch):
+    corpus, features = gen_small(tmp_path / "data")
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluation, "_run_cell", _cell_raising_above_lambda_1_05)
+    bystander = multiprocessing.Process(target=time.sleep, args=(60,))
+    bystander.start()
+    try:
+        with pytest.raises(RuntimeError, match="not a purgelab error"):
+            run(["sweep", "--train-corpus", corpus, "--test-corpus", corpus, "--features", features,
+                 "--out-dir", str(tmp_path / "sweep"), "--lambda-range", "1.00:1.10:0.10",
+                 "--zeta-range=0:0:0.01", "--epochs", "1", "--workers", "2", *SMALL_DIMS])
+        assert bystander.is_alive()
+        assert multiprocessing.active_children() == [bystander]
+    finally:
+        bystander.terminate()
+        bystander.join(timeout=10)
+
+
 def _cell_interrupting_above_lambda_1_05(base_config, train_data, test_data, lam, zeta):
     # One Ctrl-C reaching the sweep's own process while its workers train.
     if lam > 1.05:
@@ -693,6 +718,43 @@ EXTREME_FLOATS = {
 }
 
 
+# Runs the CLI in a process of its own with two sweep workers on any host.
+_CLI_WITH_TWO_CPUS = """
+import os, sys
+os.cpu_count = lambda: 2
+from purgelab import cli
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_float_overflow_prints_no_numpy_warning_even_as_errors(tmp_path):
+    # numpy's floating-point warnings stay quiet in the CLI, forked sweep
+    # workers included, so an overflow ends in one ERROR line or none even
+    # when the interpreter turns warnings into errors.
+    data = tmp_path / "data"
+    assert run(["gen", "--classes", "3", "--per-class", "6", "--out-dir", str(data)]) == 0
+    inputs = ["--features", str(data / "features.tsv"), "--epochs", "2", "--step-size", "1e300"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli_process(*argv):
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _CLI_WITH_TWO_CPUS, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = cli_process("train", "--corpus", str(data / "corpus.tsv"), *inputs, "--out-dir", str(tmp_path / "run"))
+    assert (proc.returncode, proc.stderr) == (
+        1, "ERROR DivergenceError: numeric divergence: encoder pre-normalization norm is not finite\n"
+    )
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}"
+        proc = cli_process("sweep", "--train-corpus", str(data / "corpus.tsv"), "--test-corpus",
+                           str(data / "corpus.tsv"), *inputs, "--workers", workers, "--out-dir", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        tables.append((out / "sweep.tsv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_extreme_training_floats_never_escape(tmp_path, capsys):
     # Seeded draws of extreme flag values, 10 per loss kind: each train exits
     # 0, or 1 with one error line, never with a traceback.
@@ -808,6 +870,8 @@ def forge_meta(ckpt, updates, out):
     {"adam_t": 2.7},
     {"adam_t": True},
     {"epoch": 1.9},
+    {"config": {}},
+    {"config": {"loss": {}}},
 ], ids=lambda updates: json.dumps(updates))
 def test_forged_checkpoint_metadata_exits_1(tmp_path, capsys, updates):
     corpus, features = gen_small(tmp_path / "data")
@@ -819,6 +883,24 @@ def test_forged_checkpoint_metadata_exits_1(tmp_path, capsys, updates):
         rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR DeserializeError: ")
+        assert not out.exists()
+
+
+def test_a_nan_weight_under_a_valid_trailer_exits_1(tmp_path, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    raw = bytearray(Path(train_small(tmp_path / "run", corpus, features)).read_bytes())
+    start = len(CHECKPOINT_MAGIC)
+    _, meta_len = struct.unpack_from("<II", raw, start)
+    struct.pack_into("<d", raw, start + 8 + meta_len, math.nan)
+    body = bytes(raw[:-32])
+    forged = tmp_path / "forged.bin"
+    forged.write_bytes(body + hashlib.sha256(body).digest())
+    out = tmp_path / "out"
+    for argv in (["eval", "--checkpoint", str(forged)], ["train", "--resume", str(forged), "--epochs", "3"]):
+        capsys.readouterr()
+        rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "ERROR DeserializeError: checkpoint holds non-finite parameters or moments\n"
         assert not out.exists()
 
 

@@ -558,6 +558,8 @@ def test_feature_cache_rejects_an_empty_corpus():
 def test_make_batches_rejects_bad_size():
     with pytest.raises(ConfigError):
         make_batches(FeatureCache.from_corpus(small_corpus(), HashingFeatures(32)), 0, 0, 0)
+    with pytest.raises(ConfigError):
+        make_batches(FeatureCache.from_corpus(small_corpus(), HashingFeatures(32)), 4, 0, -1)
 
 
 def test_feature_cache_matches_provider():

@@ -12,7 +12,7 @@ from purgelab.encoder import (
     param_views,
     split_flat,
 )
-from purgelab.errors import ConfigError, DimensionError, StateError
+from purgelab.errors import ConfigError, DegenerateVectorError, DimensionError, StateError
 from purgelab.losses import cross_entropy
 from purgelab.trainer import TrainConfig
 
@@ -39,6 +39,11 @@ def test_encode_output_is_unit_norm():
     for _ in range(20):
         e = encode_batch(enc, rng.normal(size=(1, 8))).embeddings[0]
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
+    # a zero output has no direction to normalize
+    enc.w2[:] = 0.0
+    enc.b2[:] = 0.0
+    with pytest.raises(DegenerateVectorError):
+        encode_batch(enc, rng.normal(size=(1, 8)))
 
 
 def test_encode_deterministic():
@@ -99,6 +104,10 @@ def test_classify_pair_deterministic_and_softmax_normalized():
     assert np.array_equal(logits_a, logits_b)
     probs = np.exp(logits_a) / np.sum(np.exp(logits_a))
     assert abs(probs.sum() - 1.0) <= 1e-12
+    with pytest.raises(DimensionError):
+        classify_pairs(head, o, s[:, :3])
+    with pytest.raises(DimensionError):
+        classify_pairs(head, o[:, :3], s[:, :3])
 
 
 def test_normalization_jacobian_orthogonality():

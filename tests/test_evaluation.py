@@ -128,6 +128,8 @@ def test_distance_stats_shapes_and_ranges():
     assert 0.0 <= stats.mean_eq <= 1.0
     assert 0.0 <= stats.mean_noneq <= 1.0
     assert stats.ratio == pytest.approx(stats.mean_noneq / stats.mean_eq)
+    with pytest.raises(StratifyError):
+        evaluation.DistanceStats.from_distances(np.array([]), np.array([0.5]))
 
 
 def test_distance_stats_identical_pairs_have_absent_ratio():

@@ -125,6 +125,10 @@ def test_cpl_unknown_class_skips_every_sample():
 def test_cpl_empty_batch():
     with pytest.raises(EmptyBatchError):
         EmbeddedBatch([], [], np.zeros((0, 4)), np.zeros((0, 4)))
+    with pytest.raises(DimensionError):
+        EmbeddedBatch([0, 0], [1, 0, 1], np.tile(ORIGIN, (2, 1)), np.tile(ORIGIN, (2, 1)))
+    with pytest.raises(ConfigError):
+        EmbeddedBatch([0], [2], ORIGIN[None, :], ORIGIN[None, :])
 
 
 @pytest.mark.parametrize("side", ["origins", "mutants"])
@@ -302,6 +306,8 @@ def test_cross_entropy_rejects_non_finite():
 def test_cross_entropy_rejects_wrong_shape():
     with pytest.raises(DimensionError):
         cross_entropy(np.array([1.0, 2.0, 3.0]), 0)
+    with pytest.raises(DimensionError):
+        cross_entropy(np.zeros((2, 2)), [0])
 
 
 # --- joint ------------------------------------------------------------------
@@ -322,6 +328,8 @@ def test_joint_zero_ce():
 def test_joint_rejects_non_finite():
     with pytest.raises(NumericError):
         joint_loss(float("nan"), 0.0, 1.0)
+    with pytest.raises(ConfigError):
+        joint_loss(0.37, 0.42, -1.0)
 
 
 # --- config validation ------------------------------------------------------
@@ -338,6 +346,8 @@ def test_loss_config_validation():
         LossConfig(gamma=0.5)
     with pytest.raises(ConfigError):
         LossConfig(hinge_epsilon=0.1)
+    with pytest.raises(ConfigError):
+        LossConfig(zeta=np.inf)
     LossConfig(lam=0.0)  # zero weight is allowed for ablation comparisons
 
 

@@ -74,6 +74,8 @@ def test_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig(feature_dim=16.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(beta1=1.0)
 
 
 @pytest.mark.parametrize("name", ["feature_dim", "hidden_dim", "embed_dim", "pair_hidden_dim"])

@@ -142,6 +142,8 @@ def test_ema_batch_gamma_twelve():
 def test_ema_batch_empty():
     with pytest.raises(EmptyBatchError):
         ema_batch(0.5, (), 3.0)
+    with pytest.raises(NumericError):
+        ema_batch(0.5, (0.2, float("nan")), 3.0)
 
 
 @given(
