@@ -69,8 +69,6 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -449,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default="corpus.tsv")
     p.add_argument("--features", help="feature table (default: hashed features)")
     p.add_argument("--resume", help="checkpoint to continue from")
-    trace = p.add_argument("--trace", action="store_true", help="also write per-step loss trace")
-    trace.type = _zero_or_one  # argparse applies it to a config file's string default
+    p.add_argument("--trace", nargs="?", const=True, default=False, type=_zero_or_one,
+                   help="also write per-step loss trace")
     _add_train_flags(p)
 
     subparser("eval", "evaluate a checkpoint on a corpus", cmd_eval, reads_checkpoint=True)
@@ -485,32 +483,24 @@ def _check_config_keys(parser, ns: argparse.Namespace, file_defaults: dict[str, 
         parser.error(f"{ns.command}: --config keys name no flag: {', '.join(unknown)}")
 
 
-def _check_choices(parser, ns: argparse.Namespace) -> None:
-    """Usage error for a config value outside its flag's choices, which argparse
-    checks only on the command line."""
-    for a in parser._actions:
-        if a.choices is not None and (value := getattr(ns, a.dest)) not in a.choices:
-            choices = ", ".join(map(repr, a.choices))
-            parser.error(f"argument {a.option_strings[0]}: invalid choice: {value!r} (choose from {choices})")
-
-
 def run(argv) -> int:
     try:
         try:
             parser = build_parser()
             ns = parser.parse_args(argv)
             if ns.config is not None:
-                # The file's values become the chosen command's defaults, which
-                # argparse converts with each flag's type; "none" is None only
-                # for a flag whose built-in default is None. Flags still win.
+                # Each value is read as --flag=value after the command, argv[0],
+                # and before its flags, which win as argparse keeps the last;
+                # "none" leaves unset only a flag whose default is None.
                 values = load_config_file(ns.config)
                 _check_config_keys(parser, ns, values)
                 [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
                 command = commands[ns.command]
-                defaults = {k: None if v == "none" and command.get_default(k) is None else v for k, v in values.items()}
-                command.set_defaults(given=frozenset(values), **defaults)
-                ns = parser.parse_args(argv)
-                _check_choices(command, ns)
+                command.set_defaults(given=frozenset(values))
+                flags = {a.dest: a.option_strings[0] for a in command._actions}
+                tokens = [f"{flags[k]}={v}" for k, v in values.items()
+                          if k != "command" and not (v == "none" and command.get_default(k) is None)]
+                ns = parser.parse_args([argv[0], *tokens, *argv[1:]])
         except SystemExit as exc:
             return int(exc.code or 0)
         # The finite checks decide what is an error, so numpy's warnings stay quiet.

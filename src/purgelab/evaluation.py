@@ -72,29 +72,22 @@ def _encode(params, features: np.ndarray) -> np.ndarray:
     return embeddings
 
 
-def _origin_embeddings(state: TrainerState, data: FeatureCache) -> np.ndarray:
-    """The embeddings of ``data.origins``, one row per class. The origins are
-    encoded cycled to at least min(n, EVAL_BLOCK) rows, as large as a block of
-    pairs, for the bits of a call on the whole corpus."""
+def _embeddings(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndarray]:
+    """The embeddings of ``data.origins``, one row per class, and of every
+    mutant. The origins are encoded cycled to at least min(n, EVAL_BLOCK)
+    rows, as large as a block of pairs, for the bits of a call on the whole
+    corpus."""
     k = data.origins.shape[0]
     cycled = np.arange(max(k, min(len(data), EVAL_BLOCK))) % k
-    return _encode(state.encoder, data.origins[cycled])[:k]
-
-
-def _embedded_blocks(state: TrainerState, data: FeatureCache):
-    """Yield (rows, origin embeddings, mutant embeddings) for each block of
-    pairs, in corpus order. Each class origin is encoded once."""
-    origins = _origin_embeddings(state, data)
-    for rows in _blocks(len(data)):
-        mutants = encode_batch(state.encoder, data.mutant_features[rows]).embeddings
-        yield rows, origins[data.origin_rows[rows]], mutants
+    return _encode(state.encoder, data.origins[cycled])[:k], _encode(state.encoder, data.mutant_features)
 
 
 def evaluate(state: TrainerState, data: FeatureCache) -> EvalReport:
     """Classify every pair and aggregate binary metrics on the equivalent class."""
     predictions = np.empty(len(data), dtype=np.int64)
-    for rows, origins, mutants in _embedded_blocks(state, data):
-        logits = classify_pairs(state.head, origins, mutants).logits
+    origins, mutants = _embeddings(state, data)
+    for rows in _blocks(len(data)):
+        logits = classify_pairs(state.head, origins[data.origin_rows[rows]], mutants[rows]).logits
         predictions[rows] = logits[:, 1] > logits[:, 0]  # tie -> 0
     labels = data.labels
     tp = int(np.sum((predictions == 1) & (labels == 1)))
@@ -137,8 +130,10 @@ class DistanceStats:
 def pair_distances(state: TrainerState, data: FeatureCache) -> tuple[np.ndarray, np.ndarray]:
     """Raw origin-mutant distances, split by label: (equivalent, non-equivalent)."""
     distances = np.empty(len(data))
-    for rows, origins, mutants in _embedded_blocks(state, data):
-        distances[rows] = EmbeddedBatch(data.class_ids[rows], data.labels[rows], origins, mutants).distances
+    origins, mutants = _embeddings(state, data)
+    for rows in _blocks(len(data)):
+        batch = EmbeddedBatch(data.class_ids[rows], data.labels[rows], origins[data.origin_rows[rows]], mutants[rows])
+        distances[rows] = batch.distances
     return distances[data.labels == 1], distances[data.labels == 0]
 
 
@@ -297,8 +292,7 @@ def export_embeddings(state: TrainerState, data: FeatureCache, class_filter=None
     wanted = present if class_filter is None else {int(c) for c in class_filter}
     if wanted - present:
         raise UnknownClassError(f"classes not in corpus: {sorted(wanted - present)}")
-    origins = _origin_embeddings(state, data)
-    mutants = _encode(state.encoder, data.mutant_features)
+    origins, mutants = _embeddings(state, data)
     order = np.argsort(data.class_ids, kind="stable")  # by class, in corpus order within one
     groups = np.split(order, np.flatnonzero(np.diff(data.class_ids[order])) + 1)
 

@@ -333,6 +333,15 @@ def test_sweep_grid_counts_and_table(tmp_path):
     assert len(rows) == 3 * 3
     matrix = (tmp_path / "sweep" / "sweep_matrix.txt").read_text()
     assert "best:" in matrix
+    cells = " P 36.36 R 50.00 F 42.11 |" * 3
+    assert matrix == (
+        "lambda\\zeta |         -0.02          |         -0.01          |          0.00          |\n"
+        + "-" * 88 + "\n"
+        f"   1.00     |{cells}\n"
+        f"   1.05     |{cells}\n"
+        f"   1.10     |{cells}\n"
+        "\nbest: lambda=1.0 zeta=-0.02 P=0.36363636363636365 R=0.5 F1=0.4210526315789474\n"
+    )
 
 
 def test_paper_grid_shapes(tmp_path):
@@ -966,6 +975,7 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
     pytest.param("train", ["--hidden-dim", "0"], id="hidden-dim-0"),
     pytest.param("sweep", ["--embed-dim", "0"], id="sweep-embed-dim-0"),
     pytest.param("sweep", ["--workers", "-3"], id="sweep-workers-negative"),
+    pytest.param("sweep", ["--features", "{features}", "--feature-dim", "16"], id="sweep-feature-table-width"),
     pytest.param("gen", ["--noise", "nan"], id="gen-noise-nan"),
     pytest.param("gen", ["--noise", "inf"], id="gen-noise-inf"),
     # finite, but a geometric point's norm would overflow
@@ -998,7 +1008,7 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
         "gen": [],
         "preprocess": ["--input", missing],
     }[command]
-    flags = [flag.format(missing=missing, empty=empty) for flag in flags]
+    flags = [flag.format(missing=missing, empty=empty, features=features) for flag in flags]
     out = tmp_path / "out"
     capsys.readouterr()
     rc = run([command, *inputs, *flags, "--out-dir", str(out)])
@@ -1175,7 +1185,8 @@ def test_config_of_every_default_parses_like_no_config(tmp_path, monkeypatch, co
     bare = vars(seen.pop())
     keys = sorted(set(bare) - {"command", "config", "func", "given"})
     config = tmp_path / "config.txt"
-    config.write_text("".join(f"{key} = {cli._fmt(bare[key])}\n" for key in keys))
+    # comment and blank lines are skipped
+    config.write_text("# every default\n\n" + "".join(f"{key} = {cli._fmt(bare[key])}\n" for key in keys))
     assert run([command, "--config", str(config)]) == 0
     again = vars(seen.pop())
     assert again.pop("given") == {"config", *keys} and bare.pop("given") == frozenset()
@@ -1245,6 +1256,24 @@ def test_sweep_rejects_non_finite_and_oversized_ranges(tmp_path, capsys, bad_ran
     assert rc == 1
     assert capsys.readouterr().err.startswith("ERROR ConfigError:")
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("a:b:c", "range must be numeric, got 'a:b:c'"),
+    ("1:2", "range must be START:STOP:STEP, got '1:2'"),
+    ("0:1:0", "range needs step > 0 and stop >= start, got '0:1:0'"),
+    ("1:0:0.5", "range needs step > 0 and stop >= start, got '1:0:0.5'"),
+])
+def test_malformed_sweep_range_exits_1_with_one_error_line(tmp_path, capsys, text, error):
+    # The corpora are missing, so a range that passed its checks would
+    # surface as another error.
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing.tsv")
+    rc = run(["sweep", "--train-corpus", missing, "--test-corpus", missing, f"--lambda-range={text}",
+              "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"ERROR ConfigError: {error}\n"
+    assert not out.exists()
 
 
 def test_sweep_records_any_cell_error_and_continues(tmp_path):

@@ -75,7 +75,7 @@ def test_ingest_empty_file(tmp_path):
 
 def test_ingest_single_line(tmp_path):
     path = tmp_path / "one.tsv"
-    path.write_text("3\t1\tint f();\tint g();\n")
+    path.write_text("\n3\t1\tint f();\tint g();\n\n")  # blank lines are skipped
     corpus = ingest(path)
     assert len(corpus) == 1
     assert corpus.records[0] == rec(3, "int f();", "int g();", 1)
@@ -228,6 +228,10 @@ def test_split_partition():
     assert not set(r.mutant_text for r in train.records) & set(
         r.mutant_text for r in test.records
     )
+    position = {r.mutant_text: i for i, r in enumerate(corpus.records)}
+    for side in (train, test):  # each side keeps corpus order
+        indices = [position[r.mutant_text] for r in side.records]
+        assert indices == sorted(indices)
 
 
 def test_split_missing_label():
@@ -467,6 +471,9 @@ def test_feature_table_roundtrip(tmp_path):
     assert set(back.table) == set(table.table)
     for key in table.table:
         assert np.array_equal(back.table[key], table.table[key])
+    path.write_text(path.read_text().replace("feature-table 1 16", "feature-table 2 16"))  # another version
+    with pytest.raises(ParseError, match="not a feature table"):
+        load_feature_table(path)
 
 
 def test_feature_table_key_with_escapes_roundtrips(tmp_path):
@@ -474,6 +481,7 @@ def test_feature_table_key_with_escapes_roundtrips(tmp_path):
     table = TableFeatures(dim=2, table={key: np.array([0.5, -1.0])})
     path = tmp_path / "features.tsv"
     write_feature_table(table, path)
+    path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")  # a blank line is skipped
     back = load_feature_table(path)
     assert list(back.table) == [key]
     assert np.array_equal(back.table[key], table.table[key])
@@ -659,6 +667,9 @@ def test_generate_synthetic_validation():
         generate_synthetic("geometric", equiv_fraction=0.0)
     with pytest.raises(ConfigError):
         generate_synthetic("geometric", per_class=10, equiv_fraction=0.01)
+    for equiv_fraction in (1.5, float("nan")):
+        with pytest.raises(ConfigError, match="equiv_fraction must be in"):
+            generate_synthetic("geometric", equiv_fraction=equiv_fraction)
     for feature_dim in (0, 1, 8, 15):
         with pytest.raises(ConfigError):
             generate_synthetic("geometric", feature_dim=feature_dim)

@@ -1,3 +1,4 @@
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -297,6 +298,7 @@ def test_sweep_parallel_matches_sequential():
     seq = sweep(config, train_side, test_side, [1.0, 1.2], [0.0])
     par = sweep(config, train_side, test_side, [1.0, 1.2], [0.0], workers=2)
     assert [c.report for c in seq.cells] == [c.report for c in par.cells]
+    assert multiprocessing.active_children() == []  # the pool's workers have ended
 
 
 def test_sweep_records_divergence_and_continues():
@@ -345,8 +347,7 @@ def test_export_groups_interleaved_classes_like_a_per_class_scan(class_filter):
     _, data = small_setup()
     data = data.take(np.random.default_rng(5).permutation(len(data)))
     state = init_state(small_config())
-    origins = evaluation._origin_embeddings(state, data)
-    mutants = evaluation._encode(state.encoder, data.mutant_features)
+    origins, mutants = evaluation._embeddings(state, data)
     expected = []
     for cid in sorted(set(data.class_ids.tolist()) if class_filter is None else set(class_filter)):
         members = np.flatnonzero(data.class_ids == cid)

@@ -308,6 +308,9 @@ def test_cross_entropy_rejects_wrong_shape():
         cross_entropy(np.array([1.0, 2.0, 3.0]), 0)
     with pytest.raises(DimensionError):
         cross_entropy(np.zeros((2, 2)), [0])
+    for label in (-1, 2):
+        with pytest.raises(ConfigError, match="label must be 0 or 1"):
+            cross_entropy(np.zeros(2), label)
 
 
 # --- joint ------------------------------------------------------------------
