@@ -6,11 +6,15 @@ flags (explicit flags still win), reproducing the outputs bit for bit. Exit
 codes: 0 on success, 2 on usage errors (nothing written), 1 on domain errors
 with a machine-parsable ``ERROR <name>: <message>`` line on stderr, and 130
 on Ctrl-C, with the line ``ERROR KeyboardInterrupt: interrupted``.
+A command and its sweep workers run on one BLAS thread; run restores the count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import math
 import os
 import sys
@@ -483,6 +487,21 @@ def _check_config_keys(parser, ns: argparse.Namespace, file_defaults: dict[str, 
         parser.error(f"{ns.command}: --config keys name no flag: {', '.join(unknown)}")
 
 
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None
+    for another BLAS build."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
 def run(argv) -> int:
     try:
         try:
@@ -503,9 +522,19 @@ def run(argv) -> int:
                 ns = parser.parse_args([argv[0], *tokens, *argv[1:]])
         except SystemExit as exc:
             return int(exc.code or 0)
-        # The finite checks decide what is an error, so numpy's warnings stay quiet.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return ns.func(ns)
+        # One BLAS thread, which forked sweep workers inherit (OPENBLAS_NUM_THREADS
+        # is read as numpy loads); the caller's count comes back whatever the exit.
+        blas = _openblas()
+        if blas:
+            threads = blas[0]()
+            blas[1](1)
+        try:
+            # The finite checks decide what is an error, so numpy's warnings stay quiet.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return ns.func(ns)
+        finally:
+            if blas:
+                blas[1](threads)
     except (PurgelabError, OSError, MemoryError, BrokenProcessPool) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import ctypes
 import errno
 import hashlib
 import json
@@ -20,7 +21,7 @@ import pytest
 
 from purgelab import cli, evaluation, trainer
 from purgelab.cli import build_parser, run
-from purgelab.data import FeatureCache, generate_synthetic, ingest, write_corpus
+from purgelab.data import FeatureCache, HashingFeatures, generate_synthetic, ingest, write_corpus
 from purgelab.errors import ConfigError
 from purgelab.losses import LossConfig
 from purgelab.trainer import CHECKPOINT_MAGIC, LOSS_KINDS, TrainConfig, load_checkpoint
@@ -534,6 +535,90 @@ def test_a_second_ctrl_c_during_a_pooled_sweep_exits_130_and_leaves_no_worker(tm
     assert stderr == "ERROR KeyboardInterrupt: interrupted\n"
     assert stdout == "0\n"
     assert not out.exists()
+
+
+def _bundled_openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, found
+    apart from the CLI's own lookup, or None for another BLAS build."""
+    found = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    lib = ctypes.CDLL(str(found[0])) if found else None
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        return None
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@pytest.fixture
+def blas_threads():
+    """The bundled OpenBLAS's getter and setter; its count is restored after the test."""
+    blas = _bundled_openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is absent")
+    before = blas[0]()
+    yield blas
+    blas[1](before)
+
+
+@pytest.mark.parametrize("rc", [0, 1, 130])
+def test_a_command_runs_on_one_blas_thread_and_gives_back_the_callers_count(tmp_path, monkeypatch, blas_threads, rc):
+    get, set_ = blas_threads
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    if rc == 1:  # a bad corpus
+        corpus = str(tmp_path / "empty.tsv")
+        Path(corpus).write_bytes(b"")
+    seen = []
+    real_cmd_eval = cli.cmd_eval
+
+    def recording(ns):
+        seen.append(get())
+        if rc == 130:
+            raise KeyboardInterrupt
+        return real_cmd_eval(ns)
+
+    monkeypatch.setattr(cli, "cmd_eval", recording)
+    set_(2)
+    assert run(["eval", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
+                "--out-dir", str(tmp_path / "eval")]) == rc
+    assert seen == [1]
+    assert get() == 2
+
+
+def _cell_reporting_blas_threads(base_config, train_data, test_data, lam, zeta):
+    # A sweep cell that reports, as its error, the BLAS thread count and the process it ran in.
+    get, _ = _bundled_openblas()
+    return evaluation.SweepCell(lam=lam, zeta=zeta, report=None, error=f"threads {get()} pid {os.getpid()}")
+
+
+def test_every_cell_of_a_pooled_sweep_runs_on_one_blas_thread(tmp_path, monkeypatch, blas_threads):
+    get, set_ = blas_threads
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(evaluation, "_run_cell", _cell_reporting_blas_threads)
+    set_(2)
+    out = tmp_path / "sweep"
+    assert run([*sweep_args(tmp_path), "--lambda-range=1.0:1.1:0.05", "--zeta-range=0:0.01:0.01",
+                "--workers", "2", "--out-dir", str(out)]) == 0
+    reports = [line.split("\t")[2].split() for line in (out / "sweep_errors.txt").read_text().splitlines()]
+    assert [threads for _, threads, _, _ in reports] == ["1"] * 6
+    assert str(os.getpid()) not in {pid for *_, pid in reports}  # every cell ran in a worker
+    assert get() == 2
+
+
+def test_a_blas_without_the_bundled_library_gives_the_same_bytes(tmp_path, monkeypatch):
+    corpus, features = gen_small(tmp_path / "data")
+    outputs = {}
+    for name in ("bundled", "stubbed"):
+        if name == "stubbed":
+            monkeypatch.setattr(cli, "_openblas", lambda: None)
+        ckpt = train_small(tmp_path / name, corpus, features)
+        assert run(["eval", "--checkpoint", ckpt, "--corpus", corpus, "--features", features,
+                    "--out-dir", str(tmp_path / name)]) == 0
+        outputs[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()
+                         if path.name != "manifest.txt"}  # which names the output paths
+    assert outputs["stubbed"] == outputs["bundled"]
+    assert sorted(outputs["bundled"]) == ["checkpoint.bin", "history.tsv", "report.txt"]
 
 
 @pytest.mark.parametrize("side", ["train", "test"])
@@ -1384,6 +1469,21 @@ def test_multiblock_eval_stats_export_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in PINNED_MULTIBLOCK_DIGESTS}
     assert digests == PINNED_MULTIBLOCK_DIGESTS
+
+
+def test_multiblock_embeddings_have_the_same_bits_at_one_and_two_blas_threads(blas_threads):
+    # The corpus of the multiblock test above: the README says each embedding
+    # has the bits of one whole-corpus call, whatever count a library caller sets.
+    _, set_ = blas_threads
+    corpus, _ = generate_synthetic("codegen", n_classes=8, per_class=80, seed=2)
+    data = FeatureCache.from_corpus(corpus, HashingFeatures(TrainConfig.feature_dim))
+    assert len(data) == 640
+    state = trainer.init_state(TrainConfig())
+    bits = {}
+    for threads in (1, 2):
+        set_(threads)
+        bits[threads] = [embeddings.tobytes() for embeddings in evaluation._embeddings(state, data)]
+    assert bits[1] == bits[2]
 
 
 # sha256 of the training outputs of each loss kind at the default model
