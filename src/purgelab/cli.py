@@ -18,7 +18,6 @@ import glob
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
 from functools import partial
 
@@ -535,7 +534,9 @@ def run(argv) -> int:
         finally:
             if blas:
                 blas[1](threads)
-    except (PurgelabError, OSError, MemoryError, BrokenProcessPool) as exc:
+    # A sweep's dead worker; the pool is looked up only once it is loaded.
+    except (PurgelabError, OSError, MemoryError,
+            getattr(sys.modules.get("concurrent.futures.process"), "BrokenProcessPool", PurgelabError)) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

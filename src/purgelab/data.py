@@ -327,8 +327,8 @@ def write_feature_table(features: TableFeatures, path) -> None:
 
 def load_feature_table(path) -> TableFeatures:
     """Read a feature table; a malformed header or line, a component that is
-    not a finite float, a repeated key, or bytes that are not UTF-8 raise
-    :class:`ParseError`."""
+    not a finite float or not spelled in ASCII without ``_``, a repeated key,
+    or bytes that are not UTF-8 raise :class:`ParseError`."""
     lines = read_lines(path)
     header = next(lines, "").rstrip("\n").split()
     if len(header) != 3 or header[0] != "feature-table" or header[1] != "1":
@@ -344,6 +344,9 @@ def load_feature_table(path) -> TableFeatures:
             continue
         try:
             key, comps = line.split("\t")
+            if not comps.isascii() or "_" in comps:  # float() takes both, a rewrite keeps neither
+                bad = next(x for x in comps.split(" ") if not x.isascii() or "_" in x)
+                raise ValueError(f"components must be ASCII with no '_', got {bad!r}")
             key = _unescape(key)
             vec = np.array([float(x) for x in comps.split(" ")], dtype=np.float64)
         except ValueError as exc:

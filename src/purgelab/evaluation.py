@@ -8,9 +8,7 @@ silent 0. Argmax ties in the classifier are broken toward non-equivalent.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
@@ -260,6 +258,10 @@ def sweep(
     workers = sweep_workers(workers, len(lams))
     run_cell = partial(_run_cell, base_config, train_data, test_data)
     if workers > 1:
+        # Imported here, so that a process that runs no pool does not hold one.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         bystanders = set(multiprocessing.active_children())
         pool = ProcessPoolExecutor(max_workers=workers)
         try:

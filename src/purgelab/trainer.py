@@ -11,7 +11,9 @@ corpus, seed); verges persist across epochs and live inside the checkpoint.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -101,8 +103,9 @@ class TrainerState:
     and ``head`` are views into the flat vector ``params``, and
     ``grad_segments`` are the same views into the step gradient ``grad``.
     ``grad`` and one ``scratch`` vector share the layout of ``m`` and ``v``
-    and are not checkpointed. The views' version counters start at ``t``:
-    every Adam step bumps all three.
+    and are not checkpointed; they are made on first use, the first step, so
+    a state that is only read never holds them. The views' version counters
+    start at ``t``: every Adam step bumps all three.
     """
 
     config: TrainConfig
@@ -114,14 +117,18 @@ class TrainerState:
     epoch: int = 0
     encoder: DenseParams = field(init=False)
     head: DenseParams = field(init=False)
-    grad: np.ndarray = field(init=False)
-    scratch: np.ndarray = field(init=False)
-    grad_segments: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         self.encoder, self.head = param_views(self.params, self.config, self.t)
-        self.grad, self.scratch = np.zeros((2, self.params.size))
-        self.grad_segments = split_flat(self.grad, self.config)
+
+    @functools.cached_property
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        grad, scratch = np.zeros((2, self.params.size))
+        return grad, scratch, split_flat(grad, self.config)
+
+    grad = property(lambda self: self._buffers[0])
+    scratch = property(lambda self: self._buffers[1])
+    grad_segments = property(lambda self: self._buffers[2])
 
 
 @dataclass
@@ -307,24 +314,40 @@ def load_checkpoint(path) -> TrainerState:
     Checks, in order: the magic, the version, the sha256 trailer, the
     metadata (the config, non-negative integer counters, the verge rows),
     the block length against the config's layout, and that every parameter
-    and moment is finite.
+    and moment is finite. The file is read once: the float block goes
+    straight into the one array that ``params``, ``m`` and ``v`` view, and
+    every section is hashed as it is read.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     start = len(CHECKPOINT_MAGIC)
-    if raw[:start] != CHECKPOINT_MAGIC:
-        raise DeserializeError("not a purgelab checkpoint")
-    if len(raw) < start + 8 + _DIGEST_SIZE:
-        raise DeserializeError("checkpoint truncated")
-    version, meta_len = struct.unpack_from("<II", raw, start)
-    if version != CHECKPOINT_VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    end = len(raw) - _DIGEST_SIZE
-    if hashlib.sha256(memoryview(raw)[:end]).digest() != raw[end:]:
+    with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe, whose size is known only once it is read
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        head = fh.read(start + 8)
+        if head[:start] != CHECKPOINT_MAGIC:
+            raise DeserializeError("not a purgelab checkpoint")
+        if size < start + 8 + _DIGEST_SIZE:
+            raise DeserializeError("checkpoint truncated")
+        version, meta_len = struct.unpack_from("<II", head, start)
+        if version != CHECKPOINT_VERSION:
+            raise VersionError(f"unsupported checkpoint version {version}")
+        end = size - _DIGEST_SIZE
+        meta_b = fh.read(min(meta_len, end - start - 8))
+        nbytes = end - start - 8 - len(meta_b)
+        flat = np.empty((nbytes + 7) // 8, dtype="<f8")
+        block = memoryview(flat).cast("B")[:nbytes]
+        read = fh.readinto(block)
+        digest = hashlib.sha256(head)
+        digest.update(meta_b)
+        digest.update(block)
+        trailer = fh.read()
+    if read != nbytes or digest.digest() != trailer:
         raise DeserializeError("checkpoint digest mismatch: the file is truncated or corrupted")
     start += 8
     try:
-        meta = json.loads(raw[start : start + meta_len].decode("utf-8"))
+        # A meta length past the block names the trailer's bytes too, as in the file.
+        meta = json.loads((meta_b + trailer)[:meta_len].decode("utf-8"))
         cfg_dict = dict(meta["config"])
         loss = LossConfig(**cfg_dict.pop("loss"))
         config = TrainConfig(loss=loss, **cfg_dict)
@@ -340,7 +363,7 @@ def load_checkpoint(path) -> TrainerState:
         raise DeserializeError(
             f"checkpoint holds {end - start} parameter bytes, the config's layout needs {3 * 8 * n}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", count=3 * n, offset=start).astype(np.float64)
+    flat = flat.astype(np.float64, copy=False)  # a copy only on a big-endian host
     if not np.isfinite(flat).all():
         raise DeserializeError("checkpoint holds non-finite parameters or moments")
     params, m, v = flat.reshape(3, n)

@@ -537,6 +537,35 @@ def test_a_second_ctrl_c_during_a_pooled_sweep_exits_130_and_leaves_no_worker(tm
     assert not out.exists()
 
 
+# Runs a command in a process of its own and prints its exit code and the
+# process-pool modules it has loaded.
+_CLI_POOL_MODULES = """
+import sys
+from purgelab import cli
+rc = cli.run(sys.argv[1:])
+print(rc, sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_a_command_without_a_pool_never_imports_one(tmp_path, command):
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    argv = {
+        "eval": ["eval", "--checkpoint", ckpt, "--corpus", corpus],
+        "sweep": ["sweep", "--train-corpus", corpus, "--test-corpus", corpus, "--lambda-range", "1:1.1:0.1",
+                  "--zeta-range=0:0:1", "--epochs", "1", "--workers", "1", *SMALL_DIMS],
+    }[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _CLI_POOL_MODULES, *argv, "--features", features,
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.stderr, proc.stdout.splitlines()[-1]) == ("", "0 []")
+
+
 def _bundled_openblas():
     """The thread-count getter and setter of numpy's bundled OpenBLAS, found
     apart from the CLI's own lookup, or None for another BLAS build."""
@@ -998,6 +1027,89 @@ def test_a_nan_weight_under_a_valid_trailer_exits_1(tmp_path, capsys):
         assert not out.exists()
 
 
+def _flip(raw, at):
+    flipped = bytearray(raw)
+    flipped[at] ^= 1
+    return bytes(flipped)
+
+
+def _resigned(body):
+    return body + hashlib.sha256(body).digest()
+
+
+# A checkpoint's sections as (start, end) offsets: magic, header (u32 version,
+# u32 meta length), meta, block and sha256 trailer.
+def _sections(raw):
+    _, meta_len = struct.unpack_from("<II", raw, 13)
+    return {"magic": (0, 13), "header": (13, 21), "meta": (21, 21 + meta_len),
+            "block": (21 + meta_len, len(raw) - 32), "trailer": (len(raw) - 32, len(raw))}
+
+
+_DIGEST_LINE = "ERROR DeserializeError: checkpoint digest mismatch: the file is truncated or corrupted"
+_SMALL_BLOCK = 3 * 8 * 616  # params, m and v at SMALL_DIMS
+
+
+@pytest.mark.parametrize("damage, line", [
+    pytest.param(lambda raw, s: raw[: s["magic"][1] // 2], "ERROR DeserializeError: not a purgelab checkpoint",
+                 id="truncated-in-magic"),
+    pytest.param(lambda raw, s: raw[: s["header"][0] + 4], "ERROR DeserializeError: checkpoint truncated",
+                 id="truncated-in-header"),
+    pytest.param(lambda raw, s: raw[: sum(s["meta"]) // 2], _DIGEST_LINE, id="truncated-in-meta"),
+    pytest.param(lambda raw, s: raw[: sum(s["block"]) // 2], _DIGEST_LINE, id="truncated-in-block"),
+    pytest.param(lambda raw, s: raw[: sum(s["block"]) // 2 + 3], _DIGEST_LINE, id="truncated-off-a-float"),
+    pytest.param(lambda raw, s: raw[: sum(s["trailer"]) // 2], _DIGEST_LINE, id="truncated-in-trailer"),
+    pytest.param(lambda raw, s: raw[:-1], _DIGEST_LINE, id="one-byte-short"),
+    pytest.param(lambda raw, s: raw + b"\0", _DIGEST_LINE, id="one-byte-long"),
+    pytest.param(lambda raw, s: _flip(raw, 5), "ERROR DeserializeError: not a purgelab checkpoint",
+                 id="flipped-in-magic"),
+    pytest.param(lambda raw, s: _flip(raw, 13), "ERROR VersionError: unsupported checkpoint version 2",
+                 id="flipped-in-version"),
+    pytest.param(lambda raw, s: _flip(raw, 17), _DIGEST_LINE, id="flipped-in-meta-length"),
+    pytest.param(lambda raw, s: _flip(raw, sum(s["meta"]) // 2), _DIGEST_LINE, id="flipped-in-meta"),
+    pytest.param(lambda raw, s: _flip(raw, sum(s["block"]) // 2), _DIGEST_LINE, id="flipped-in-block"),
+    pytest.param(lambda raw, s: _flip(raw, sum(s["trailer"]) // 2), _DIGEST_LINE, id="flipped-in-trailer"),
+    pytest.param(lambda raw, s: _resigned(raw[:-32] + b"\0" * 8),
+                 f"ERROR DeserializeError: checkpoint holds {_SMALL_BLOCK + 8} parameter bytes, "
+                 f"the config's layout needs {_SMALL_BLOCK}", id="resigned-float-long"),
+    pytest.param(lambda raw, s: _resigned(raw[:-35]),
+                 f"ERROR DeserializeError: checkpoint holds {_SMALL_BLOCK - 3} parameter bytes, "
+                 f"the config's layout needs {_SMALL_BLOCK}", id="resigned-off-a-float"),
+])
+def test_every_damaged_section_of_a_checkpoint_gives_its_one_error_line(tmp_path, capsys, damage, line):
+    corpus, features = gen_small(tmp_path / "data")
+    raw = Path(train_small(tmp_path / "run", corpus, features)).read_bytes()
+    assert _sections(raw)["block"][1] - _sections(raw)["block"][0] == _SMALL_BLOCK
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(damage(raw, _sections(raw)))
+    out = tmp_path / "out"
+    for argv in (["eval", "--checkpoint", str(bad)], ["train", "--resume", str(bad), "--epochs", "3"]):
+        capsys.readouterr()
+        rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, line + "\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("past", [0, 10], ids=["to-the-trailer", "into-the-trailer"])
+def test_a_resigned_meta_length_past_the_meta_reads_the_bytes_it_names(tmp_path, capsys, past):
+    # The meta length is read as written: a meta that runs over the block, and
+    # on into the trailer, is decoded from those bytes.
+    corpus, features = gen_small(tmp_path / "data")
+    raw = Path(train_small(tmp_path / "run", corpus, features)).read_bytes()
+    meta_len = len(raw) - 21 - 32 + past
+    forged = _resigned(raw[:17] + struct.pack("<I", meta_len) + raw[21:-32])
+    with pytest.raises(ValueError) as decoding:
+        json.loads(forged[21 : 21 + meta_len].decode("utf-8"))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(forged)
+    line = f"ERROR DeserializeError: malformed checkpoint metadata: {decoding.value!r}\n"
+    out = tmp_path / "out"
+    for argv in (["eval", "--checkpoint", str(bad)], ["train", "--resume", str(bad), "--epochs", "3"]):
+        capsys.readouterr()
+        rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, line)
+        assert not out.exists()
+
+
 def _corrupt_features(path, text):
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = lines[1].rsplit(" ", 1)[0] + f" {text}\n"
@@ -1044,6 +1156,22 @@ def test_malformed_input_exits_1_with_error_line(tmp_path, capsys, name, corrupt
         rc = run(["eval", "--checkpoint", ckpt, "--corpus", corpus, *common])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"ERROR {error}: ")
+
+
+@pytest.mark.parametrize("component", ["\u0661", "1_0", "\u0663.\u0665"])
+def test_feature_table_components_are_spelled_as_the_writer_writes_them(tmp_path, capsys, component):
+    # float() reads each of these (as 1.0, 10.0 and 3.5); a rewrite of the
+    # table would not keep their spelling, so a load refuses them.
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    _corrupt_features(Path(features), component)
+    line = f"ERROR ParseError: line 2: components must be ASCII with no '_', got {component!r}\n"
+    out = tmp_path / "out"
+    for argv in (["train", "--epochs", "1", *SMALL_DIMS], ["eval", "--checkpoint", ckpt]):
+        capsys.readouterr()
+        rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, line)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [

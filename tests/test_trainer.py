@@ -1,12 +1,14 @@
 import ast
 import copy
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from purgelab import evaluation
 from purgelab import trainer as trainer_module
 from purgelab.data import MAX_DIM, FeatureCache, HashingFeatures, generate_synthetic, make_batches
 from purgelab.encoder import encode_batch, encoder_backward, split_flat
@@ -431,3 +433,64 @@ def test_warm_training_steps_allocate_little(kind):
     finally:
         tracemalloc.stop()
     assert peak < state.params.nbytes // 4
+
+
+def test_a_checkpoint_loads_its_block_once_into_aligned_native_arrays(tmp_path):
+    # The float block is read into the one array that params, m and v view:
+    # the load's peak is that block plus small change (finite-check flags, the
+    # metadata), not a second copy of the file.
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(init_state(TrainConfig()), path)
+    tracemalloc.start()
+    try:
+        state = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 3 * state.params.nbytes
+    assert peak <= 1.15 * block
+    for array in (state.params, state.m, state.v):
+        assert array.dtype == np.float64 and array.dtype.isnative
+        assert array.flags.aligned and array.flags.writeable
+        assert np.shares_memory(array, state.params.base)
+    assert state.params.base.nbytes == block
+
+
+# The attributes of a state made or loaded from a file: the training buffers
+# (the step gradient, its segments and Adam's scratch vector) are not among them.
+_STATE_ATTRIBUTES = {"config", "params", "registry", "m", "v", "t", "epoch", "encoder", "head"}
+
+
+def test_a_state_makes_its_training_buffers_on_its_first_step(tmp_path):
+    data = small_setup()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(train(small_config(epochs=1), data).state, path)
+    loaded = load_checkpoint(path)
+    evaluation.evaluate(loaded, data)
+    evaluation.distance_stats(loaded, data)
+    list(evaluation.export_embeddings(loaded, data))
+    assert set(vars(loaded)) == _STATE_ATTRIBUTES
+    fresh = init_state(small_config())
+    assert set(vars(fresh)) == _STATE_ATTRIBUTES
+    train_step(fresh, make_batches(data, 4, 0, 0)[0])
+    assert set(vars(fresh)) > _STATE_ATTRIBUTES
+    assert fresh.grad is fresh.grad and fresh.grad.shape == fresh.scratch.shape == fresh.params.shape
+    assert all(np.shares_memory(seg, fresh.grad) for seg in fresh.grad_segments)
+
+
+def test_a_checkpoint_loads_from_a_pipe_like_from_its_file(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(train(small_config(epochs=1), small_setup()).state, path)
+    raw = path.read_bytes()
+    for data, error in ((raw, None), (raw[:-1], "digest mismatch"), (raw[:30], "truncated")):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)  # a small checkpoint fits the pipe's buffer
+            os.close(write_end)
+            if error is None:
+                assert checkpoints_equal(load_checkpoint(f"/dev/fd/{read_end}"), load_checkpoint(path))
+            else:
+                with pytest.raises(DeserializeError, match=error):
+                    load_checkpoint(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
