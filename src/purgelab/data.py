@@ -220,25 +220,19 @@ def split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     side follows the original corpus order.
     """
     check_fraction(fraction)
-    by_label: dict[int, list[int]] = {0: [], 1: []}
-    for idx, record in enumerate(corpus.records):
-        by_label[record.label].append(idx)
-    for label, indices in by_label.items():
-        if not indices:
+    labels = np.array([record.label for record in corpus.records], dtype=np.int64)
+    by_label = [np.flatnonzero(labels == label) for label in (0, 1)]
+    for label, indices in enumerate(by_label):
+        if not indices.size:
             raise StratifyError(f"label {label} has no records to stratify")
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in (0, 1):
-        indices = np.array(by_label[label], dtype=np.int64)
-        order = rng.permutation(len(indices))
-        take = int(fraction * len(indices) + 0.5)  # round half up
-        train_idx.extend(indices[order[:take]].tolist())
-        test_idx.extend(indices[order[take:]].tolist())
-    train_idx.sort()
-    test_idx.sort()
-    train = Corpus([corpus.records[i] for i in train_idx])
-    test = Corpus([corpus.records[i] for i in test_idx])
+    in_train = np.zeros(len(labels), dtype=bool)
+    for indices in by_label:
+        take = int(fraction * indices.size + 0.5)  # round half up
+        in_train[indices[rng.permutation(indices.size)[:take]]] = True
+    sides = in_train.tolist()
+    train = Corpus([r for r, side in zip(corpus.records, sides) if side])
+    test = Corpus([r for r, side in zip(corpus.records, sides) if not side])
     return train, test
 
 
@@ -327,8 +321,8 @@ def write_feature_table(features: TableFeatures, path) -> None:
 
 def load_feature_table(path) -> TableFeatures:
     """Read a feature table; a malformed header or line, a component that is
-    not a finite float or not spelled in ASCII without ``_``, a repeated key,
-    or bytes that are not UTF-8 raise :class:`ParseError`."""
+    not a finite float or not spelled in printable ASCII without ``_``, a
+    repeated key, or bytes that are not UTF-8 raise :class:`ParseError`."""
     lines = read_lines(path)
     header = next(lines, "").rstrip("\n").split()
     if len(header) != 3 or header[0] != "feature-table" or header[1] != "1":
@@ -344,9 +338,12 @@ def load_feature_table(path) -> TableFeatures:
             continue
         try:
             key, comps = line.split("\t")
-            if not comps.isascii() or "_" in comps:  # float() takes both, a rewrite keeps neither
-                bad = next(x for x in comps.split(" ") if not x.isascii() or "_" in x)
-                raise ValueError(f"components must be ASCII with no '_', got {bad!r}")
+            # float() also reads non-ASCII digits, '_', and \v, \f or \r around a
+            # number; every other character that is not printable ASCII fails it
+            if not comps.isascii() or any(c in comps for c in "_\v\f\r"):
+                bad = next(x for x in comps.split(" ") if not (x.isascii() and x.isprintable()) or "_" in x)
+                rule = "ASCII with no '_'" if not bad.isascii() or "_" in bad else "printable ASCII"
+                raise ValueError(f"components must be {rule}, got {bad!r}")
             key = _unescape(key)
             vec = np.array([float(x) for x in comps.split(" ")], dtype=np.float64)
         except ValueError as exc:

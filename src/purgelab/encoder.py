@@ -84,20 +84,18 @@ def _forward(params: DenseParams, inputs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _upstream(
     params: DenseParams, cache: EncoderCache | PairCache, upstream: np.ndarray, outputs: np.ndarray
-) -> np.ndarray:
-    """``upstream`` as float64, once ``cache`` is known to be fresh and
-    ``upstream`` to have the shape of its ``outputs``."""
+) -> None:
+    """Check that ``cache`` is fresh and that the float64 gradient ``upstream``
+    has the shape of its ``outputs``."""
     if cache.params_version != params.version:
         raise StateError(
             f"stale forward cache: params version {params.version}, "
             f"cache version {cache.params_version}"
         )
-    upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != outputs.shape:
         raise DimensionError(
             f"upstream must match output shape {outputs.shape}, got {upstream.shape}"
         )
-    return upstream
 
 
 def _backward(
@@ -134,8 +132,7 @@ class EncoderCache:
 
 
 def encode_batch(params: DenseParams, features: np.ndarray) -> EncoderCache:
-    """Forward pass over a batch of feature rows; embeddings are unit-norm."""
-    features = np.asarray(features, dtype=np.float64)
+    """Forward pass over a float64 batch of feature rows; embeddings are unit-norm."""
     if features.ndim != 2 or features.shape[1] != params.w1.shape[1]:
         raise DimensionError(
             f"features must be (m, {params.w1.shape[1]}), got {features.shape}"
@@ -164,7 +161,7 @@ def encoder_backward(
     layer outputs. The w1, b1, w2, b2 gradients, summed over the rows, are
     written into the buffers ``out``.
     """
-    upstream = _upstream(params, cache, upstream, cache.embeddings)
+    _upstream(params, cache, upstream, cache.embeddings)
     e = cache.embeddings
     radial = np.add.reduce(upstream * e, axis=1, keepdims=True)
     _backward(params, cache, (upstream - radial * e) / cache.norms, out)
@@ -186,9 +183,7 @@ def pair_features(origins: np.ndarray, mutants: np.ndarray) -> np.ndarray:
 
 
 def classify_pairs(params: DenseParams, origins: np.ndarray, mutants: np.ndarray) -> PairCache:
-    """Forward pass of the pair head over matched rows of embeddings."""
-    origins = np.asarray(origins, dtype=np.float64)
-    mutants = np.asarray(mutants, dtype=np.float64)
+    """Forward pass of the pair head over matched float64 rows of embeddings."""
     if origins.shape != mutants.shape or origins.ndim != 2:
         raise DimensionError("origins and mutants must be matching (m, embed) matrices")
     if 4 * origins.shape[1] != params.w1.shape[1]:
@@ -211,7 +206,7 @@ def pair_backward(
     gradients on the origin and mutant rows are returned, in that order.
     |o - s| uses the sign subgradient, with sign(0) = 0 on tied components.
     """
-    upstream = _upstream(params, cache, upstream, cache.logits)
+    _upstream(params, cache, upstream, cache.logits)
     d_pf = _backward(params, cache, upstream, out) @ params.w1  # (m, 4*embed)
     e = d_pf.shape[1] // 4
     origins, mutants = cache.inputs[:, :e], cache.inputs[:, e : 2 * e]

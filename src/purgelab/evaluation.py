@@ -154,7 +154,8 @@ def permutation_pvalue(a, b, resamples: int = 10_000, seed: int = 0) -> Permutat
     fully reproducible.
 
     Resamples are drawn into the rows of one preallocated block: each row is
-    a copy of the pool shuffled in place, the draws of ``rng.permutation(pool)``.
+    a copy of the pool that ``rng.permuted`` shuffles in place, in row order,
+    with the draws of ``rng.permutation(pool)``.
     A row-wise sum adds each row in the pairwise order of ``mean`` on a 1-D
     slice, so the p-value is the one a loop of one resample at a time gives.
     """
@@ -176,8 +177,7 @@ def permutation_pvalue(a, b, resamples: int = 10_000, seed: int = 0) -> Permutat
     for done in range(0, resamples, rows):
         perms = block[: min(rows, resamples - done)]
         perms[:] = pool
-        for perm in perms:
-            rng.shuffle(perm)
+        rng.permuted(perms, axis=1, out=perms)
         diffs = np.abs(perms[:, :n_a].sum(axis=1) / n_a - perms[:, n_a:].sum(axis=1) / n_b)
         hits += int(np.count_nonzero(diffs >= observed))
     return PermutationResult(
@@ -237,11 +237,11 @@ def sweep(
     base_config: TrainConfig,
     train_data: FeatureCache,
     test_data: FeatureCache,
-    lambda_values,
-    zeta_values,
+    lambda_values: list[float],
+    zeta_values: list[float],
     workers: int = 1,
 ) -> SweepGrid:
-    """Train and evaluate one model per (lam, zeta) cell.
+    """Train and evaluate one model per (lam, zeta) cell of two lists of floats.
 
     All cells share the base config, seed and featurized corpora and are
     fully independent, so a cell rerun in isolation reproduces its in-sweep
@@ -249,8 +249,6 @@ def sweep(
     invalid lam or zeta) records its error and the sweep continues.
     ``workers`` is capped by :func:`sweep_workers`.
     """
-    lambda_values = [float(v) for v in lambda_values]
-    zeta_values = [float(v) for v in zeta_values]
     if not lambda_values or not zeta_values:
         raise ConfigError("sweep needs at least one value per axis")
     lams = [lam for lam in lambda_values for _ in zeta_values]

@@ -91,8 +91,8 @@ class EmbeddedBatch:
 
     Row i pairs the embedding of class ``class_ids[i]``'s original program with
     the embedding of one of its mutants; ``labels[i]`` is 1 when that mutant is
-    equivalent. ``rows`` stacks the m origin rows over the m mutant rows, as
-    the encoder emits them; ``origins`` and ``mutants`` are its two halves.
+    equivalent. ``origins`` and ``mutants`` are kept as given, once they are
+    float64: the encoder's two halves of one stacked output, with no copy.
     The row norms and the origin-mutant distances are computed once, on
     construction, and every row must be finite and nonzero, and unit-norm
     too under ``unit`` (see :meth:`from_rows`).
@@ -103,14 +103,13 @@ class EmbeddedBatch:
     origins: np.ndarray  # (m, dim)
     mutants: np.ndarray  # (m, dim)
     unit: InitVar[bool] = False
-    rows: np.ndarray = field(init=False)  # (2m, dim)
     norms: np.ndarray = field(init=False)  # (2m,), origin norms then mutant norms
     distances: np.ndarray = field(init=False)  # (m,), in [0, 1]
 
     def __post_init__(self, unit):
         self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        origins, mutants = (np.asarray(a, dtype=np.float64) for a in (self.origins, self.mutants))
+        self.origins, self.mutants = origins, mutants = [np.asarray(a, dtype=np.float64) for a in (self.origins, self.mutants)]
         m = self.class_ids.size
         if m == 0:
             raise EmptyBatchError("a batch needs at least one sample")
@@ -128,9 +127,8 @@ class EmbeddedBatch:
             )
         if not set(self.labels.tolist()) <= {0, 1}:
             raise ConfigError(f"labels must be 0 or 1, got {self.labels.tolist()!r}")
-        self.rows = np.concatenate([origins, mutants])
-        self.origins, self.mutants = self.rows[:m], self.rows[m:]
-        self.norms = norms = row_norms(self.rows)
+        # np.vecdot gives a row's norm the bits it has in any stack of rows.
+        self.norms = norms = np.concatenate([row_norms(origins), row_norms(mutants)])
         # One pass over the norms on the common path, which finds the precise
         # error only once it fails. A list is cheaper to scan than a numpy
         # reduction is to call at these sizes.
@@ -156,9 +154,9 @@ class EmbeddedBatch:
     def hinge(self, terms: Iterable[tuple[int, float, float, float]], epsilon: float, skipped: int = 0) -> LossOutput:
         """Sum of [arg]_+ ** exponent over ``(row, arg, exponent, sign)`` terms in
         row order, divided by the batch size m, where ``sign`` is d arg / d
-        distance, with its gradient w.r.t. ``self.rows``; a row with no active
-        term gets zero rows. ``epsilon`` floors the argument in the derivative
-        factor only, which keeps an exponent below 1 bounded at onset."""
+        distance, with its gradient w.r.t. the origin rows over the mutant rows;
+        a row with no active term gets zero rows. ``epsilon`` floors the argument
+        in the derivative factor only: an exponent below 1 stays bounded at onset."""
         m = len(self)
         total = 0.0
         rows: list[int] = []
@@ -170,7 +168,7 @@ class EmbeddedBatch:
             factor = exponent * max(arg, epsilon) ** (exponent - 1.0)
             rows.append(i)
             scales.append(sign * factor / m)
-        grads = np.zeros(self.rows.shape)
+        grads = np.zeros((2 * m, self.origins.shape[1]))
         if rows:
             idx = np.asarray(rows)
             grad_o, grad_s = cosine_distance_gradients(
@@ -186,8 +184,8 @@ class EmbeddedBatch:
 class LossOutput:
     """Loss value plus the gradients the caller needs to backpropagate.
 
-    Batch losses fill ``embedding_grads``, shaped like :attr:`EmbeddedBatch.rows`
-    (one origin row, then one mutant row, per sample); cross-entropy fills
+    Batch losses fill ``embedding_grads``, (2m, dim): a batch's m origin rows
+    over its m mutant rows, as the encoder stacks them; cross-entropy fills
     ``logit_grads``. ``skipped_count`` counts samples whose term was dropped
     because the required opposite verge was uninitialized.
     """
@@ -259,7 +257,7 @@ def triplet_batch_loss(batch: EmbeddedBatch, margin: float) -> LossOutput:
     zero. Uses the same normalized cosine distance as the other losses.
     """
     m = len(batch)
-    grads = np.zeros(batch.rows.shape)
+    grads = np.zeros((2 * m, batch.origins.shape[1]))
     equivalent = batch.labels == 1
     same_class = batch.class_ids[:, None] == batch.class_ids[None, :]
     anchors, negatives = np.nonzero(equivalent[:, None] & ~equivalent[None, :] & same_class)

@@ -187,8 +187,9 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
     """One forward/backward/update cycle; mutates the state in place.
 
     The one place a step diverges: a non-finite value in the forward pass or
-    the loss, or a float power that overflows, aborts with a
-    :class:`DivergenceError`; nothing is clipped or papered over.
+    the loss, a float power that overflows, or an Adam step that leaves a
+    non-finite parameter or moment aborts with a :class:`DivergenceError`;
+    nothing is clipped or papered over.
     """
     try:
         lcfg = state.config.loss
@@ -212,6 +213,13 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
         encoder_backward(state.encoder, cache, d_embeddings, grads[:4])
         row = LossRow(state.t, ce.value, metric_value, joint, skipped)
         _adam_step(state)
+        # Adam leaves sqrt(v) + eps in ``grad``: one dot product with params is
+        # finite only if both are (a finite v kept m finite), and only a dot
+        # product that overflows on finite values needs the full check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = math.isfinite(np.dot(state.params, state.grad))
+        if not (finite or np.isfinite(state.params).all() and np.isfinite(state.v).all()):
+            raise NumericError("Adam step left a non-finite parameter or moment")
         return row
     except (NumericError, OverflowError) as exc:
         cause = f"step overflowed {exc}" if isinstance(exc, OverflowError) else exc

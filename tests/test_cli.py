@@ -894,6 +894,8 @@ def test_extreme_training_floats_never_escape(tmp_path, capsys):
             err = capsys.readouterr().err
             outcomes[rc] += 1
             assert re.fullmatch(r"ERROR \w+: .+\n" if rc else "", err), (flags, err)
+            if rc == 0:  # and the checkpoint it wrote loads
+                load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         assert outcomes[0] and outcomes[1]
         # the zeta = 9.9 cell overflows 400th powers; the other one keeps its F1
         args = [*sweep_args(tmp_path), "--alpha", "400", "--lambda-range", "1:1:1", "--epochs", "3"]
@@ -905,6 +907,35 @@ def test_extreme_training_floats_never_escape(tmp_path, capsys):
     assert (both / "sweep.tsv").read_text().splitlines()[1:] == [good, "1.0\t9.9\tnone\tnone\tnone"]
     error = (both / "sweep_errors.txt").read_text()
     assert error.startswith("1.0\t9.9\tDivergenceError: numeric divergence: step overflowed ")
+
+
+ADAM_DIVERGED = "numeric divergence: Adam step left a non-finite parameter or moment"
+
+
+@pytest.mark.parametrize("flags", [
+    # g**2 overflows in v, which then holds inf while params and m stay finite
+    pytest.param(["--lambda", "1e160", "--epochs", "1"], id="adam-moment"),
+    pytest.param(["--lambda", "1e308", "--epochs", "2"], id="adam-moment-huge-lambda"),
+])
+def test_a_run_that_leaves_a_non_finite_adam_moment_exits_1_and_writes_nothing(tmp_path, capsys, flags):
+    data = tmp_path / "data"
+    assert run(["gen", "--out-dir", str(data)]) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = run(["train", "--corpus", str(data / "corpus.tsv"), "--features", str(data / "features.tsv"),
+              "--out-dir", str(out), *flags])
+    assert (rc, capsys.readouterr().err) == (1, f"ERROR DivergenceError: {ADAM_DIVERGED}\n")
+    assert not out.exists()
+
+
+def test_a_sweep_cell_whose_adam_moment_overflows_is_an_error(tmp_path):
+    data = tmp_path / "data"
+    assert run(["gen", "--out-dir", str(data)]) == 0
+    corpus, out = str(data / "corpus.tsv"), tmp_path / "sweep"
+    assert run(["sweep", "--train-corpus", corpus, "--test-corpus", corpus, "--features", str(data / "features.tsv"),
+                "--lambda-range", "1e200:1e200:1", "--zeta-range=0:0:1", "--epochs", "1", "--out-dir", str(out)]) == 0
+    assert (out / "sweep.tsv").read_text().splitlines()[1:] == ["1e+200\t0.0\tnone\tnone\tnone"]
+    assert (out / "sweep_errors.txt").read_text() == f"1e+200\t0.0\tDivergenceError: {ADAM_DIVERGED}\n"
 
 
 # Tokens the input fuzz inserts: separators, escapes, values the parsers
@@ -1166,6 +1197,31 @@ def test_feature_table_components_are_spelled_as_the_writer_writes_them(tmp_path
     ckpt = train_small(tmp_path / "run", corpus, features)
     _corrupt_features(Path(features), component)
     line = f"ERROR ParseError: line 2: components must be ASCII with no '_', got {component!r}\n"
+    out = tmp_path / "out"
+    for argv in (["train", "--epochs", "1", *SMALL_DIMS], ["eval", "--checkpoint", ckpt]):
+        capsys.readouterr()
+        rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, line)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["crlf", "form-feed-before", "vertical-tab-after"])
+def test_feature_table_components_hold_no_blank_the_writer_never_writes(tmp_path, capsys, case):
+    # float() strips \r, \v and \f around a number, so "2.0\r" would load as
+    # 2.0; a CRLF table fails on its first row, line 2.
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    lines = Path(features).read_text().splitlines(keepends=True)
+    key, comps = lines[1].rstrip("\n").split("\t")
+    first, last = comps.split(" ")[0], comps.split(" ")[-1]
+    if case == "crlf":
+        lines, bad = [line.replace("\n", "\r\n") for line in lines], last + "\r"
+    elif case == "form-feed-before":
+        lines[1], bad = f"{key}\t\x0c{comps}\n", "\x0c" + first
+    else:
+        lines[1], bad = f"{key}\t{comps}\x0b\n", last + "\x0b"
+    Path(features).write_text("".join(lines))
+    line = f"ERROR ParseError: line 2: components must be printable ASCII, got {bad!r}\n"
     out = tmp_path / "out"
     for argv in (["train", "--epochs", "1", *SMALL_DIMS], ["eval", "--checkpoint", ckpt]):
         capsys.readouterr()
@@ -1640,3 +1696,78 @@ def test_default_width_training_of_every_loss_kind_is_pinned(tmp_path):
         digests[kind] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                               for name in ("checkpoint.bin", "history.tsv"))
     assert digests == PINNED_LOSS_KIND_DIGESTS
+
+
+def test_resuming_a_finished_run_says_there_is_nothing_to_do(tmp_path, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    out = tmp_path / "again"
+    capsys.readouterr()
+    assert run(["train", "--resume", ckpt, "--corpus", corpus, "--features", features, "--epochs", "2",
+                "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == "train: nothing to do (checkpoint already at target epochs)\n"
+    assert (out / "checkpoint.bin").read_bytes() == Path(ckpt).read_bytes()
+    assert (out / "history.tsv").read_text() == ""
+
+
+def test_sweep_prints_its_best_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = [*sweep_args(tmp_path), "--lambda-range", "1:1.05:0.05", "--zeta-range=0:0:1", "--out-dir", str(out)]
+    capsys.readouterr()
+    assert run(args) == 0
+    best = (out / "sweep_matrix.txt").read_text().splitlines()[-1]
+    lam, zeta, f1 = re.fullmatch(r"best: lambda=(\S+) zeta=(\S+) P=\S+ R=\S+ F1=(\S+)", best).groups()
+    assert capsys.readouterr().out == f"sweep: 2 cells, best lambda={lam} zeta={zeta} f1={f1}\n"
+
+
+def test_export_prints_the_number_of_rows_it_wrote(tmp_path, capsys):
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["export", "--checkpoint", ckpt, "--corpus", corpus, "--features", features, "--classes", "1,2",
+                "--out-dir", str(out)]) == 0
+    rows = (out / "embeddings.tsv").read_text().splitlines()
+    assert len(rows) == 2 * (1 + 8)  # an origin row and 8 mutant rows per class
+    assert capsys.readouterr().out == f"export: {len(rows)} rows -> {out}\n"
+
+
+def test_python_m_purgelab_runs_the_cli_and_exits_with_its_code(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def purgelab(*argv):
+        return subprocess.run([sys.executable, "-m", "purgelab", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = purgelab("gen", "--classes", "2", "--per-class", "4", "--out-dir", "data")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "gen: 8 records, 2 classes -> data\n", "")
+    failed = purgelab("eval", "--checkpoint", "missing.bin", "--out-dir", "out")
+    assert (failed.returncode, failed.stdout) == (1, "")
+    assert failed.stderr.startswith("ERROR FileNotFoundError: ") and failed.stderr.count("\n") == 1
+
+
+def test_a_sweep_axis_past_the_cap_is_named_before_the_grid(tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["sweep", "--lambda-range", "0:10000:1", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "ERROR ConfigError: range '0:10000:1' has more than 10000 values\n"
+
+
+def test_a_numpy_without_the_bundled_openblas_runs_on_its_own_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+    cli._openblas.cache_clear()
+    try:
+        assert cli._openblas() is None
+        assert run(["gen", "--classes", "2", "--per-class", "4", "--out-dir", str(tmp_path)]) == 0
+    finally:
+        cli._openblas.cache_clear()  # the next caller looks the library up again
+
+
+# sha256 of the default codegen corpus. Live kinds 2 and 3 give equal hashed
+# features, so no featurized digest notices one swapped for the other.
+CODEGEN_CORPUS_DIGEST = "18ba59bee37525dfc36f5b9a3ade671910f4a05d9356f7b6c91bb940a4b8a999"
+
+
+def test_default_codegen_corpus_is_pinned(tmp_path):
+    assert run(["gen", "--mode", "codegen", "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "corpus.tsv").read_bytes()).hexdigest() == CODEGEN_CORPUS_DIGEST

@@ -486,3 +486,15 @@ def test_cross_entropy_gradients_match_finite_differences():
             lambda z: cross_entropy(z, label).value, logits, step=1e-6
         )
         assert relative_error(out.logit_grads, numeric) < 1e-4
+
+
+def test_embedded_batch_takes_list_rows_as_float64_arrays():
+    rows = ([3, 3], [1, 0], [[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [0.0, -1.0]])
+    listed = EmbeddedBatch(*rows)
+    arrays = EmbeddedBatch(*(np.array(r) for r in rows))
+    assert listed.origins.dtype == listed.mutants.dtype == np.float64
+    assert listed.distances.tolist() == [0.5, 1.0]
+    cfg = LossConfig(zeta=1.5)
+    a, b = contrastive_loss(listed, cfg), contrastive_loss(arrays, cfg)
+    assert a.value == b.value
+    assert np.array_equal(a.embedding_grads, b.embedding_grads)

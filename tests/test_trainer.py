@@ -196,10 +196,22 @@ def test_divergence_raises_with_location():
 
 
 def test_float_overflow_raises_divergence_with_location():
-    # 2,000th powers of hinge arguments above 1.43 overflow a Python float in
-    # the second epoch, after the first one finished
+    # the squared gradients of 2,000th-power hinges overflow Adam's v at the
+    # third step; a run that went on would leave those weights frozen
     data = small_setup()
     config = small_config(epochs=4, loss=LossConfig(zeta=1.0, alpha=2000.0))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="Adam step left a non-finite") as info:
+        train(config, data)
+    assert (info.value.epoch, info.value.step) == (0, 2)
+    assert info.value.history == []
+
+
+def test_float_power_overflow_raises_divergence_with_location():
+    # 2,000th powers of hinge arguments above 1.43 overflow a Python float in
+    # the second epoch, after the first one finished; a metric weight of
+    # 1e-200 keeps the squared gradients in Adam's v finite until then
+    data = small_setup()
+    config = small_config(epochs=4, loss=LossConfig(zeta=1.0, alpha=2000.0, lam=1e-200))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="step overflowed") as info:
         train(config, data)
     assert isinstance(info.value.__cause__, OverflowError)

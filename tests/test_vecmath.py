@@ -11,6 +11,7 @@ from purgelab.errors import (
     NumericError,
 )
 from purgelab.vecmath import (
+    as_vector,
     cosine_distance,
     cosine_distance_gradient,
     ema_batch,
@@ -197,3 +198,17 @@ def test_finite_difference_gradient_rejects_bad_step():
 def test_finite_difference_gradient_non_finite_function():
     with pytest.raises(NumericError):
         finite_difference_gradient(lambda v: float("nan"), np.array([1.0]))
+
+
+def test_as_vector_refuses_a_matrix():
+    with pytest.raises(DimensionError, match="1-D"):
+        as_vector([[1.0, 2.0]])
+
+
+def test_finite_difference_gradient_takes_a_list():
+    grad = finite_difference_gradient(lambda v: float(v @ v), [1.0, 2.0], step=1e-5)
+    assert grad == pytest.approx([2.0, 4.0], abs=1e-8)
+
+
+def test_ema_batch_takes_a_numpy_array():
+    assert ema_batch(0.5, np.array([0.2, 0.4]), 12.0) == ema_batch(0.5, (0.2, 0.4), 12.0)
