@@ -207,8 +207,9 @@ def _check_minimums(ns: argparse.Namespace, minimums: dict[str, int]) -> None:
 
 
 def _checkpoint_and_corpus(ns: argparse.Namespace) -> tuple[TrainerState, FeatureCache]:
-    """The ``--checkpoint`` state and the ``--corpus`` featurized at its feature dim."""
-    state = load_checkpoint(ns.checkpoint)
+    """The ``--checkpoint`` state, without Adam's moments, and the ``--corpus``
+    featurized at its feature dim."""
+    state = load_checkpoint(ns.checkpoint, moments=False)
     [data] = _featurized(ns, state.config.feature_dim, ns.corpus)
     return state, data
 
@@ -320,8 +321,8 @@ def cmd_stats(ns: argparse.Namespace) -> int:
         _check_minimums(ns, {"resamples": 1, "stats_seed": 0})
     else:
         _reject_unused(ns, _PERMUTATION_FLAGS, "without --baseline")
-    state = load_checkpoint(ns.checkpoint)
-    base_state = load_checkpoint(ns.baseline) if ns.baseline else None
+    state = load_checkpoint(ns.checkpoint, moments=False)
+    base_state = load_checkpoint(ns.baseline, moments=False) if ns.baseline else None
     if base_state is not None and base_state.config.feature_dim != state.config.feature_dim:
         raise ConfigError(
             f"baseline feature_dim {base_state.config.feature_dim} is not "

@@ -38,7 +38,9 @@ class VersionError(PurgelabError):
 
 
 class StateError(PurgelabError):
-    """A cached forward state no longer matches the current parameters."""
+    """A state used for what it does not hold: a cached forward state older
+    than the current parameters, or a state without Adam's moments asked to
+    train or be saved."""
 
 
 class ParseError(PurgelabError):

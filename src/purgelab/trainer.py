@@ -17,6 +17,7 @@ import io
 import json
 import math
 import numbers
+import operator
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -39,6 +40,7 @@ from .errors import (
     DeserializeError,
     DivergenceError,
     NumericError,
+    StateError,
     VersionError,
 )
 from .losses import (
@@ -99,20 +101,21 @@ class TrainConfig:
 class TrainerState:
     """Everything a training run carries: the checkpointable state.
 
-    ``m`` and ``v`` are Adam's moments and ``t`` its step count. ``encoder``
-    and ``head`` are views into the flat vector ``params``, and
-    ``grad_segments`` are the same views into the step gradient ``grad``.
-    ``grad`` and one ``scratch`` vector share the layout of ``m`` and ``v``
-    and are not checkpointed; they are made on first use, the first step, so
-    a state that is only read never holds them. The views' version counters
-    start at ``t``: every Adam step bumps all three.
+    ``m`` and ``v`` are Adam's moments and ``t`` its step count; a state
+    loaded with ``moments=False`` has None for both, and refuses to train or
+    be saved. ``encoder`` and ``head`` are views into the flat vector
+    ``params``, and ``grad_segments`` are the same views into the step
+    gradient ``grad``. ``grad`` and one ``scratch`` vector share the layout of
+    ``params`` and are not checkpointed; they are made on first use, the first
+    step, so a state that is only read never holds them. The views' version
+    counters start at ``t``: every Adam step bumps all three.
     """
 
     config: TrainConfig
     params: np.ndarray
     registry: VergeRegistry
-    m: np.ndarray
-    v: np.ndarray
+    m: np.ndarray | None
+    v: np.ndarray | None
     t: int = 0
     epoch: int = 0
     encoder: DenseParams = field(init=False)
@@ -123,6 +126,7 @@ class TrainerState:
 
     @functools.cached_property
     def _buffers(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        _check_moments(self)
         grad, scratch = np.zeros((2, self.params.size))
         return grad, scratch, split_flat(grad, self.config)
 
@@ -145,17 +149,23 @@ class LossRow:
 
     @classmethod
     def mean(cls, index: int, rows: list[LossRow]) -> LossRow:
-        """The epoch row of step rows ``rows``, added left to right in step order
-        (``sum()`` compensates from Python 3.12 on)."""
-        ce = metric = joint = 0.0
-        skipped = 0
-        for r in rows:
-            ce += r.ce_loss
-            metric += r.metric_loss
-            joint += r.joint_loss
-            skipped += r.skipped_count
-        n = len(rows)
-        return cls(index, ce / n, metric / n, joint / n, skipped)
+        """The epoch row of step rows ``rows``: each loss added left to right in
+        step order (``sum()`` compensates from Python 3.12 on), then divided by
+        n. Only where finite losses overflow that sum is each divided first."""
+
+        def average(values: list[float]) -> float:
+            total = functools.reduce(operator.add, values, 0.0)
+            if math.isinf(total) and all(map(math.isfinite, values)):
+                return functools.reduce(operator.add, [x / len(values) for x in values], 0.0)
+            return total / len(values)
+
+        return cls(
+            index,
+            average([r.ce_loss for r in rows]),
+            average([r.metric_loss for r in rows]),
+            average([r.joint_loss for r in rows]),
+            sum(r.skipped_count for r in rows),
+        )
 
 
 @dataclass
@@ -163,6 +173,11 @@ class TrainResult:
     state: TrainerState
     history: list[LossRow]
     step_trace: list[LossRow] | None = None
+
+
+def _check_moments(state: TrainerState) -> None:
+    if state.m is None:
+        raise StateError("the state was loaded without Adam's moments, so it cannot train or be saved")
 
 
 def init_state(config: TrainConfig) -> TrainerState:
@@ -191,6 +206,7 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
     non-finite parameter or moment aborts with a :class:`DivergenceError`;
     nothing is clipped or papered over.
     """
+    grads = state.grad_segments  # before any use of the state: a moment-free one stops here
     try:
         lcfg = state.config.loss
         m = len(batch)
@@ -206,7 +222,6 @@ def train_step(state: TrainerState, batch: FeatureCache) -> LossRow:
         ce = cross_entropy(pair_cache.logits, embedded.labels)
         joint = joint_loss(metric_value, ce.value, lcfg.lam)
 
-        grads = state.grad_segments
         d_embeddings = np.concatenate(pair_backward(state.head, pair_cache, ce.logit_grads, grads[4:]))
         if metric_out is not None:
             d_embeddings += lcfg.lam * metric_out.embedding_grads
@@ -295,11 +310,13 @@ def resume(state: TrainerState, data: FeatureCache, collect_steps: bool = False)
 # deterministic: no timestamps.
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_CHUNK_BYTES = 1 << 16  # the buffer Adam's moments pass through in a moment-free load
 
 
 def save_checkpoint(state: TrainerState, path) -> None:
     """Write the versioned checkpoint container, replacing ``path`` whole;
     byte-identical for equal states."""
+    _check_moments(state)
     meta = {
         "epoch": state.epoch,
         "adam_t": state.t,
@@ -316,7 +333,7 @@ def save_checkpoint(state: TrainerState, path) -> None:
     write_file([*parts, digest.digest()], path)
 
 
-def load_checkpoint(path) -> TrainerState:
+def load_checkpoint(path, *, moments: bool = True) -> TrainerState:
     """Restore a :class:`TrainerState`; never returns a partial load.
 
     Checks, in order: the magic, the version, the sha256 trailer, the
@@ -324,7 +341,10 @@ def load_checkpoint(path) -> TrainerState:
     the block length against the config's layout, and that every parameter
     and moment is finite. The file is read once: the float block goes
     straight into the one array that ``params``, ``m`` and ``v`` view, and
-    every section is hashed as it is read.
+    every section is hashed as it is read. With ``moments=False`` only the
+    block's first third, the parameters, is kept: Adam's moments pass through
+    one small buffer, hashed and checked but not kept, and the state holds
+    None for ``m`` and ``v``, enough to evaluate but not to train or save.
     """
     start = len(CHECKPOINT_MAGIC)
     with open(path, "rb") as fh:
@@ -343,12 +363,20 @@ def load_checkpoint(path) -> TrainerState:
         end = size - _DIGEST_SIZE
         meta_b = fh.read(min(meta_len, end - start - 8))
         nbytes = end - start - 8 - len(meta_b)
-        flat = np.empty((nbytes + 7) // 8, dtype="<f8")
-        block = memoryview(flat).cast("B")[:nbytes]
+        kept = nbytes if moments else nbytes // 24 * 8
+        flat = np.empty((kept + 7) // 8, dtype="<f8")
+        block = memoryview(flat).cast("B")[:kept]
         read = fh.readinto(block)
         digest = hashlib.sha256(head)
         digest.update(meta_b)
         digest.update(block)
+        finite = True
+        if not moments:  # m and v pass through one buffer, hashed and checked but not kept
+            chunk = memoryview(bytearray(_CHUNK_BYTES))
+            while got := fh.readinto(chunk[: nbytes - read]):
+                digest.update(chunk[:got])
+                finite = finite and bool(np.isfinite(np.frombuffer(chunk, "<f8", got // 8)).all())
+                read += got
         trailer = fh.read()
     if read != nbytes or digest.digest() != trailer:
         raise DeserializeError("checkpoint digest mismatch: the file is truncated or corrupted")
@@ -372,9 +400,9 @@ def load_checkpoint(path) -> TrainerState:
             f"checkpoint holds {end - start} parameter bytes, the config's layout needs {3 * 8 * n}"
         )
     flat = flat.astype(np.float64, copy=False)  # a copy only on a big-endian host
-    if not np.isfinite(flat).all():
+    if not (finite and np.isfinite(flat).all()):
         raise DeserializeError("checkpoint holds non-finite parameters or moments")
-    params, m, v = flat.reshape(3, n)
+    params, m, v = flat.reshape(3, n) if moments else (flat, None, None)
     return TrainerState(config, params, registry, m, v, adam_t, epoch)
 
 

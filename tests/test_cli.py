@@ -2,10 +2,12 @@ import argparse
 import builtins
 import ctypes
 import errno
+import functools
 import hashlib
 import json
 import math
 import multiprocessing
+import operator
 import os
 import re
 import signal
@@ -938,6 +940,24 @@ def test_a_sweep_cell_whose_adam_moment_overflows_is_an_error(tmp_path):
     assert (out / "sweep_errors.txt").read_text() == f"1e+200\t0.0\tDivergenceError: {ADAM_DIVERGED}\n"
 
 
+def test_epoch_means_of_finite_step_losses_whose_sum_overflows_stay_finite(tmp_path):
+    # Each metric loss is near 1.5e307; eighty of them overflow a plain sum.
+    data = tmp_path / "data"
+    assert run(["gen", "--out-dir", str(data)]) == 0
+    out = tmp_path / "run"
+    assert run(["train", "--corpus", str(data / "corpus.tsv"), "--features", str(data / "features.tsv"),
+                "--zeta", "3e307", "--alpha", "1", "--lambda", "0.5", "--epochs", "2", "--trace",
+                "--out-dir", str(out)]) == 0
+    steps = [[float(x) for x in line.split("\t")] for line in (out / "steps.tsv").read_text().splitlines()]
+    epochs = [[float(x) for x in line.split("\t")] for line in (out / "history.tsv").read_text().splitlines()]
+    assert len(steps) == 160 and len(epochs) == 2
+    assert all(map(math.isfinite, (x for row in steps + epochs for x in row)))
+    assert math.isinf(sum(row[2] for row in steps[:80]))
+    for epoch, rows in zip(epochs, (steps[:80], steps[80:])):
+        for col in (2, 3):
+            assert epoch[col] == functools.reduce(operator.add, [row[col] / 80 for row in rows], 0.0)
+
+
 # Tokens the input fuzz inserts: separators, escapes, values the parsers
 # special-case, and bytes that are not UTF-8 or end a C string.
 FUZZ_TOKENS = [b"\t", b"\n", b"\r", b"\\", b"=", b" ", b"#", b"-1", b"nan", b"1e999", b"none", b"\x00",
@@ -1040,9 +1060,17 @@ def test_forged_checkpoint_metadata_exits_1(tmp_path, capsys, updates):
         assert not out.exists()
 
 
+def _reading_commands(ckpt, bad):
+    """Each command line that loads the checkpoint ``bad``; ``ckpt`` is a good one."""
+    return (["eval", "--checkpoint", bad], ["train", "--resume", bad, "--epochs", "3"],
+            ["export", "--checkpoint", bad], ["stats", "--checkpoint", bad],
+            ["stats", "--checkpoint", ckpt, "--baseline", bad])
+
+
 def test_a_nan_weight_under_a_valid_trailer_exits_1(tmp_path, capsys):
     corpus, features = gen_small(tmp_path / "data")
-    raw = bytearray(Path(train_small(tmp_path / "run", corpus, features)).read_bytes())
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    raw = bytearray(Path(ckpt).read_bytes())
     start = len(CHECKPOINT_MAGIC)
     _, meta_len = struct.unpack_from("<II", raw, start)
     struct.pack_into("<d", raw, start + 8 + meta_len, math.nan)
@@ -1050,7 +1078,7 @@ def test_a_nan_weight_under_a_valid_trailer_exits_1(tmp_path, capsys):
     forged = tmp_path / "forged.bin"
     forged.write_bytes(body + hashlib.sha256(body).digest())
     out = tmp_path / "out"
-    for argv in (["eval", "--checkpoint", str(forged)], ["train", "--resume", str(forged), "--epochs", "3"]):
+    for argv in _reading_commands(ckpt, str(forged)):
         capsys.readouterr()
         rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
         assert rc == 1
@@ -1108,15 +1136,36 @@ _SMALL_BLOCK = 3 * 8 * 616  # params, m and v at SMALL_DIMS
 ])
 def test_every_damaged_section_of_a_checkpoint_gives_its_one_error_line(tmp_path, capsys, damage, line):
     corpus, features = gen_small(tmp_path / "data")
-    raw = Path(train_small(tmp_path / "run", corpus, features)).read_bytes()
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    raw = Path(ckpt).read_bytes()
     assert _sections(raw)["block"][1] - _sections(raw)["block"][0] == _SMALL_BLOCK
     bad = tmp_path / "bad.bin"
     bad.write_bytes(damage(raw, _sections(raw)))
     out = tmp_path / "out"
-    for argv in (["eval", "--checkpoint", str(bad)], ["train", "--resume", str(bad), "--epochs", "3"]):
+    for argv in _reading_commands(ckpt, str(bad)):
         capsys.readouterr()
         rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
         assert (rc, capsys.readouterr().err) == (1, line + "\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("where, value", [("first-m", math.nan), ("last-v", math.inf)])
+def test_a_non_finite_moment_under_a_valid_trailer_exits_1(tmp_path, capsys, where, value):
+    # eval, export and stats keep no moments, yet read and check every one.
+    corpus, features = gen_small(tmp_path / "data")
+    ckpt = train_small(tmp_path / "run", corpus, features)
+    raw = bytearray(Path(ckpt).read_bytes())
+    block_start, block_end = _sections(raw)["block"]
+    struct.pack_into("<d", raw, block_start + _SMALL_BLOCK // 3 if where == "first-m" else block_end - 8, value)
+    forged = tmp_path / "forged.bin"
+    forged.write_bytes(_resigned(bytes(raw[:-32])))
+    out = tmp_path / "out"
+    for argv in _reading_commands(ckpt, str(forged)):
+        capsys.readouterr()
+        rc = run([*argv, "--corpus", corpus, "--features", features, "--out-dir", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            1, "ERROR DeserializeError: checkpoint holds non-finite parameters or moments\n"
+        )
         assert not out.exists()
 
 
@@ -1230,6 +1279,27 @@ def test_feature_table_components_hold_no_blank_the_writer_never_writes(tmp_path
         assert not out.exists()
 
 
+# A child process's address-space cap, so that a command whose size bound is
+# missing fails instead of taking the test host's memory.
+_ADDRESS_SPACE_CAP = 3 << 30
+_CLI_UNDER_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from purgelab.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+def _run_under_memory_cap(argv):
+    """Exit code and stderr of ``argv`` run in a child under ``_ADDRESS_SPACE_CAP``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _CLI_UNDER_CAP, str(_ADDRESS_SPACE_CAP), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
 @pytest.mark.parametrize("command, flags", [
     pytest.param("export", [], id="export-empty-corpus"),
     pytest.param("stats", [], id="stats-empty-corpus"),
@@ -1262,7 +1332,7 @@ def test_feature_table_components_hold_no_blank_the_writer_never_writes(tmp_path
     pytest.param("export", ["--checkpoint", "{missing}", "--corpus", "{missing}", "--classes", "abc"],
                  id="export-bad-classes"),
 ])
-def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
+def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, request, command, flags):
     # train, sweep and preprocess get missing corpora, so a check made after
     # reading one would surface as FileNotFoundError instead
     corpus, features = gen_small(tmp_path / "data")
@@ -1279,10 +1349,14 @@ def test_bad_value_exits_1_before_featurizing(tmp_path, capsys, command, flags):
     }[command]
     flags = [flag.format(missing=missing, empty=empty, features=features) for flag in flags]
     out = tmp_path / "out"
-    capsys.readouterr()
-    rc = run([command, *inputs, *flags, "--out-dir", str(out)])
+    argv = [command, *inputs, *flags, "--out-dir", str(out)]
+    if request.node.callspec.id == "gen-too-many-records":  # 1e10 records without the cap
+        rc, err = _run_under_memory_cap(argv)
+    else:
+        capsys.readouterr()
+        rc, err = run(argv), capsys.readouterr().err
     assert rc == 1
-    assert capsys.readouterr().err.startswith("ERROR ConfigError: ")
+    assert err.startswith("ERROR ConfigError: ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -506,3 +506,81 @@ def test_a_checkpoint_loads_from_a_pipe_like_from_its_file(tmp_path):
                     load_checkpoint(f"/dev/fd/{read_end}")
         finally:
             os.close(read_end)
+
+
+def test_an_epoch_mean_is_finite_when_finite_losses_overflow_their_sum():
+    # The left-to-right sum stays where it fits; only a sum of finite losses
+    # that overflows is taken over the losses divided by n.
+    def rows(values):
+        return [trainer_module.LossRow(i, 0.25, x, x, 1) for i, x in enumerate(values)]
+
+    big = [1.5e308, 1.7e308, 3e307]
+    mean = trainer_module.LossRow.mean(4, rows(big))
+    assert mean.metric_loss == mean.joint_loss == big[0] / 3 + big[1] / 3 + big[2] / 3
+    assert math.isfinite(mean.metric_loss) and (mean.index, mean.ce_loss, mean.skipped_count) == (4, 0.25, 3)
+    small = [0.1, 0.2, 0.3]
+    assert trainer_module.LossRow.mean(0, rows(small)).metric_loss == (0.1 + 0.2 + 0.3) / 3
+    assert trainer_module.LossRow.mean(0, rows([1e308, math.inf])).metric_loss == math.inf
+    assert math.isnan(trainer_module.LossRow.mean(0, rows([1.7e308, 1.7e308, math.nan])).metric_loss)
+
+
+def _saved(tmp_path, **overrides):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(train(small_config(loss_kind="ce_plus_cpl", **overrides), small_setup()).state, path)
+    return path
+
+
+def test_a_moment_free_load_reads_like_a_full_one(tmp_path):
+    path = _saved(tmp_path)
+    full, read_only = load_checkpoint(path), load_checkpoint(path, moments=False)
+    assert read_only.m is read_only.v is None
+    assert set(vars(read_only)) == _STATE_ATTRIBUTES
+    assert np.array_equal(read_only.params, full.params)
+    assert (read_only.config, read_only.t, read_only.epoch) == (full.config, full.t, full.epoch)
+    assert read_only.registry.states == full.registry.states
+    assert read_only.encoder.version == read_only.head.version == full.t
+    assert read_only.params.flags.aligned and read_only.params.dtype.isnative
+    assert read_only.params.flags.owndata  # no view into a larger block
+    for data in (small_setup(), small_setup(seed=5)):
+        assert evaluation.evaluate(read_only, data) == evaluation.evaluate(full, data)
+        for got, want in zip(evaluation.pair_distances(read_only, data), evaluation.pair_distances(full, data)):
+            assert np.array_equal(got, want)
+        assert list(evaluation.export_embeddings(read_only, data)) == list(evaluation.export_embeddings(full, data))
+
+
+def test_a_moment_free_state_refuses_to_train_or_be_saved_and_stays_as_loaded(tmp_path):
+    path = _saved(tmp_path)
+    data = small_setup()
+    state = load_checkpoint(path, moments=False)
+    state.config = small_config(loss_kind="ce_plus_cpl", epochs=5)
+    params, verges = state.params.copy(), copy.deepcopy(state.registry.states)
+    counters = (state.t, state.epoch, state.encoder.version, state.head.version)
+    calls = [
+        lambda: resume(state, data),
+        lambda: train_step(state, make_batches(data, 4, 0, 0)[0]),
+        lambda: save_checkpoint(state, tmp_path / "out.bin"),
+    ]
+    for call in calls:
+        with pytest.raises(StateError, match="without Adam's moments"):
+            call()
+    assert np.array_equal(state.params, params) and state.registry.states == verges
+    assert (state.t, state.epoch, state.encoder.version, state.head.version) == counters
+    assert not (tmp_path / "out.bin").exists()
+    assert set(vars(state)) == _STATE_ATTRIBUTES
+
+
+def test_a_moment_free_load_holds_the_parameters_and_one_small_buffer(tmp_path):
+    # Adam's moments, two thirds of the block, pass through one buffer of
+    # _CHUNK_BYTES: the peak is the parameters, that buffer and small change
+    # (the finite-check flags are an eighth of the parameters, and the
+    # metadata), against 3.4x the parameters for a full load.
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(init_state(TrainConfig()), path)
+    tracemalloc.start()
+    try:
+        state = load_checkpoint(path, moments=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.params.nbytes > 4 * trainer_module._CHUNK_BYTES
+    assert peak <= 1.25 * state.params.nbytes + trainer_module._CHUNK_BYTES
